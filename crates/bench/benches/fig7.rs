@@ -14,7 +14,7 @@
 
 use cimflow::{ArchConfig, Strategy};
 use cimflow_bench::{dse_cache_path, resolution};
-use cimflow_dse::{analysis, DseOutcome, EvalCache, Executor, SweepSpec};
+use cimflow_dse::{analysis, DseOutcome, EvalCache, EvalService, ServiceConfig, SweepSpec};
 
 fn main() {
     let resolution = resolution();
@@ -29,16 +29,16 @@ fn main() {
 
     let cache_path = dse_cache_path();
     let cache = EvalCache::load(&cache_path).unwrap_or_default();
-    let executor = Executor::new();
+    let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
     let started = std::time::Instant::now();
-    let outcomes = executor.run_spec(&spec, &cache).expect("fig7 sweep spec is valid");
+    let outcomes = service.submit_sweep(&spec).expect("fig7 sweep spec is valid").wait();
     let elapsed = started.elapsed();
 
     println!("=== Fig. 7: software/hardware design space (resolution {resolution}) ===");
     println!(
         "engine: {} points on {} worker(s) in {elapsed:.2?}, cache {} hit(s) / {} miss(es)",
         outcomes.len(),
-        executor.workers(),
+        service.workers(),
         cache.stats().hits,
         cache.stats().misses
     );

@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 use cimflow::Strategy;
 use cimflow_bench::{dse_cache_path, resolution};
 use cimflow_dse::{
-    analysis, explore, EvalCache, EvalService, Executor, ExploreAlgorithm, ExploreSpec,
-    ServiceConfig, SweepSpec,
+    analysis, explore, EvalCache, EvalService, ExploreAlgorithm, ExploreSpec, ServiceConfig,
+    SweepSpec,
 };
 
 /// The fixed seed of the headline run (the trajectory is fully
@@ -55,7 +55,10 @@ fn main() {
     let cache_path = dse_cache_path();
     let cache = EvalCache::load(&cache_path).unwrap_or_default();
     let started = std::time::Instant::now();
-    let grid = Executor::new().run_spec(&space, &cache).expect("fig_explore space is valid");
+    let grid = EvalService::with_cache(ServiceConfig::new(), cache.clone())
+        .submit_sweep(&space)
+        .expect("fig_explore space is valid")
+        .wait();
     println!(
         "exhaustive grid: {} evaluations in {:.2?} ({} cache hit(s))",
         grid.len(),
@@ -75,7 +78,7 @@ fn main() {
             .with_seed(SEED);
         let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
         let started = std::time::Instant::now();
-        let report = explore(&spec, &service).expect("exploration runs");
+        let report = explore(&spec, &service, None).expect("exploration runs");
         let elapsed = started.elapsed();
 
         println!("\n--- {algorithm} ---");

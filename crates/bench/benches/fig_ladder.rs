@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 use cimflow::Strategy;
 use cimflow_bench::{dse_cache_path, resolution};
 use cimflow_dse::{
-    analysis, explore, EvalCache, EvalService, Executor, ExploreAlgorithm, ExploreReport,
-    ExploreSpec, ServiceConfig, SweepSpec,
+    analysis, explore, EvalCache, EvalService, ExploreAlgorithm, ExploreReport, ExploreSpec,
+    ServiceConfig, SweepSpec,
 };
 
 /// The fixed seed of the headline run (every arm's trajectory is fully
@@ -124,7 +124,10 @@ fn main() {
     let cache_path = dse_cache_path();
     let cache = EvalCache::load(&cache_path).unwrap_or_default();
     let started = std::time::Instant::now();
-    let grid = Executor::new().run_spec(&space, &cache).expect("fig_ladder space is valid");
+    let grid = EvalService::with_cache(ServiceConfig::new(), cache.clone())
+        .submit_sweep(&space)
+        .expect("fig_ladder space is valid")
+        .wait();
     println!(
         "exhaustive grid: {} evaluations in {:.2?} ({} cache hit(s))",
         grid.len(),
@@ -143,7 +146,7 @@ fn main() {
         .with_seed(SEED)
         .with_scout_share(Some(0.5));
     let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
-    let fixed = explore(&fixed_spec, &service).expect("fixed-split halving runs");
+    let fixed = explore(&fixed_spec, &service, None).expect("fixed-split halving runs");
     print_arm(
         "fixed-split successive halving (scout share pinned at 0.50)",
         &fixed,
@@ -159,7 +162,7 @@ fn main() {
         .with_algorithm(ExploreAlgorithm::SuccessiveHalving)
         .with_seed(SEED);
     let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
-    let ladder = explore(&ladder_spec, &service).expect("ladder-scheduled halving runs");
+    let ladder = explore(&ladder_spec, &service, None).expect("ladder-scheduled halving runs");
     print_arm(
         "calibrated ladder successive halving (adaptive scout share)",
         &ladder,
@@ -175,7 +178,7 @@ fn main() {
         .with_algorithm(ExploreAlgorithm::Evolutionary)
         .with_seed(SEED);
     let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
-    let evolutionary = explore(&evo_spec, &service).expect("evolutionary search runs");
+    let evolutionary = explore(&evo_spec, &service, None).expect("evolutionary search runs");
     print_arm("evolutionary (default ladder)", &evolutionary, &grid_volume, &references);
 
     let fixed_worst = worst_ratio(&fixed, &grid_volume, &references);

@@ -16,7 +16,7 @@ use cimflow::compiler::{compile, CompileOptions};
 use cimflow::sim::{HandoffMode, SimOptions, Simulator};
 use cimflow::{ArchConfig, SearchMode, Strategy};
 use cimflow_bench::{dse_cache_path, resolution};
-use cimflow_dse::{EvalCache, Executor, SweepSpec};
+use cimflow_dse::{EvalCache, EvalService, ServiceConfig, SweepSpec};
 
 const CHIP_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
@@ -33,17 +33,17 @@ fn main() {
 
     let cache_path = dse_cache_path();
     let cache = EvalCache::load(&cache_path).unwrap_or_default();
-    let executor = Executor::new();
+    let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
     let started = std::time::Instant::now();
     let outcomes =
-        executor.run_spec(&spec, &cache).expect("fig_partition_search sweep spec is valid");
+        service.submit_sweep(&spec).expect("fig_partition_search sweep spec is valid").wait();
     let elapsed = started.elapsed();
 
     println!("=== Joint partition search vs sequential (DP strategy, resolution {resolution}) ===");
     println!(
         "engine: {} points on {} worker(s) in {elapsed:.2?}, cache {} hit(s) / {} miss(es)",
         outcomes.len(),
-        executor.workers(),
+        service.workers(),
         cache.stats().hits,
         cache.stats().misses
     );

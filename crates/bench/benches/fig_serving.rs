@@ -1,8 +1,9 @@
 //! Serving throughput — the first service-trajectory benchmark
 //! (BENCH_SERVING): end-to-end points/second of the `EvalService`
-//! request/response core under 1/2/4 concurrent clients, against the
-//! blocking `Executor` running the same total work, on the same worker
-//! pool size and a cold cache each time.
+//! request/response core under 1/2/4 concurrent clients, against a
+//! serial baseline (one `submit_sweep` + `wait` per client spec, back to
+//! back) running the same total work, on the same worker pool size and
+//! a cold cache each time.
 //!
 //! Each client submits a disjoint 6-point sweep (2 strategies × 3
 //! macro-group sizes, at a client-distinct flit size), so total work
@@ -16,7 +17,7 @@ use std::time::Instant;
 
 use cimflow::Strategy;
 use cimflow_bench::resolution;
-use cimflow_dse::{EvalCache, EvalService, Executor, Priority, ServiceConfig, SweepSpec};
+use cimflow_dse::{expand_jobs, EvalService, ServiceConfig, Submission, SweepSpec};
 
 const WORKERS: usize = 4;
 const CLIENTS: [usize; 3] = [1, 2, 4];
@@ -39,7 +40,7 @@ fn main() {
     );
     println!(
         "{:>18} {:>8} {:>10} {:>12} {:>14}",
-        "configuration", "points", "elapsed", "points/s", "vs executor"
+        "configuration", "points", "elapsed", "points/s", "vs serial"
     );
 
     for clients in CLIENTS {
@@ -47,17 +48,15 @@ fn main() {
             (0..clients).map(|client| client_spec(client, resolution)).collect();
         let total: usize = specs.iter().map(SweepSpec::point_count).sum();
 
-        // Blocking baseline: one Executor runs every client's points
-        // back-to-back on the same worker count.
-        let cache = EvalCache::new();
-        let executor = Executor::with_workers(WORKERS);
+        // Serial baseline: every client's sweep submitted and waited on
+        // back-to-back, on a service of the same worker count.
+        let serial = EvalService::new(ServiceConfig::new().with_workers(WORKERS));
         let started = Instant::now();
         for spec in &specs {
-            let outcomes = executor.run_spec(spec, &cache).expect("valid spec");
+            let outcomes = serial.submit_sweep(spec).expect("valid spec").wait();
             assert!(outcomes.iter().all(|o| o.result.is_ok()));
         }
-        let executor_elapsed = started.elapsed();
-        let executor_rate = total as f64 / executor_elapsed.as_secs_f64();
+        let serial_rate = total as f64 / started.elapsed().as_secs_f64();
 
         // The service: one pool, `clients` threads submitting and
         // waiting concurrently.
@@ -67,9 +66,12 @@ fn main() {
             for (client, spec) in specs.iter().enumerate() {
                 let service = Arc::clone(&service);
                 scope.spawn(move || {
-                    let batch = service
-                        .submit_sweep_as(&format!("client-{client}"), Priority::Normal, spec)
-                        .expect("admitted");
+                    let submission = Submission {
+                        jobs: expand_jobs(spec).expect("valid spec"),
+                        tenant: Some(format!("client-{client}")),
+                        ..Submission::default()
+                    };
+                    let batch = service.submit_batch(submission).expect("admitted");
                     let outcomes = batch.wait();
                     assert!(outcomes.iter().all(|o| o.result.is_ok()));
                 });
@@ -84,16 +86,15 @@ fn main() {
             total,
             service_elapsed,
             service_rate,
-            service_rate / executor_rate
+            service_rate / serial_rate
         );
         assert_eq!(service.stats().completed as usize, total);
         assert_eq!(service.cache().stats().misses as usize, total, "disjoint grids stay cold");
     }
 
     println!(
-        "\nThe service matches the blocking executor within noise at every client\n\
-         count (same pool, same pipeline) while adding non-blocking submission,\n\
-         admission control and per-tenant quotas; concurrent clients share one\n\
-         warm pool instead of spawning their own."
+        "\nConcurrent clients match back-to-back submission within noise at every\n\
+         client count (same pool, same pipeline) while sharing one warm pool with\n\
+         non-blocking submission, admission control and per-tenant quotas."
     );
 }

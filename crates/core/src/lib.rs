@@ -19,17 +19,16 @@
 //!   the service, explorer, compiler and simulator.
 //!
 //! The [`CimFlow`] workflow object exposes the `model + architecture +
-//! strategy → compile → simulate → report` pipeline of Fig. 2, and the
-//! [`dse`] module provides the architectural sweep helpers used to
-//! regenerate the paper's Figs. 6 and 7. The sweep helpers run on the
-//! [`cimflow_dse`] batch engine (re-exported as [`dse_engine`]), which
-//! adds declarative sweep grids, a parallel executor, evaluation caching
-//! and Pareto analysis for larger explorations. For long-running,
-//! multi-client workloads the engine's service core — [`EvalService`],
-//! [`EvalRequest`], [`JobHandle`] (re-exported here, served over the
-//! wire by the `cimflow-serve` crate and the `cimflow-dse serve`
-//! subcommand) — adds non-blocking submission, admission control and
-//! per-tenant quotas on one shared worker pool and cache.
+//! strategy → compile → simulate → report` pipeline of Fig. 2. The
+//! architectural sweeps behind the paper's Figs. 6 and 7, and larger
+//! explorations, run on the [`cimflow_dse`] engine (re-exported as
+//! [`dse`]): declarative [`SweepSpec`](dse::SweepSpec) grids, evaluation
+//! caching, Pareto analysis and adaptive [`explore`]. Every evaluation
+//! goes through its service core — [`EvalService`], [`EvalRequest`],
+//! [`JobHandle`] (re-exported here, served over the wire by the
+//! `cimflow-serve` crate and the `cimflow-dse serve` subcommand) — one
+//! shared worker pool and cache with non-blocking submission, admission
+//! control and per-tenant quotas.
 //!
 //! # Quick start
 //!
@@ -49,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dse;
 mod error;
 mod workflow;
 
@@ -65,14 +63,14 @@ pub use cimflow_compiler::{
     self as compiler, CompileOptions, CompiledProgram, SearchMode, Strategy, SystemPlan,
     SystemSearch,
 };
-pub use cimflow_dse as dse_engine;
+pub use cimflow_dse as dse;
 // The service-oriented evaluation API (async job handles, admission
-// control, per-tenant quotas) — the core the blocking surfaces run on —
-// plus the adaptive Pareto-guided exploration engine.
+// control, per-tenant quotas) plus the adaptive Pareto-guided
+// exploration engine.
 pub use cimflow_dse::{
-    evaluate_traced, explore, explore_journaled, BatchHandle, EvalPath, EvalRequest, EvalService,
-    ExploreAlgorithm, ExploreReport, ExploreSpec, JobEvent, JobHandle, JobStatus, Priority,
-    Rejected, ServiceConfig, ServiceStats, ServingSummary, SweepJournal, TraceStore, TrafficSpec,
+    explore, BatchHandle, EvalPath, EvalRequest, EvalService, ExploreAlgorithm, ExploreReport,
+    ExploreSpec, JobHandle, JobStatus, Priority, Rejected, ServiceConfig, ServiceStats,
+    ServingSummary, Submission, SweepJournal, TraceStore, TrafficSpec,
 };
 pub use cimflow_energy::{self as energy, EnergyBreakdown};
 pub use cimflow_isa as isa;

@@ -1,7 +1,7 @@
 //! The end-to-end `compile → validate → simulate → report` workflow.
 
 use cimflow_arch::ArchConfig;
-use cimflow_compiler::{compile, CompiledProgram, Strategy};
+use cimflow_compiler::{compile, CompiledProgram, SearchMode, Strategy};
 use cimflow_nn::Model;
 
 use crate::CimFlowError;
@@ -67,17 +67,17 @@ impl CimFlow {
         Ok(compile(model, &self.arch, strategy)?)
     }
 
-    /// Compiles and simulates a model, producing the full evaluation.
+    /// Compiles and simulates a model under the sequential system-level
+    /// search, producing the full evaluation.
     ///
-    /// This is the single-point primitive the `cimflow-dse` batch engine
-    /// fans out across sweeps; the facade delegates to it so both paths
-    /// share one pipeline.
+    /// This delegates to the single-point primitive the `cimflow-dse`
+    /// engine fans out across sweeps, so both paths share one pipeline.
     ///
     /// # Errors
     ///
     /// Propagates compilation and simulation failures.
     pub fn evaluate(&self, model: &Model, strategy: Strategy) -> Result<Evaluation, CimFlowError> {
-        Ok(cimflow_dse::evaluate(&self.arch, model, strategy)?)
+        Ok(cimflow_dse::evaluate_with_search(&self.arch, model, strategy, SearchMode::Sequential)?)
     }
 }
 

@@ -546,15 +546,16 @@ mod tests {
     /// cloned and its simulation report rewritten, so the selection logic
     /// is exercised on exact, controlled (cycles, energy) values.
     fn synthetic_outcomes(objectives: &[(u64, f64)]) -> Vec<DseOutcome> {
-        use crate::{evaluate, SweepSpec};
+        use crate::{evaluate_with_search, SweepSpec};
         use cimflow_arch::ArchConfig;
-        use cimflow_compiler::Strategy;
+        use cimflow_compiler::{SearchMode, Strategy};
         use cimflow_nn::models;
 
-        let template = evaluate(
+        let template = evaluate_with_search(
             &ArchConfig::paper_default(),
             &models::mobilenet_v2(32),
             Strategy::GenericMapping,
+            SearchMode::Sequential,
         )
         .expect("template evaluation succeeds");
         let point = SweepSpec::new()
@@ -689,7 +690,7 @@ mod tests {
 
     #[test]
     fn per_model_frontiers_do_not_compare_across_workloads() {
-        use crate::{EvalCache, Executor, SweepSpec};
+        use crate::{EvalService, ServiceConfig, SweepSpec};
         use cimflow_compiler::Strategy;
 
         // Two workloads of very different size: globally, every resnet18
@@ -699,7 +700,8 @@ mod tests {
             .with_model("resnet18", 32)
             .with_strategies(&[Strategy::GenericMapping])
             .with_mg_sizes(&[4, 8]);
-        let outcomes = Executor::sequential().run_spec(&spec, &EvalCache::new()).unwrap();
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let outcomes = service.submit_sweep(&spec).unwrap().wait();
         let by_model = pareto_frontier_by_model(&outcomes);
         assert_eq!(by_model.len(), 2);
         for (model, frontier) in &by_model {

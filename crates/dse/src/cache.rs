@@ -8,7 +8,7 @@
 //! full compile → simulate run, and any change to the architecture or the
 //! model changes its hash and therefore invalidates the entry.
 //!
-//! The cache is thread-safe (shared by all executor workers) and can be
+//! The cache is thread-safe (shared by all service workers) and can be
 //! persisted to JSON so separate processes — e.g. the `fig6` and `fig7`
 //! bench targets — share warm state.
 //!
@@ -228,11 +228,10 @@ impl Deserialize for CacheStats {
 /// A thread-safe, content-addressed store of finished evaluations.
 ///
 /// The store lives behind an [`Arc`](std::sync::Arc), so `Clone` is
-/// shallow: every clone
-/// shares the same entries and counters. That is what lets the long-lived
-/// [`EvalService`](crate::EvalService) worker threads and a caller holding
-/// `&EvalCache` (the blocking [`Executor`](crate::Executor) API) operate
-/// on one cache.
+/// shallow: every clone shares the same entries and counters. That is
+/// what lets the [`EvalService`](crate::EvalService) worker threads, the
+/// caller that handed the cache to the service, and later services over
+/// the same cache operate on one store.
 #[derive(Debug, Clone, Default)]
 pub struct EvalCache {
     inner: std::sync::Arc<CacheInner>,
@@ -389,12 +388,17 @@ impl EvalCache {
     pub fn from_json(text: &str) -> Result<Self, DseError> {
         let file: CacheFile =
             serde_json::from_str(text).map_err(|e| DseError::io(format!("bad cache file: {e}")))?;
-        if file.version != CACHE_FORMAT_VERSION || file.engine != CACHE_ENGINE_VERSION {
+        if !file.is_current() {
             return Err(DseError::io(format!(
                 "cache written by engine {} format {} (this engine: {} format {})",
                 file.engine, file.version, CACHE_ENGINE_VERSION, CACHE_FORMAT_VERSION
             )));
         }
+        Ok(Self::from_file(file))
+    }
+
+    /// A cache holding the entries of a current-version file.
+    fn from_file(file: CacheFile) -> Self {
         let cache = EvalCache::new();
         {
             let mut entries = cache.inner.entries.lock().expect("cache poisoned");
@@ -402,7 +406,7 @@ impl EvalCache {
                 entries.insert(entry.key, entry.evaluation);
             }
         }
-        Ok(cache)
+        cache
     }
 
     /// Loads a cache from a JSON file. Returns an empty cache if the file
@@ -419,18 +423,16 @@ impl EvalCache {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Self::new()),
             Err(e) => return Err(DseError::io(format!("cannot read {}: {e}", path.display()))),
         };
-        match serde_json::from_str::<CacheFile>(&text) {
-            Ok(file)
-                if file.version != CACHE_FORMAT_VERSION || file.engine != CACHE_ENGINE_VERSION =>
-            {
-                Ok(Self::new())
-            }
-            Ok(_) => Self::from_json(&text),
-            // Well-formed JSON of an older/unknown schema is a stale
-            // cache: start cold. Anything that is not JSON at all is
-            // corruption and surfaces as an error.
-            Err(_) if serde_json::from_str::<serde_json::Value>(&text).is_ok() => Ok(Self::new()),
-            Err(e) => Err(DseError::io(format!("bad cache file {}: {e}", path.display()))),
+        // Anything that is not JSON at all is corruption and surfaces as
+        // an error; the text is parsed once, then checked against the
+        // schema.
+        let value: serde_json::Value = serde_json::from_str(&text)
+            .map_err(|e| DseError::io(format!("bad cache file {}: {e}", path.display())))?;
+        match serde_json::from_value::<CacheFile>(&value) {
+            Ok(file) if file.is_current() => Ok(Self::from_file(file)),
+            // A different engine/format version, or well-formed JSON of an
+            // older/unknown schema, is a stale cache: start cold.
+            _ => Ok(Self::new()),
         }
     }
 
@@ -466,10 +468,17 @@ struct CacheFile {
     entries: Vec<CacheEntry>,
 }
 
+impl CacheFile {
+    /// Whether this engine and format version wrote the file.
+    fn is_current(&self) -> bool {
+        self.version == CACHE_FORMAT_VERSION && self.engine == CACHE_ENGINE_VERSION
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate;
+    use crate::evaluate_with_search;
     use cimflow_nn::models;
 
     #[test]
@@ -483,7 +492,12 @@ mod tests {
         let mut run = || {
             cache.get_or_insert_with(key, || {
                 evaluations += 1;
-                evaluate(&arch, &model, Strategy::GenericMapping)
+                evaluate_with_search(
+                    &arch,
+                    &model,
+                    Strategy::GenericMapping,
+                    SearchMode::Sequential,
+                )
             })
         };
         let (first, was_hit) = run().unwrap();
@@ -503,7 +517,11 @@ mod tests {
         let arch = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
         let key = CacheKey::of(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential);
-        clone.insert(key, evaluate(&arch, &model, Strategy::GenericMapping).unwrap());
+        clone.insert(
+            key,
+            evaluate_with_search(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential)
+                .unwrap(),
+        );
         assert_eq!(cache.len(), 1, "a clone writes into the same store");
         assert!(cache.get(&key).is_some());
         assert_eq!(clone.stats(), cache.stats(), "counters are shared too");
@@ -626,7 +644,12 @@ mod tests {
                         .get_or_insert_with(key, || {
                             evaluations.fetch_add(1, Ordering::Relaxed);
                             std::thread::sleep(std::time::Duration::from_millis(200));
-                            evaluate(&arch, &model, Strategy::GenericMapping)
+                            evaluate_with_search(
+                                &arch,
+                                &model,
+                                Strategy::GenericMapping,
+                                SearchMode::Sequential,
+                            )
                         })
                         .unwrap();
                 });
@@ -669,7 +692,9 @@ mod tests {
         let arch = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
         let key = CacheKey::of(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential);
-        let evaluation = evaluate(&arch, &model, Strategy::GenericMapping).unwrap();
+        let evaluation =
+            evaluate_with_search(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential)
+                .unwrap();
         cache.insert(key, evaluation.clone());
 
         let restored = EvalCache::from_json(&cache.to_json()).unwrap();
@@ -704,7 +729,11 @@ mod tests {
         let arch = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
         let key = CacheKey::of(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential);
-        cache.insert(key, evaluate(&arch, &model, Strategy::GenericMapping).unwrap());
+        cache.insert(
+            key,
+            evaluate_with_search(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential)
+                .unwrap(),
+        );
         cache.save(&path).unwrap();
         assert_eq!(EvalCache::load(&path).unwrap().len(), 1);
 

@@ -5,6 +5,7 @@ use std::fmt;
 
 use cimflow_arch::ArchError;
 use cimflow_compiler::CompileError;
+use cimflow_nn::NnError;
 use cimflow_sim::SimError;
 
 /// Any error produced while expanding or evaluating a sweep.
@@ -26,6 +27,9 @@ pub enum DseError {
         /// The unresolvable model name.
         name: String,
     },
+    /// The zoo model cannot be built as requested (for example at too
+    /// small an input resolution).
+    Model(NnError),
     /// The sweep specification itself is unusable.
     Spec {
         /// Human-readable reason.
@@ -36,8 +40,7 @@ pub enum DseError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The job was cancelled before it ran (service job handles only;
-    /// the blocking executor never produces this).
+    /// The job was cancelled (or its service shut down) before it ran.
     Cancelled,
 }
 
@@ -60,6 +63,7 @@ impl fmt::Display for DseError {
             DseError::Compile(e) => write!(f, "compilation error: {e}"),
             DseError::Simulation(e) => write!(f, "simulation error: {e}"),
             DseError::UnknownModel { name } => write!(f, "unknown benchmark model `{name}`"),
+            DseError::Model(e) => write!(f, "model error: {e}"),
             DseError::Spec { reason } => write!(f, "invalid sweep specification: {reason}"),
             DseError::Io { reason } => write!(f, "sweep I/O error: {reason}"),
             DseError::Cancelled => write!(f, "evaluation cancelled before it ran"),
@@ -73,6 +77,7 @@ impl Error for DseError {
             DseError::Arch(e) => Some(e),
             DseError::Compile(e) => Some(e),
             DseError::Simulation(e) => Some(e),
+            DseError::Model(e) => Some(e),
             _ => None,
         }
     }
@@ -93,6 +98,16 @@ impl From<CompileError> for DseError {
 impl From<SimError> for DseError {
     fn from(value: SimError) -> Self {
         DseError::Simulation(value)
+    }
+}
+
+/// A zoo lookup failure: unknown names stay [`DseError::UnknownModel`].
+impl From<NnError> for DseError {
+    fn from(value: NnError) -> Self {
+        match value {
+            NnError::UnknownModel { name } => DseError::UnknownModel { name },
+            other => DseError::Model(other),
+        }
     }
 }
 

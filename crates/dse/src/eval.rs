@@ -1,7 +1,7 @@
 //! The single-point evaluation primitive: `model + architecture +
 //! strategy → compile → simulate → Evaluation`.
 //!
-//! This is the unit of work the parallel executor fans out and the value
+//! This is the unit of work the evaluation service fans out and the value
 //! the evaluation cache stores. The [`Evaluation`] record used to live in
 //! the `cimflow` facade crate; it moved here so that both the facade's
 //! `CimFlow` workflow object and the batch engine share one definition
@@ -223,26 +223,14 @@ impl fmt::Display for Evaluation {
 }
 
 /// Runs the full `compile → simulate` pipeline for one design point
-/// under the default [`SearchMode::Sequential`].
+/// under a system-level [`SearchMode`].
 ///
 /// # Errors
 ///
 /// Returns the architecture-validation, compilation or simulation failure
 /// of the point. Callers sweeping a grid should capture this per point
-/// (see [`Executor`](crate::Executor)) rather than aborting the sweep.
-pub fn evaluate(
-    arch: &ArchConfig,
-    model: &Model,
-    strategy: Strategy,
-) -> Result<Evaluation, DseError> {
-    evaluate_with_search(arch, model, strategy, SearchMode::Sequential)
-}
-
-/// [`evaluate`] with an explicit system-level [`SearchMode`].
-///
-/// # Errors
-///
-/// See [`evaluate`].
+/// (see [`EvalService`](crate::EvalService)) rather than aborting the
+/// sweep.
 pub fn evaluate_with_search(
     arch: &ArchConfig,
     model: &Model,
@@ -280,8 +268,8 @@ pub fn evaluate_with_search(
 ///
 /// # Errors
 ///
-/// See [`evaluate`].
-pub fn evaluate_traced(
+/// See [`evaluate_with_search`].
+pub(crate) fn evaluate_traced(
     arch: &ArchConfig,
     model: &Model,
     strategy: Strategy,
@@ -544,7 +532,9 @@ mod tests {
     fn evaluate_produces_consistent_metrics() {
         let arch = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
-        let evaluation = evaluate(&arch, &model, Strategy::GenericMapping).unwrap();
+        let evaluation =
+            evaluate_with_search(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential)
+                .unwrap();
         assert_eq!(evaluation.model, "mobilenetv2");
         assert!(evaluation.simulation.total_cycles > 0);
         assert!(evaluation.simulation.throughput_tops() > 0.0);
@@ -558,7 +548,7 @@ mod tests {
         let arch = ArchConfig::paper_default().with_macros_per_group(0);
         let model = models::mobilenet_v2(32);
         assert!(matches!(
-            evaluate(&arch, &model, Strategy::GenericMapping),
+            evaluate_with_search(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential),
             Err(DseError::Arch(_))
         ));
     }
@@ -567,7 +557,9 @@ mod tests {
     fn evaluation_serde_round_trip() {
         let arch = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
-        let evaluation = evaluate(&arch, &model, Strategy::DpOptimized).unwrap();
+        let evaluation =
+            evaluate_with_search(&arch, &model, Strategy::DpOptimized, SearchMode::Sequential)
+                .unwrap();
         let text = serde_json::to_string(&evaluation).unwrap();
         let back: Evaluation = serde_json::from_str(&text).unwrap();
         assert_eq!(back.model, evaluation.model);

@@ -63,7 +63,7 @@ use crate::fidelity::{
 };
 use crate::journal::SweepJournal;
 use crate::spec::{SweepAxes, AXIS_COUNT};
-use crate::{analysis, DseError, DseOutcome, EvalService, Job, PointSpec, SweepSpec};
+use crate::{analysis, DseError, DseOutcome, EvalService, Job, PointSpec, Submission, SweepSpec};
 
 /// Relative frontier-hypervolume improvement below which a generation
 /// counts as stalled for the stopping rule.
@@ -386,36 +386,20 @@ impl ExploreReport {
 }
 
 /// Explores `spec.space` within `spec.budget` evaluations on `service`.
+/// With a `journal`, journaled points are served without re-running and
+/// fresh outcomes are appended, so an interrupted exploration resumes —
+/// with the same spec and seed the trajectory is identical and every
+/// already-journaled point is free.
 ///
 /// # Errors
 ///
 /// Returns [`DseError::Spec`] when the space names no model or no
-/// strategy, [`DseError::Io`] when the service refuses the batch (it is
+/// strategy, [`DseError::Io`] when the service refuses a batch (it is
 /// shutting down). Per-point failures stay inside their outcomes.
-pub fn explore(spec: &ExploreSpec, service: &EvalService) -> Result<ExploreReport, DseError> {
-    explore_inner(spec, service, None)
-}
-
-/// [`explore`] against a [`SweepJournal`]: journaled points are served
-/// without re-running and fresh outcomes are appended, so an interrupted
-/// exploration resumes — with the same spec and seed the trajectory is
-/// identical and every already-journaled point is free.
-///
-/// # Errors
-///
-/// See [`explore`].
-pub fn explore_journaled(
+pub fn explore(
     spec: &ExploreSpec,
     service: &EvalService,
-    journal: &Arc<SweepJournal>,
-) -> Result<ExploreReport, DseError> {
-    explore_inner(spec, service, Some(Arc::clone(journal)))
-}
-
-fn explore_inner(
-    spec: &ExploreSpec,
-    service: &EvalService,
-    journal: Option<Arc<SweepJournal>>,
+    journal: Option<&Arc<SweepJournal>>,
 ) -> Result<ExploreReport, DseError> {
     let axes = spec.space.axes()?;
     spec.ladder.validate_for(&axes)?;
@@ -435,9 +419,7 @@ fn explore_inner(
             let pool = if section.colocate {
                 let mut colocated = Vec::with_capacity(spec.space.models.len());
                 for m in &spec.space.models {
-                    let model = models::by_name(&m.name, m.resolution)
-                        .map(Arc::new)
-                        .ok_or_else(|| DseError::UnknownModel { name: m.name.clone() })?;
+                    let model = Arc::new(models::by_name(&m.name, m.resolution)?);
                     colocated.push((served_model_name(&m.name, m.resolution), model));
                 }
                 Some(Arc::new(TrafficJob { workload: section.workload.clone(), colocated }))
@@ -454,7 +436,7 @@ fn explore_inner(
         base,
         service,
         obs: ExploreObs::new(service, spec),
-        journal,
+        journal: journal.cloned(),
         rng: XorShift::new(spec.seed),
         budget: spec.budget,
         used: 0,
@@ -760,7 +742,7 @@ impl Run<'_> {
             .or_insert_with(|| {
                 models::by_name(&point.model.name, point.model.resolution)
                     .map(Arc::new)
-                    .ok_or_else(|| DseError::UnknownModel { name: point.model.name.clone() })
+                    .map_err(DseError::from)
             })
             .clone();
         let traffic = self.traffic.as_ref().and_then(|(workload, pool)| match pool {
@@ -786,12 +768,9 @@ impl Run<'_> {
         }
         self.used += points.len() as u64;
         let jobs: Vec<Job> = points.into_iter().map(|point| self.job_of(point)).collect();
-        let batch = match &self.journal {
-            Some(journal) => self.service.submit_jobs_journaled(jobs, journal),
-            None => self.service.submit_jobs(jobs),
-        }
-        .map_err(|rejected| DseError::io(format!("exploration batch rejected: {rejected}")))?;
-        Ok(batch.wait())
+        let submission =
+            Submission { jobs, journal: self.journal.clone(), ..Submission::default() };
+        Ok(self.service.submit_batch(submission)?.wait())
     }
 
     /// Records full-fidelity outcomes and their index vectors, feeding
@@ -1758,7 +1737,7 @@ mod tests {
             .with_algorithm(ExploreAlgorithm::SuccessiveHalving)
             .with_seed(1);
         let service = EvalService::new(ServiceConfig::new().with_workers(2));
-        let report = explore(&spec, &service).unwrap();
+        let report = explore(&spec, &service, None).unwrap();
         assert_eq!(report.coarse_evaluated, 1, "the shared projection is scouted once");
         assert_eq!(report.evaluated, 2, "both siblings reach full fidelity");
         assert_eq!(report.budget_used, 3);
@@ -1778,7 +1757,7 @@ mod tests {
             .with_algorithm(ExploreAlgorithm::SuccessiveHalving)
             .with_seed(5);
         let service = EvalService::new(ServiceConfig::new().with_workers(2));
-        let report = explore(&spec, &service).unwrap();
+        let report = explore(&spec, &service, None).unwrap();
         assert_eq!(report.coarse_evaluated, 0, "the direct evaluation doubles as the scout");
         assert_eq!(report.evaluated, 2, "both grid points reach full fidelity");
         assert_eq!(report.budget_used, 2);
@@ -1805,7 +1784,7 @@ mod tests {
                 .with_metrics(registry.clone())
                 .with_tracer(tracer.clone()),
         );
-        let report = explore(&spec, &service).unwrap();
+        let report = explore(&spec, &service, None).unwrap();
 
         let snapshot = registry.snapshot();
         let counter = |labels: &[(&str, &str)]| match snapshot.get("explore.evals", labels) {
@@ -1834,7 +1813,7 @@ mod tests {
     fn explore_respects_the_budget_and_reports_a_frontier() {
         let spec = ExploreSpec::new(space()).with_budget(3).with_seed(11);
         let service = EvalService::new(ServiceConfig::new().with_workers(2));
-        let report = explore(&spec, &service).unwrap();
+        let report = explore(&spec, &service, None).unwrap();
         assert!(report.budget_used <= 3);
         assert_eq!(report.evaluated, report.outcomes.len());
         assert!(report.evaluated >= 1);
@@ -1846,7 +1825,7 @@ mod tests {
 
         // The same seed explores the same points; a different seed is
         // free to differ.
-        let again = explore(&spec, &service).unwrap();
+        let again = explore(&spec, &service, None).unwrap();
         assert_eq!(
             report.outcomes.iter().map(|o| o.point.label()).collect::<Vec<_>>(),
             again.outcomes.iter().map(|o| o.point.label()).collect::<Vec<_>>(),
@@ -1860,11 +1839,11 @@ mod tests {
         let ladder = FidelityLadder::new(vec![Fidelity::CoarseSim(64)]).unwrap();
         let spec = ExploreSpec::new(space()).with_budget(3).with_ladder(ladder);
         let service = EvalService::new(ServiceConfig::new().with_workers(1));
-        let err = explore(&spec, &service).unwrap_err();
+        let err = explore(&spec, &service, None).unwrap_err();
         assert!(err.to_string().contains("coarse64"), "got: {err}");
 
         let bad_share = ExploreSpec::new(space()).with_budget(3).with_scout_share(Some(1.5));
-        assert!(explore(&bad_share, &service).is_err());
+        assert!(explore(&bad_share, &service, None).is_err());
     }
 
     #[test]
@@ -1883,7 +1862,7 @@ mod tests {
             .with_seed(2)
             .with_ladder(ladder);
         let service = EvalService::new(ServiceConfig::new().with_workers(2));
-        let report = explore(&spec, &service).unwrap();
+        let report = explore(&spec, &service, None).unwrap();
         assert!(report.rung_evaluated.contains_key("coarse48"), "{:?}", report.rung_evaluated);
         assert!(!report.rung_evaluated.contains_key("coarse32"));
         assert_eq!(report.coarse_evaluated as u64, report.rung_evaluated["coarse48"]);
@@ -1901,7 +1880,7 @@ mod tests {
             .with_seed(9)
             .with_ladder(ladder);
         let service = EvalService::new(ServiceConfig::new().with_workers(2));
-        let report = explore(&spec, &service).unwrap();
+        let report = explore(&spec, &service, None).unwrap();
         assert_eq!(report.budget_used, 3);
         assert_eq!(report.evaluated, 3);
         assert_eq!(report.coarse_evaluated, 0, "analytical pricing charges nothing");
@@ -1927,8 +1906,8 @@ mod tests {
             .with_seed(1);
         let pinned = adaptive.clone().with_scout_share(Some(0.5));
         let service = EvalService::new(ServiceConfig::new().with_workers(2));
-        let a = explore(&adaptive, &service).unwrap();
-        let b = explore(&pinned, &service).unwrap();
+        let a = explore(&adaptive, &service, None).unwrap();
+        let b = explore(&pinned, &service, None).unwrap();
         assert_eq!(
             a.outcomes.iter().map(|o| o.point.label()).collect::<Vec<_>>(),
             b.outcomes.iter().map(|o| o.point.label()).collect::<Vec<_>>(),
@@ -1955,15 +1934,15 @@ mod tests {
         let impossible = FeasibilityCaps { max_area_mm2: Some(1e-6), max_power_w: None };
         let spec = ExploreSpec::new(space()).with_budget(3).with_seed(11).with_caps(impossible);
         let service = EvalService::new(ServiceConfig::new().with_workers(2));
-        let report = explore(&spec, &service).unwrap();
+        let report = explore(&spec, &service, None).unwrap();
         assert!(!report.frontier["mobilenetv2"].is_empty(), "fallback frontier survives");
 
         // A cap everything satisfies changes nothing.
         let open = FeasibilityCaps { max_area_mm2: Some(1e9), max_power_w: Some(1e9) };
         let relaxed = ExploreSpec::new(space()).with_budget(3).with_seed(11).with_caps(open);
         let baseline = ExploreSpec::new(space()).with_budget(3).with_seed(11);
-        let capped = explore(&relaxed, &service).unwrap();
-        let free = explore(&baseline, &service).unwrap();
+        let capped = explore(&relaxed, &service, None).unwrap();
+        let free = explore(&baseline, &service, None).unwrap();
         assert_eq!(capped.frontier, free.frontier);
     }
 }

@@ -209,15 +209,20 @@ fn csv_escape(field: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EvalCache, Executor, SweepSpec};
+    use crate::{EvalService, ServiceConfig, SweepSpec};
     use cimflow_compiler::Strategy;
+
+    fn run(spec: &SweepSpec) -> Vec<DseOutcome> {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        service.submit_sweep(spec).unwrap().wait()
+    }
 
     fn outcomes() -> Vec<DseOutcome> {
         let spec = SweepSpec::new()
             .with_model("mobilenetv2", 32)
             .with_strategies(&[Strategy::GenericMapping])
             .with_mg_sizes(&[8, 0]); // one valid point, one invalid
-        Executor::sequential().run_spec(&spec, &EvalCache::new()).unwrap()
+        run(&spec)
     }
 
     #[test]
@@ -274,7 +279,7 @@ mod tests {
             .with_model("mobilenetv2", 32)
             .with_strategies(&[Strategy::GenericMapping])
             .with_traffic(TrafficSpec::new(&[100]).with_workload(workload));
-        let outcomes = Executor::sequential().run_spec(&spec, &EvalCache::new()).unwrap();
+        let outcomes = run(&spec);
         let rows = rows(&outcomes);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].offered_qps, 100);

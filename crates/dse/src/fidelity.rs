@@ -36,7 +36,7 @@ use serde::{Content, Deserialize, Serialize};
 use crate::analysis;
 use crate::eval::Evaluation;
 use crate::spec::{PointSpec, SweepAxes};
-use crate::{DseError, DseOutcome, EvalService, Job};
+use crate::{DseError, DseOutcome, EvalService, Job, Submission};
 
 /// Pairs a `(model, rung)` must graduate before its Kendall tau is
 /// trusted; below this the scheduler keeps the uncalibrated default.
@@ -127,8 +127,9 @@ impl Fidelity {
     ///
     /// # Errors
     ///
-    /// Returns [`DseError::UnknownModel`] for an unresolvable model and
-    /// [`DseError::Io`] when the service refuses the submission.
+    /// Returns [`DseError::UnknownModel`] or [`DseError::Model`] for an
+    /// unresolvable model and [`DseError::Io`] when the service refuses
+    /// the submission.
     pub fn price(
         &self,
         point: &PointSpec,
@@ -141,12 +142,10 @@ impl Fidelity {
         }
         let projected = self.project(point);
         let arch = projected.arch(base);
-        let model = models::by_name(&projected.model.name, projected.model.resolution)
-            .map(Arc::new)
-            .ok_or_else(|| DseError::UnknownModel { name: projected.model.name.clone() })?;
-        let batch = service
-            .submit_jobs(vec![Job { spec: projected, arch, model: Ok(model), traffic: None }])
-            .map_err(|rejected| DseError::io(format!("price submission rejected: {rejected}")))?;
+        let model = Arc::new(models::by_name(&projected.model.name, projected.model.resolution)?);
+        let job = Job { spec: projected, arch, model: Ok(model), traffic: None };
+        let batch =
+            service.submit_batch(Submission { jobs: vec![job], ..Submission::default() })?;
         let outcome = batch.wait().pop().expect("one job in, one outcome out");
         let objectives = outcome
             .evaluation()
@@ -345,6 +344,7 @@ impl AnalyticalPricer {
             .entry(key)
             .or_insert_with(|| {
                 models::by_name(&point.model.name, point.model.resolution)
+                    .ok()
                     .and_then(|model| CondensedGraph::from_graph(&model.graph).ok())
                     .map(Arc::new)
             })

@@ -439,10 +439,14 @@ impl SweepJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate, EvalCache, Executor, SweepSpec};
+    use crate::{
+        evaluate_with_search, expand_jobs, EvalCache, EvalService, ServiceConfig, Submission,
+        SweepSpec,
+    };
     use cimflow_arch::ArchConfig;
     use cimflow_compiler::{SearchMode, Strategy};
     use cimflow_nn::models;
+    use std::sync::Arc;
 
     fn journal_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("cimflow-dse-journal-test");
@@ -459,13 +463,27 @@ mod tests {
             .with_mg_sizes(&[4, 8])
     }
 
+    /// Runs `spec` on a fresh `workers`-worker service sharing `cache`,
+    /// resuming from and appending to the journal at `path`.
+    fn run_journaled(
+        spec: &SweepSpec,
+        workers: usize,
+        cache: &EvalCache,
+        path: &Path,
+    ) -> Vec<DseOutcome> {
+        let service =
+            EvalService::with_cache(ServiceConfig::new().with_workers(workers), cache.clone());
+        let journal = Some(Arc::new(SweepJournal::open(path).unwrap()));
+        let submission =
+            Submission { jobs: expand_jobs(spec).unwrap(), journal, ..Submission::default() };
+        service.submit_batch(submission).unwrap().wait()
+    }
+
     #[test]
     fn interrupted_sweeps_resume_from_the_journal() {
         let path = journal_path("resume.jsonl");
         // First run journals both points.
-        let outcomes = Executor::with_workers(2)
-            .run_spec_journaled(&spec(), &EvalCache::new(), &path)
-            .unwrap();
+        let outcomes = run_journaled(&spec(), 2, &EvalCache::new(), &path);
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes.iter().all(|o| o.result.is_ok() && !o.cached));
         assert_eq!(SweepJournal::open(&path).unwrap().len(), 2);
@@ -473,7 +491,7 @@ mod tests {
         // "Interrupted" re-run on a *cold* cache: every point is served
         // from the journal — zero evaluations, zero cache misses.
         let cache = EvalCache::new();
-        let resumed = Executor::sequential().run_spec_journaled(&spec(), &cache, &path).unwrap();
+        let resumed = run_journaled(&spec(), 1, &cache, &path);
         assert!(resumed.iter().all(|o| o.cached), "journaled points must not re-run");
         assert_eq!(cache.stats().misses, 0);
         for (a, b) in outcomes.iter().zip(&resumed) {
@@ -493,9 +511,7 @@ mod tests {
         let path = journal_path("partial.jsonl");
         let wide = spec().with_mg_sizes(&[4, 8, 16]);
         // Journal only the mg=4 point, then "crash".
-        Executor::sequential()
-            .run_spec_journaled(&spec().with_mg_sizes(&[4]), &EvalCache::new(), &path)
-            .unwrap();
+        run_journaled(&spec().with_mg_sizes(&[4]), 1, &EvalCache::new(), &path);
         // Corrupt the tail the way a killed process would.
         {
             use std::io::Write as _;
@@ -503,7 +519,7 @@ mod tests {
             write!(file, "{{\"key\": {{\"arch\": 1, \"mo").unwrap();
         }
         let cache = EvalCache::new();
-        let outcomes = Executor::with_workers(2).run_spec_journaled(&wide, &cache, &path).unwrap();
+        let outcomes = run_journaled(&wide, 2, &cache, &path);
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].cached, "the journaled point resumes");
         assert!(!outcomes[1].cached && !outcomes[2].cached, "unjournaled points run");
@@ -521,8 +537,7 @@ mod tests {
             .with_model("mobilenetv2", 32)
             .with_strategies(&[Strategy::GenericMapping])
             .with_mg_sizes(&[0]);
-        let outcomes =
-            Executor::sequential().run_spec_journaled(&bad, &EvalCache::new(), &path).unwrap();
+        let outcomes = run_journaled(&bad, 1, &EvalCache::new(), &path);
         assert!(outcomes[0].result.is_err());
         let journal = SweepJournal::open(&path).unwrap();
         assert_eq!(journal.len(), 0, "failures are not resumable");
@@ -556,7 +571,9 @@ mod tests {
         let arch = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
         let key = CacheKey::of(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential);
-        let evaluation = evaluate(&arch, &model, Strategy::GenericMapping).unwrap();
+        let evaluation =
+            evaluate_with_search(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential)
+                .unwrap();
         let point = spec().expand().unwrap()[0].clone();
         // The same key recorded three times (as accumulating resumed runs
         // do), plus one failure line.
@@ -619,8 +636,13 @@ mod tests {
     /// not pay for N real evaluations).
     fn keyed_outcomes(count: usize) -> (Vec<CacheKey>, crate::DseOutcome) {
         let model = models::mobilenet_v2(32);
-        let evaluation =
-            evaluate(&ArchConfig::paper_default(), &model, Strategy::GenericMapping).unwrap();
+        let evaluation = evaluate_with_search(
+            &ArchConfig::paper_default(),
+            &model,
+            Strategy::GenericMapping,
+            SearchMode::Sequential,
+        )
+        .unwrap();
         let keys = (0..count)
             .map(|i| {
                 let arch = ArchConfig::paper_default().with_macros_per_group(2 << i);
@@ -775,7 +797,9 @@ mod tests {
         let arch = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
         let key = CacheKey::of(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential);
-        let evaluation = evaluate(&arch, &model, Strategy::GenericMapping).unwrap();
+        let evaluation =
+            evaluate_with_search(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential)
+                .unwrap();
         let outcome = crate::DseOutcome {
             point: spec().expand().unwrap()[1].clone(),
             result: Ok(evaluation.clone()),

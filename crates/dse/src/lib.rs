@@ -12,9 +12,10 @@
 //!    JSON config files, not code.
 //! 2. **Expand** — the spec expands deterministically into [`PointSpec`]
 //!    grid points and concrete [`Job`]s.
-//! 3. **Execute** — an [`Executor`] fans the jobs out across a worker
-//!    pool; every point's failure is captured in its [`DseOutcome`]
-//!    instead of aborting the sweep, and results keep grid order.
+//! 3. **Execute** — an [`EvalService`] fans the jobs out across its
+//!    worker pool; every point's failure is captured in its
+//!    [`DseOutcome`] instead of aborting the sweep, and results keep grid
+//!    order.
 //! 4. **Memoize** — a content-hashed [`EvalCache`] (keyed by
 //!    architecture, model and strategy content) makes repeated points —
 //!    common across figures and warm re-runs — a map lookup.
@@ -27,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use cimflow_dse::{analysis, Executor, EvalCache, SweepSpec};
+//! use cimflow_dse::{analysis, EvalService, ServiceConfig, SweepSpec};
 //! use cimflow_compiler::Strategy;
 //!
 //! # fn main() -> Result<(), cimflow_dse::DseError> {
@@ -35,8 +36,8 @@
 //!     .with_model("mobilenetv2", 32)
 //!     .with_strategies(&[Strategy::GenericMapping])
 //!     .with_mg_sizes(&[4, 8]);
-//! let cache = EvalCache::new();
-//! let outcomes = Executor::with_workers(2).run_spec(&spec, &cache)?;
+//! let service = EvalService::new(ServiceConfig::new().with_workers(2));
+//! let outcomes = service.submit_sweep(&spec)?.wait();
 //! assert_eq!(outcomes.len(), 2);
 //! assert!(!analysis::pareto_frontier(&outcomes).is_empty());
 //! # Ok(())
@@ -50,10 +51,10 @@ pub mod analysis;
 mod cache;
 mod error;
 mod eval;
-mod executor;
 mod explore;
 pub mod export;
 mod fidelity;
+mod job;
 mod journal;
 pub mod serve;
 mod service;
@@ -65,23 +66,20 @@ pub use cache::{
     CACHE_ENGINE_VERSION, CACHE_FORMAT_VERSION,
 };
 pub use error::DseError;
-pub use eval::{
-    evaluate, evaluate_traced, evaluate_with_search, EvalPath, Evaluation, ServingSummary,
-    TrafficJob,
-};
-pub use executor::{expand_jobs, run_sweep, DseOutcome, Executor, Job, Progress};
+pub use eval::{evaluate_with_search, EvalPath, Evaluation, ServingSummary, TrafficJob};
 pub use explore::{
-    explore, explore_journaled, ExploreAlgorithm, ExploreReport, ExploreSpec, GenerationStats,
-    COARSE_RESOLUTION, DEFAULT_SEED,
+    explore, ExploreAlgorithm, ExploreReport, ExploreSpec, GenerationStats, COARSE_RESOLUTION,
+    DEFAULT_SEED,
 };
 pub use fidelity::{
     kendall_tau, mean_power_w, scout_share_for, AnalyticalPricer, FeasibilityCaps, Fidelity,
     FidelityLadder, ProxyScore, RankFidelity, DEFAULT_SCOUT_SHARE, MIN_CALIBRATION_SAMPLES,
 };
+pub use job::{expand_jobs, DseOutcome, Job, Progress};
 pub use journal::{CompactionStats, SweepJournal, JOURNAL_FORMAT_VERSION};
 pub use service::{
-    BatchHandle, EvalRequest, EvalService, JobEvent, JobHandle, JobStatus, Priority, Rejected,
-    ServiceConfig, ServiceStats, TrafficRequest, DEFAULT_TENANT,
+    BatchHandle, EvalRequest, EvalService, JobHandle, JobStatus, Priority, Rejected, ServiceConfig,
+    ServiceStats, Submission, TrafficRequest, DEFAULT_TENANT,
 };
 pub use spec::{ModelSpec, PointSpec, SweepAxes, SweepSpec, TrafficSpec, AXIS_COUNT};
 pub use trace_store::{TraceEntry, TraceKey, TraceStore, TraceStoreStats, DEFAULT_TRACE_CAPACITY};

@@ -65,9 +65,9 @@ use cimflow_compiler::SearchMode;
 use cimflow_dse::analysis::Objective;
 use cimflow_dse::serve::{serve_stdio, TcpServer};
 use cimflow_dse::{
-    analysis, explore, explore_journaled, export, DseError, DseOutcome, EvalCache, EvalService,
-    Executor, ExploreAlgorithm, ExploreSpec, FeasibilityCaps, Fidelity, FidelityLadder, Progress,
-    ServiceConfig, SweepJournal, SweepSpec,
+    analysis, expand_jobs, explore, export, DseError, DseOutcome, EvalCache, EvalService,
+    ExploreAlgorithm, ExploreSpec, FeasibilityCaps, Fidelity, FidelityLadder, Progress,
+    ServiceConfig, Submission, SweepJournal, SweepSpec,
 };
 use cimflow_obs::{
     HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot, Tracer,
@@ -567,30 +567,30 @@ fn run_sweep(args: &SweepArgs) -> Result<ExitCode, DseError> {
         None => EvalCache::new(),
     };
     let obs = ObsSink::new(&args.trace_out, &args.metrics_out);
-    let mut executor = match args.workers.or(spec.workers) {
-        Some(workers) => Executor::with_workers(workers),
-        None => Executor::new(),
+    let mut config = ServiceConfig::new().with_metrics(obs.registry.clone());
+    if let Some(workers) = args.workers.or(spec.workers) {
+        config = config.with_workers(workers);
     }
-    .with_metrics(obs.registry.clone());
     if let Some(tracer) = &obs.tracer {
-        executor = executor.with_tracer(tracer.clone());
+        config = config.with_tracer(tracer.clone());
     }
+    let service = EvalService::with_cache(config, cache.clone());
 
     let reporter = Reporter::stdout(args.quiet);
     reporter.note(&format!(
         "sweep `{name}`: {} points on {} worker(s), {} cached evaluation(s) loaded",
         spec.point_count(),
-        executor.workers(),
+        service.workers(),
         cache.len()
     ));
 
     let started = Instant::now();
-    let outcomes = match &args.journal {
-        Some(path) => {
-            executor.run_spec_journaled_with_progress(&spec, &cache, path, |p| reporter.point(p))?
-        }
-        None => executor.run_spec_with_progress(&spec, &cache, |p| reporter.point(p))?,
+    let journal = match &args.journal {
+        Some(path) => Some(Arc::new(SweepJournal::open(path)?)),
+        None => None,
     };
+    let submission = Submission { jobs: expand_jobs(&spec)?, journal, ..Submission::default() };
+    let outcomes = service.submit_batch(submission)?.wait_with(|p| reporter.point(p));
     let elapsed = started.elapsed();
 
     let succeeded = outcomes.iter().filter(|o| o.result.is_ok()).count();
@@ -639,13 +639,7 @@ fn run_sweep(args: &SweepArgs) -> Result<ExitCode, DseError> {
         reporter.machine(&format!("saved cache ({} entries) -> {}", cache.len(), path.display()));
     }
 
-    // The executor's per-run services are gone by now, so mirror the
-    // cache gauges here the way a live service does at snapshot time.
-    obs.registry.gauge("cache.hits").set(stats.hits as i64);
-    obs.registry.gauge("cache.misses").set(stats.misses as i64);
-    obs.registry.gauge("cache.coalesced").set(stats.coalesced as i64);
-    obs.registry.gauge("cache.entries").set(cache.len() as i64);
-    obs.write(&reporter, &obs.registry.snapshot().render_prometheus())?;
+    obs.write(&reporter, &service.render_metrics())?;
 
     Ok(if succeeded > 0 { ExitCode::SUCCESS } else { ExitCode::from(2) })
 }
@@ -761,13 +755,11 @@ fn run_explore(args: &ExploreArgs) -> Result<ExitCode, DseError> {
     ));
 
     let started = Instant::now();
-    let report = match &args.journal {
-        Some(path) => {
-            let journal = Arc::new(SweepJournal::open(path)?);
-            explore_journaled(&spec, &service, &journal)?
-        }
-        None => explore(&spec, &service)?,
+    let journal = match &args.journal {
+        Some(path) => Some(Arc::new(SweepJournal::open(path)?)),
+        None => None,
     };
+    let report = explore(&spec, &service, journal.as_ref())?;
     let elapsed = started.elapsed();
 
     let succeeded = report.outcomes.iter().filter(|o| o.result.is_ok()).count();

@@ -41,8 +41,8 @@ use std::time::Duration;
 
 use serde::{Content, Deserialize, Serialize};
 
-use crate::service::{BatchHandle, EvalRequest, JobHandle, Priority, DEFAULT_TENANT};
-use crate::{DseOutcome, EvalService, SweepSpec};
+use crate::service::{expand, BatchHandle, EvalRequest, JobHandle, Priority};
+use crate::{DseOutcome, EvalService, Submission, SweepSpec};
 
 /// A protocol request: one per line, externally tagged.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,14 +50,14 @@ pub enum Request {
     /// Submit one evaluation request (boxed: a request with a traffic
     /// workload is much larger than the control-plane variants).
     Submit(Box<EvalRequest>),
-    /// Submit a sweep as a batch (always admitted: queue bounds and
-    /// quotas apply to every wire submission).
+    /// Submit a sweep as a batch (queue bounds and quotas apply to it
+    /// like to every submission).
     Sweep {
         /// The sweep grid (boxed: a spec with a traffic section is much
         /// larger than the other request variants).
         spec: Box<SweepSpec>,
         /// Tenant to charge the batch to; `None` means
-        /// [`DEFAULT_TENANT`].
+        /// [`DEFAULT_TENANT`](crate::DEFAULT_TENANT).
         tenant: Option<String>,
         /// Batch priority; `None` means normal.
         priority: Option<Priority>,
@@ -568,13 +568,11 @@ impl<'s> Connection<'s> {
                 },
             },
             Request::Sweep { spec, tenant, priority } => {
-                // Every wire submission passes admission — otherwise the
-                // operator's --queue/--quota bounds would be bypassable
-                // by omitting the tenant. (The unadmitted surface is
-                // in-process only: `EvalService::submit_sweep`.)
-                let tenant = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-                let priority = priority.unwrap_or_default();
-                match self.service.submit_sweep_as(tenant, priority, &spec) {
+                let submitted = expand(&spec).and_then(|jobs| {
+                    let priority = priority.unwrap_or_default();
+                    self.service.submit_batch(Submission { jobs, tenant, priority, journal: None })
+                });
+                match submitted {
                     Ok(handle) => {
                         self.next_batch += 1;
                         let batch = self.next_batch;
@@ -1098,7 +1096,7 @@ mod tests {
 
     #[test]
     fn bounded_waits_answer_status_within_the_deadline_without_consuming_ids() {
-        use crate::{evaluate, CacheKey, EvalCache};
+        use crate::{evaluate_with_search, CacheKey, EvalCache};
         use cimflow_arch::ArchConfig;
         use cimflow_compiler::SearchMode;
         use cimflow_nn::models;
@@ -1120,7 +1118,12 @@ mod tests {
                 .get_or_insert_with(key, || {
                     entered_tx.send(()).expect("entered signal");
                     release.recv().expect("release signal");
-                    evaluate(&arch, &model, Strategy::GenericMapping)
+                    evaluate_with_search(
+                        &arch,
+                        &model,
+                        Strategy::GenericMapping,
+                        SearchMode::Sequential,
+                    )
                 })
                 .expect("blocked evaluation succeeds");
         });
@@ -1170,6 +1173,52 @@ mod tests {
         let (response, _) = connection.handle(Request::Poll(Target::Job(1)));
         assert!(matches!(response, Response::Error { .. }), "the completed wait consumed the id");
         blocker.join().unwrap();
+    }
+
+    #[test]
+    fn hostile_nesting_answers_an_error_line() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let mut connection = Connection::new(&service);
+        let (response, shutdown) = connection.handle_line(&"[".repeat(200_000));
+        assert!(!shutdown);
+        match response {
+            Response::Error { message } => {
+                assert!(message.contains("recursion limit"), "{message}")
+            }
+            other => panic!("expected an error line, got {other:?}"),
+        }
+        // The connection keeps serving.
+        assert!(matches!(connection.handle_line("{\"stats\": {}}").0, Response::Stats { .. }));
+    }
+
+    #[test]
+    fn unbuildable_resolutions_fail_their_points_not_the_connection() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let input = [
+            r#"{"submit": {"model": {"name": "vgg19", "resolution": 30}, "strategy": "dp"}}"#,
+            r#"{"sweep": {"spec": {"models": [{"name": "resnet18", "resolution": 0}], "strategies": ["generic"]}}}"#,
+            r#"{"submit": {"model": {"name": "resnet18", "resolution": 32}, "strategy": "generic"}}"#,
+            r#"{"wait": {"job": 1}}"#,
+            r#"{"wait": {"batch": 1}}"#,
+            r#"{"wait": {"job": 3}}"#,
+        ]
+        .join("\n");
+        let responses = responses(&service, &input);
+        assert_eq!(responses[0], Response::Accepted { job: 1 });
+        assert!(matches!(responses[1], Response::AcceptedBatch { batch: 1, .. }));
+        assert_eq!(responses[2], Response::Accepted { job: 3 });
+        let outcome = |response: &Response| match response {
+            Response::Result(outcome) => outcome.clone(),
+            Response::BatchResult { outcomes, .. } => outcomes[0].clone(),
+            other => panic!("expected a result, got {other:?}"),
+        };
+        for (response, resolution) in [(&responses[3], 30), (&responses[4], 0)] {
+            let outcome = outcome(response);
+            assert!(!outcome.ok);
+            let error = outcome.error.expect("failed points carry their error");
+            assert!(error.contains(&format!("resolution {resolution} px")), "{error}");
+        }
+        assert!(outcome(&responses[5]).ok);
     }
 
     #[test]

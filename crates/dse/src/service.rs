@@ -1,35 +1,27 @@
 //! The service core of the evaluation API: a long-lived [`EvalService`]
 //! that owns one worker pool and one shared [`EvalCache`], accepts
-//! [`EvalRequest`]s and sweeps through non-blocking submission, and hands
+//! [`EvalRequest`]s and batches through non-blocking submission, and hands
 //! back [`JobHandle`]s/[`BatchHandle`]s that support polling, blocking
 //! waits, cancellation and streamed progress events.
 //!
-//! This is the **one pipeline** behind every evaluation surface:
-//!
-//! * the blocking [`Executor`](crate::Executor) is a thin wrapper that
-//!   submits a batch to an ephemeral service and waits for it;
-//! * the `cimflow-dse serve` subcommand (and the `cimflow-serve` client
-//!   crate) speak a JSON protocol straight onto a long-lived service;
-//! * the `cimflow` facade re-exports the service types.
-//!
-//! The module lives in `cimflow-dse` (rather than in the `cimflow-serve`
-//! crate) so the executor can be rebased on it without a crate cycle;
-//! `cimflow-serve` re-exports everything here and adds the network front
-//! end.
+//! This is the **one pipeline** behind every evaluation surface. Work
+//! enters through one enqueue path, [`EvalService::submit_batch`], which
+//! takes a [`Submission`] (jobs, tenant, priority, journal);
+//! [`submit`](EvalService::submit) is a batch of one request and
+//! [`submit_sweep`](EvalService::submit_sweep) a batch of one expanded
+//! grid. In-process sweeps, the adaptive explorer, the `cimflow-dse`
+//! CLI and the `cimflow-dse serve` wire front end (plus the
+//! `cimflow-serve` client crate that re-exports it) all submit here.
 //!
 //! # Admission control
 //!
-//! [`submit`](EvalService::submit) and
-//! [`submit_sweep_as`](EvalService::submit_sweep_as) are *admitted*
-//! surfaces: a bounded queue ([`ServiceConfig::with_queue_capacity`])
-//! rejects submissions with [`Rejected::QueueFull`] backpressure when the
-//! backlog is full, and per-tenant quotas
-//! ([`ServiceConfig::with_tenant_quota`]) cap how many points one tenant
-//! may have in flight so a single heavy tenant cannot starve the others.
-//! The executor-compatibility surfaces
-//! ([`submit_jobs`](EvalService::submit_jobs),
-//! [`submit_sweep`](EvalService::submit_sweep)) bypass admission — they
-//! serve trusted in-process batch callers.
+//! Every submission passes one admission check. A bounded queue
+//! ([`ServiceConfig::with_queue_capacity`]) rejects submissions with
+//! [`Rejected::QueueFull`] backpressure when the backlog is full, and
+//! per-tenant quotas ([`ServiceConfig::with_tenant_quota`]) cap how many
+//! points one tenant may have in flight so a single heavy tenant cannot
+//! starve the others. A batch is admitted or rejected whole. A service
+//! configured with neither bound rejects only while shutting down.
 //!
 //! # Coalescing
 //!
@@ -142,7 +134,7 @@ impl serde::Deserialize for Priority {
 /// to the base architecture (the paper's Table I default unless
 /// [`base`](Self::base) overrides it) — the same semantics as an empty
 /// [`SweepSpec`] axis. Unknown model names are *accepted* and surface as
-/// a per-job [`DseError::UnknownModel`] outcome, mirroring the executor.
+/// a per-job [`DseError::UnknownModel`] outcome, like a sweep point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalRequest {
     /// The model to evaluate.
@@ -323,7 +315,7 @@ impl EvalRequest {
         let arch = spec.arch(&base);
         let model = models::by_name(&spec.model.name, spec.model.resolution)
             .map(Arc::new)
-            .ok_or_else(|| DseError::UnknownModel { name: spec.model.name.clone() });
+            .map_err(DseError::from);
         let traffic = match (&self.traffic, &model) {
             (Some(traffic), Ok(resolved)) => Some(Arc::new(crate::eval::TrafficJob {
                 workload: traffic.workload.clone().unwrap_or_default(),
@@ -472,6 +464,17 @@ impl fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
+/// A rejected submission as a sweep error: an unexpandable grid is a
+/// [`DseError::Spec`], backpressure and shutdown are [`DseError::Io`].
+impl From<Rejected> for DseError {
+    fn from(rejected: Rejected) -> Self {
+        match rejected {
+            Rejected::InvalidSpec { reason } => DseError::Spec { reason },
+            other => DseError::io(other.to_string()),
+        }
+    }
+}
+
 /// Lifecycle state of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
@@ -508,21 +511,21 @@ impl fmt::Display for JobStatus {
     }
 }
 
-/// A streamed lifecycle event of one job (delivered over the handle's
-/// mpsc channel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobEvent {
-    /// A worker claimed the job.
-    Started,
-    /// The job reached [`JobStatus::Done`].
-    Finished {
-        /// Whether the evaluation succeeded.
-        ok: bool,
-        /// Whether the result came from the cache.
-        cached: bool,
-    },
-    /// The job was cancelled while queued.
-    Cancelled,
+/// One batch submission: the points plus who submits them, at which
+/// priority, against which journal. [`EvalService::submit_batch`] is the
+/// one way work enters a service.
+#[derive(Debug, Clone, Default)]
+pub struct Submission {
+    /// The points, in the order the [`BatchHandle`] reports them.
+    pub jobs: Vec<Job>,
+    /// Tenant charged for the points; `None` means [`DEFAULT_TENANT`].
+    pub tenant: Option<String>,
+    /// Scheduling priority of every point.
+    pub priority: Priority,
+    /// Journal to resume from and append to: a point it already records
+    /// is born terminal (its result seeded into the cache, no admission
+    /// consumed), and every freshly finished point is appended.
+    pub journal: Option<Arc<SweepJournal>>,
 }
 
 /// Monotonic service counters plus a queue snapshot.
@@ -564,6 +567,22 @@ struct BatchState {
     progress: mpsc::Sender<Progress>,
 }
 
+impl BatchState {
+    /// Counts the point at grid `index` finished and streams its
+    /// progress event.
+    fn finish(&self, index: usize, job: &Job, outcome: &DseOutcome) {
+        let completed = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        let _ = self.progress.send(Progress {
+            completed,
+            total: self.total,
+            index,
+            label: job.spec.label(),
+            ok: outcome.result.is_ok(),
+            cached: outcome.cached,
+        });
+    }
+}
+
 /// Identity of a multi-point fast-path group within the queue: members
 /// that one worker claims together and answers with a single batched
 /// engine call instead of per-point jobs.
@@ -588,21 +607,20 @@ const GROUP_CLAIM_MAX: usize = 32;
 #[derive(Debug)]
 struct Entry {
     job: Job,
-    tenant: Option<String>,
+    tenant: String,
     priority: Priority,
-    /// Evaluate through the shared [`TraceStore`] (set for batch points
-    /// whose trace group has at least two members, so singletons never
-    /// pay the recording overhead).
-    traced: bool,
-    /// The fast-path group this entry belongs to (set only for batch
-    /// points whose group has at least two live members).
+    /// The fast-path group this entry belongs to, set only for points
+    /// whose group has at least two live members. Grouped points evaluate
+    /// through the shared [`TraceStore`]; singletons never pay the
+    /// recording overhead.
     group: Option<GroupKey>,
     /// Admission time, the basis of the queue-wait histogram.
     submitted_at: Instant,
     status: JobStatus,
     outcome: Option<DseOutcome>,
-    batch: Option<(Arc<BatchState>, usize)>,
-    events: Option<mpsc::Sender<JobEvent>>,
+    batch: Arc<BatchState>,
+    /// Grid index of the entry within its batch.
+    index: usize,
     journal: Option<Arc<SweepJournal>>,
     /// The handle was dropped: remove the entry once terminal.
     detached: bool,
@@ -724,7 +742,7 @@ const STATE_POISONED: &str = "service state poisoned";
 
 /// Runs one job through the shared pipeline (cache lookup or full
 /// compile → simulate). When `traces` is set the evaluation goes through
-/// [`evaluate_traced`](crate::evaluate_traced) — the first point of a
+/// [`evaluate_traced`](crate::eval::evaluate_traced) — the first point of a
 /// trace group records, the rest replay bit-exactly. Panics inside the
 /// evaluator are converted into per-point errors so a bad point cannot
 /// kill a long-lived worker.
@@ -736,7 +754,7 @@ pub(crate) fn run_point(job: &Job, cache: &EvalCache, traces: Option<&TraceStore
                 let key = job.cache_key().expect("a resolved model always has a cache key");
                 cache.get_or_insert_with(key, || {
                     let mut evaluation = match traces {
-                        Some(traces) => crate::evaluate_traced(
+                        Some(traces) => crate::eval::evaluate_traced(
                             &job.arch,
                             model,
                             job.spec.strategy,
@@ -781,18 +799,16 @@ pub(crate) fn run_point(job: &Job, cache: &EvalCache, traces: Option<&TraceStore
     DseOutcome { point: job.spec.clone(), result, cached }
 }
 
-/// Marks `id` terminal, updates quota/stat accounting, streams events and
-/// batch progress, and wakes waiters. Caller holds the state lock and has
+/// Marks `id` terminal, updates quota/stat accounting, streams batch
+/// progress, and wakes waiters. Caller holds the state lock and has
 /// already adjusted the `queued`/`running` counters.
 fn finish_entry(st: &mut State, shared: &Shared, id: u64, outcome: DseOutcome, status: JobStatus) {
     let entry = st.entries.get_mut(&id).expect("finished job has an entry");
     entry.status = status;
-    if let Some(tenant) = &entry.tenant {
-        if let Some(count) = st.in_flight.get_mut(tenant) {
-            *count -= 1;
-            if *count == 0 {
-                st.in_flight.remove(tenant);
-            }
+    if let Some(count) = st.in_flight.get_mut(&entry.tenant) {
+        *count -= 1;
+        if *count == 0 {
+            st.in_flight.remove(&entry.tenant);
         }
     }
     match status {
@@ -809,24 +825,7 @@ fn finish_entry(st: &mut State, shared: &Shared, id: u64, outcome: DseOutcome, s
         }
         JobStatus::Queued | JobStatus::Running => unreachable!("finish with non-terminal status"),
     }
-    if let Some(tx) = &entry.events {
-        let event = match status {
-            JobStatus::Cancelled => JobEvent::Cancelled,
-            _ => JobEvent::Finished { ok: outcome.result.is_ok(), cached: outcome.cached },
-        };
-        let _ = tx.send(event);
-    }
-    if let Some((batch, index)) = &entry.batch {
-        let done = batch.completed.fetch_add(1, Ordering::SeqCst) + 1;
-        let _ = batch.progress.send(Progress {
-            completed: done,
-            total: batch.total,
-            index: *index,
-            label: entry.job.spec.label(),
-            ok: outcome.result.is_ok(),
-            cached: outcome.cached,
-        });
-    }
+    entry.batch.finish(entry.index, &entry.job, &outcome);
     entry.outcome = Some(outcome);
     if entry.detached {
         st.entries.remove(&id);
@@ -882,19 +881,14 @@ struct Claim {
     members: Vec<ClaimedMember>,
     tenant: String,
     priority: Priority,
-    traced: bool,
     group: Option<GroupKey>,
 }
 
-/// Marks a queued entry Running, streams its Started event and extracts
-/// the processing payload. Caller holds the state lock and adjusts the
-/// queued/running counters.
+/// Marks a queued entry Running and extracts the processing payload.
+/// Caller holds the state lock and adjusts the queued/running counters.
 fn claim_entry(st: &mut State, id: u64) -> ClaimedMember {
     let entry = st.entries.get_mut(&id).expect("claimed entry exists");
     entry.status = JobStatus::Running;
-    if let Some(tx) = &entry.events {
-        let _ = tx.send(JobEvent::Started);
-    }
     ClaimedMember {
         id,
         job: entry.job.clone(),
@@ -1022,7 +1016,7 @@ fn run_ladder_group(shared: &Shared, members: &[ClaimedMember]) -> Vec<DseOutcom
         let group = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let model = lead.model.as_ref().ok()?;
             let traffic = lead.active_traffic()?;
-            let evaluation = crate::evaluate_traced(
+            let evaluation = crate::eval::evaluate_traced(
                 &lead.arch,
                 model,
                 lead.spec.strategy,
@@ -1115,10 +1109,8 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                 match next {
                     Some(id) => {
                         let entry = st.entries.get(&id).expect("claimed entry exists");
-                        let tenant =
-                            entry.tenant.clone().unwrap_or_else(|| DEFAULT_TENANT.to_owned());
+                        let tenant = entry.tenant.clone();
                         let priority = entry.priority;
-                        let traced = entry.traced;
                         let group = entry.group.clone();
                         let mut members = vec![claim_entry(&mut st, id)];
                         // Drain the rest of a fast-path group: every
@@ -1135,7 +1127,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                                         && e.status == JobStatus::Queued
                                         && e.group.as_ref() == Some(key)
                                         && e.priority == priority
-                                        && e.tenant.as_deref().unwrap_or(DEFAULT_TENANT) == tenant
+                                        && e.tenant == tenant
                                 })
                                 .map(|(other, _)| *other)
                                 .collect();
@@ -1150,7 +1142,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                         st.queued -= members.len();
                         st.running += members.len();
                         shared.obs.queue_depth.set(st.queued as i64);
-                        break Some(Claim { members, tenant, priority, traced, group });
+                        break Some(Claim { members, tenant, priority, group });
                     }
                     None if st.shutting_down => break None,
                     None => st = shared.work.wait(st).expect(STATE_POISONED),
@@ -1207,7 +1199,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                     );
                 span
             });
-            let traces = claim.traced.then_some(&shared.traces);
+            let traces = claim.group.is_some().then_some(&shared.traces);
             let outcome = run_point(&member.job, &shared.cache, traces);
             if let Some(span) = span.as_mut() {
                 span.attr("ok", outcome.result.is_ok()).attr("cached", outcome.cached);
@@ -1260,7 +1252,8 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 // Handles
 // ---------------------------------------------------------------------------
 
-/// A handle to one submitted job.
+/// A handle to one submitted job: a one-point view of the batch that
+/// [`EvalService::submit`] enqueued.
 ///
 /// The handle is the only reference to the job's result slot: dropping it
 /// releases the slot (the job itself still runs to completion).
@@ -1281,42 +1274,31 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 /// assert!(handle.wait().result.is_ok());
 /// ```
 #[derive(Debug)]
-pub struct JobHandle {
-    shared: Arc<Shared>,
-    id: u64,
-    events: mpsc::Receiver<JobEvent>,
-}
+pub struct JobHandle(BatchHandle);
 
 impl JobHandle {
     /// Service-wide id of the job (stable over the service lifetime; used
     /// as the wire id by the serve front end).
     pub fn id(&self) -> u64 {
-        self.id
+        self.0.ids[0]
     }
 
     /// Current lifecycle state (non-blocking).
     pub fn status(&self) -> JobStatus {
-        let st = self.shared.state.lock().expect(STATE_POISONED);
-        st.entries.get(&self.id).map_or(JobStatus::Done, |e| e.status)
+        let st = self.0.shared.state.lock().expect(STATE_POISONED);
+        st.entries.get(&self.id()).map_or(JobStatus::Done, |e| e.status)
     }
 
     /// The outcome if the job is already terminal (non-blocking).
     pub fn poll(&self) -> Option<DseOutcome> {
-        let st = self.shared.state.lock().expect(STATE_POISONED);
-        st.entries.get(&self.id).and_then(|e| e.outcome.clone())
+        let st = self.0.shared.state.lock().expect(STATE_POISONED);
+        st.entries.get(&self.id()).and_then(|e| e.outcome.clone())
     }
 
     /// Blocks until the job is terminal and returns its outcome. A
     /// cancelled job yields [`DseError::Cancelled`] in the outcome.
     pub fn wait(&self) -> DseOutcome {
-        let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        loop {
-            let entry = st.entries.get(&self.id).expect("job entry lives while its handle does");
-            if entry.status.is_terminal() {
-                return entry.outcome.clone().expect("terminal job has an outcome");
-            }
-            st = self.shared.done.wait(st).expect(STATE_POISONED);
-        }
+        only(self.0.wait())
     }
 
     /// [`Self::wait`] bounded by a deadline: returns the outcome if the
@@ -1325,39 +1307,19 @@ impl JobHandle {
     /// cancel). The wire protocol's `wait` + `timeout_ms` runs on this,
     /// so one slow job cannot wedge a whole serve connection forever.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<DseOutcome> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        loop {
-            let entry = st.entries.get(&self.id).expect("job entry lives while its handle does");
-            if entry.status.is_terminal() {
-                return Some(entry.outcome.clone().expect("terminal job has an outcome"));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            st = self.shared.done.wait_timeout(st, deadline - now).expect(STATE_POISONED).0;
-        }
+        self.0.wait_timeout(timeout).map(only)
     }
 
     /// Cancels the job if it is still queued. Returns whether it was
     /// cancelled; a running job finishes normally (`false`).
     pub fn cancel(&self) -> bool {
-        let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        cancel_locked(&mut st, &self.shared, self.id)
-    }
-
-    /// The streamed lifecycle events ([`JobEvent::Started`], then
-    /// [`JobEvent::Finished`] or [`JobEvent::Cancelled`]).
-    pub fn events(&self) -> &mpsc::Receiver<JobEvent> {
-        &self.events
+        self.0.cancel() == 1
     }
 }
 
-impl Drop for JobHandle {
-    fn drop(&mut self) {
-        release(&self.shared, &[self.id]);
-    }
+/// The outcome of a one-point batch.
+fn only(mut outcomes: Vec<DseOutcome>) -> DseOutcome {
+    outcomes.pop().expect("a job handle views exactly one point")
 }
 
 /// A handle to a submitted batch (sweep): per-point slots in grid order
@@ -1442,16 +1404,38 @@ impl BatchHandle {
             }
         }
         let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        loop {
-            let pending = self
-                .ids
-                .iter()
-                .any(|id| st.entries.get(id).is_some_and(|e| !e.status.is_terminal()));
-            if !pending {
-                break;
-            }
+        while self.pending(&st) {
             st = self.shared.done.wait(st).expect(STATE_POISONED);
         }
+        self.outcomes(&st)
+    }
+
+    /// [`Self::wait`] bounded by a deadline: returns the grid-ordered
+    /// outcomes if every point turns terminal within `timeout`, `None`
+    /// on expiry (the batch keeps running; the handle stays usable and
+    /// the streamed [`Progress`] events are left undrained for a later
+    /// [`Self::wait_with`]).
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Vec<DseOutcome>> {
+        let deadline = Instant::now() + timeout;
+        let mut st = self.shared.state.lock().expect(STATE_POISONED);
+        while self.pending(&st) {
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            st = self.shared.done.wait_timeout(st, deadline - now).expect(STATE_POISONED).0;
+        }
+        Some(self.outcomes(&st))
+    }
+
+    /// Whether any point is still live (caller holds the state lock).
+    fn pending(&self, st: &State) -> bool {
+        self.ids.iter().any(|id| st.entries.get(id).is_some_and(|e| !e.status.is_terminal()))
+    }
+
+    /// The grid-ordered outcomes of a terminal batch (caller holds the
+    /// state lock).
+    fn outcomes(&self, st: &State) -> Vec<DseOutcome> {
         self.ids
             .iter()
             .map(|id| {
@@ -1463,43 +1447,6 @@ impl BatchHandle {
                     .expect("terminal job has an outcome")
             })
             .collect()
-    }
-
-    /// [`Self::wait`] bounded by a deadline: returns the grid-ordered
-    /// outcomes if every point turns terminal within `timeout`, `None`
-    /// on expiry (the batch keeps running; the handle stays usable and
-    /// the streamed [`Progress`] events are left undrained for a later
-    /// [`Self::wait_with`]).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Vec<DseOutcome>> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        loop {
-            let pending = self
-                .ids
-                .iter()
-                .any(|id| st.entries.get(id).is_some_and(|e| !e.status.is_terminal()));
-            if !pending {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            st = self.shared.done.wait_timeout(st, deadline - now).expect(STATE_POISONED).0;
-        }
-        Some(
-            self.ids
-                .iter()
-                .map(|id| {
-                    st.entries
-                        .get(id)
-                        .expect("batch entry lives while its handle does")
-                        .outcome
-                        .clone()
-                        .expect("terminal job has an outcome")
-                })
-                .collect(),
-        )
     }
 
     /// Cancels every still-queued point; running points finish normally.
@@ -1589,221 +1536,168 @@ impl EvalService {
         self.workers.len()
     }
 
-    /// Submits one request through admission control. Returns immediately
-    /// with a [`JobHandle`], or a [`Rejected`] backpressure signal.
+    /// Submits one request as a batch of one point, charged to the
+    /// request's tenant at its priority. Returns immediately with a
+    /// [`JobHandle`], or a [`Rejected`] backpressure signal.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::submit_batch`]; never a model/architecture error —
+    /// those surface in the job's outcome.
+    pub fn submit(&self, request: EvalRequest) -> Result<JobHandle, Rejected> {
+        let submission = Submission {
+            jobs: vec![request.to_job()],
+            tenant: Some(request.tenant().to_owned()),
+            priority: request.priority(),
+            journal: None,
+        };
+        self.submit_batch(submission).map(JobHandle)
+    }
+
+    /// Expands `spec` and submits its grid as one default-tenant,
+    /// normal-priority batch.
+    ///
+    /// # Errors
+    ///
+    /// [`Rejected::InvalidSpec`] for a grid that does not expand, else
+    /// see [`Self::submit_batch`].
+    pub fn submit_sweep(&self, spec: &SweepSpec) -> Result<BatchHandle, Rejected> {
+        self.submit_batch(Submission { jobs: expand(spec)?, ..Submission::default() })
+    }
+
+    /// Submits a batch — the one way work enters the service — and
+    /// returns immediately with a [`BatchHandle`] whose slots follow the
+    /// submission's job order.
+    ///
+    /// Points the submission's journal already records are born terminal
+    /// (their results seeded into the cache). The remaining, live points
+    /// pass one admission check as a whole and are queued with
+    /// timing-only groups interleaved, so each group records one trace
+    /// early and replays the rest; their outcomes are appended to the
+    /// journal as they finish.
     ///
     /// # Errors
     ///
     /// [`Rejected::QueueFull`], [`Rejected::QuotaExceeded`] or
-    /// [`Rejected::ShuttingDown`]; never a model/architecture error —
-    /// those surface in the job's outcome.
-    pub fn submit(&self, request: EvalRequest) -> Result<JobHandle, Rejected> {
-        self.submit_with_journal(request, None)
-    }
+    /// [`Rejected::ShuttingDown`]; per-point failures surface in the
+    /// outcomes.
+    pub fn submit_batch(&self, submission: Submission) -> Result<BatchHandle, Rejected> {
+        let Submission { jobs, tenant, priority, journal } = submission;
+        let tenant = tenant.unwrap_or_else(|| DEFAULT_TENANT.to_owned());
+        // Journal resumption is resolved before taking the state lock:
+        // cache seeding must not nest the cache mutex inside it.
+        let resumed: Vec<Option<DseOutcome>> = jobs
+            .iter()
+            .map(|job| {
+                let journal = journal.as_ref()?;
+                let key = job.cache_key()?;
+                let evaluation = journal.lookup(&key)?;
+                self.shared.cache.insert(key, evaluation.clone());
+                Some(DseOutcome { point: job.spec.clone(), result: Ok(evaluation), cached: true })
+            })
+            .collect();
+        let born_terminal = resumed.iter().filter(|r| r.is_some()).count();
+        let live = jobs.len() - born_terminal;
+        let (order, groups) = Self::trace_plan(&jobs, &resumed, live);
 
-    /// [`Self::submit`] against a [`SweepJournal`]: a point the journal
-    /// already records comes back as a born-terminal handle (its result
-    /// seeded into the cache, no admission consumed), and a fresh point
-    /// is admitted normally with its outcome appended to the journal —
-    /// the single-request counterpart of
-    /// [`Self::submit_sweep_journaled`].
-    ///
-    /// # Errors
-    ///
-    /// The same [`Rejected`] variants as [`Self::submit`].
-    pub fn submit_journaled(
-        &self,
-        request: EvalRequest,
-        journal: &Arc<SweepJournal>,
-    ) -> Result<JobHandle, Rejected> {
-        self.submit_with_journal(request, Some(Arc::clone(journal)))
-    }
-
-    fn submit_with_journal(
-        &self,
-        request: EvalRequest,
-        journal: Option<Arc<SweepJournal>>,
-    ) -> Result<JobHandle, Rejected> {
-        let tenant = request.tenant().to_owned();
-        let priority = request.priority();
-        let job = request.to_job();
-        // Journal resumption is resolved before taking the state lock
-        // (cache seeding must not nest the cache mutex inside it).
-        let resumed: Option<DseOutcome> = journal.as_ref().and_then(|journal| {
-            let key = job.cache_key()?;
-            let evaluation = journal.lookup(&key)?;
-            self.shared.cache.insert(key, evaluation.clone());
-            Some(DseOutcome { point: job.spec.clone(), result: Ok(evaluation), cached: true })
+        let (tx, rx) = mpsc::channel();
+        let batch = Arc::new(BatchState {
+            total: jobs.len(),
+            completed: AtomicUsize::new(0),
+            progress: tx,
         });
-        if let Some(outcome) = resumed {
-            let (tx, rx) = mpsc::channel();
-            let mut st = self.shared.state.lock().expect(STATE_POISONED);
-            if st.shutting_down {
-                st.rejected += 1;
-                self.shared.obs.reject(&Rejected::ShuttingDown, 1);
-                return Err(Rejected::ShuttingDown);
-            }
+        let mut st = self.shared.state.lock().expect(STATE_POISONED);
+        self.admit(&mut st, &tenant, live, jobs.len())?;
+        if live > 0 {
+            *st.in_flight.entry(tenant.clone()).or_insert(0) += live;
+        }
+        // Queue in the interleaved order, but keep `ids` in grid order so
+        // the handle's per-point slots line up with the submitted grid.
+        let total = jobs.len();
+        let mut slots: Vec<Option<(Job, Option<DseOutcome>)>> =
+            jobs.into_iter().zip(resumed).map(Some).collect();
+        let mut ids = vec![0u64; total];
+        for index in order {
+            let (job, resumed) = slots[index].take().expect("each slot is queued exactly once");
             let id = st.allocate_id();
+            ids[index] = id;
             st.submitted += 1;
-            st.completed += 1;
-            self.shared.obs.evals_completed.inc();
-            let _ = tx.send(JobEvent::Finished { ok: true, cached: true });
+            let status = match &resumed {
+                Some(outcome) => {
+                    batch.finish(index, &job, outcome);
+                    st.completed += 1;
+                    self.shared.obs.evals_completed.inc();
+                    JobStatus::Done
+                }
+                None => {
+                    st.queue.push(ClaimRef { priority, seq: id, id });
+                    st.queued += 1;
+                    JobStatus::Queued
+                }
+            };
             st.entries.insert(
                 id,
                 Entry {
                     job,
-                    tenant: Some(tenant),
+                    tenant: tenant.clone(),
                     priority,
-                    traced: false,
-                    group: None,
+                    group: groups[index].clone(),
                     submitted_at: Instant::now(),
-                    status: JobStatus::Done,
-                    outcome: Some(outcome),
-                    batch: None,
-                    events: None,
-                    journal: None,
+                    status,
+                    outcome: resumed,
+                    batch: Arc::clone(&batch),
+                    index,
+                    journal: journal.clone(),
                     detached: false,
                 },
             );
-            drop(st);
-            self.shared.done.notify_all();
-            return Ok(JobHandle { shared: Arc::clone(&self.shared), id, events: rx });
         }
-        let (tx, rx) = mpsc::channel();
-        let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        if st.shutting_down {
-            st.rejected += 1;
-            self.shared.obs.reject(&Rejected::ShuttingDown, 1);
-            return Err(Rejected::ShuttingDown);
-        }
-        if let Some(capacity) = self.config.queue_capacity {
-            if st.queued + 1 > capacity {
-                st.rejected += 1;
-                let rejection = Rejected::QueueFull { capacity };
-                self.shared.obs.reject(&rejection, 1);
-                return Err(rejection);
-            }
-        }
-        if let Some(quota) = self.config.tenant_quota {
-            let used = st.in_flight.get(&tenant).copied().unwrap_or(0);
-            if used + 1 > quota {
-                st.rejected += 1;
-                let rejection = Rejected::QuotaExceeded { tenant, quota };
-                self.shared.obs.reject(&rejection, 1);
-                return Err(rejection);
-            }
-        }
-        let id = st.allocate_id();
-        *st.in_flight.entry(tenant.clone()).or_insert(0) += 1;
-        st.entries.insert(
-            id,
-            Entry {
-                job,
-                tenant: Some(tenant),
-                priority,
-                traced: false,
-                group: None,
-                submitted_at: Instant::now(),
-                status: JobStatus::Queued,
-                outcome: None,
-                batch: None,
-                events: Some(tx),
-                journal,
-                detached: false,
-            },
-        );
-        st.queue.push(ClaimRef { priority, seq: id, id });
-        st.queued += 1;
-        st.submitted += 1;
         self.shared.obs.queue_depth.set(st.queued as i64);
         drop(st);
-        self.shared.work.notify_one();
-        Ok(JobHandle { shared: Arc::clone(&self.shared), id, events: rx })
+        self.shared.work.notify_all();
+        Ok(BatchHandle {
+            shared: Arc::clone(&self.shared),
+            ids,
+            batch,
+            progress: rx,
+            resumed: born_terminal,
+        })
     }
 
-    /// Submits an explicit job list as one batch, bypassing admission
-    /// (the trusted in-process surface the [`Executor`](crate::Executor)
-    /// runs on).
-    ///
-    /// # Errors
-    ///
-    /// Only [`Rejected::ShuttingDown`].
-    pub fn submit_jobs(&self, jobs: Vec<Job>) -> Result<BatchHandle, Rejected> {
-        self.submit_batch(jobs, None, Priority::Normal, false, None)
-    }
-
-    /// [`Self::submit_jobs`] against a [`SweepJournal`]: journaled points
-    /// come back born-terminal (cache seeded, nothing re-run) and fresh
-    /// outcomes are appended — the explicit-job-list counterpart of
-    /// [`Self::submit_sweep_journaled`], used by the adaptive
-    /// exploration engine whose batches are not grid expansions.
-    ///
-    /// # Errors
-    ///
-    /// Only [`Rejected::ShuttingDown`].
-    pub fn submit_jobs_journaled(
+    /// The one admission check, run under the state lock for a whole
+    /// submission of `points` points, `live` of them to be queued: a
+    /// service shutting down admits nothing, a bounded queue admits only
+    /// within its capacity, and a quota caps `tenant`'s in-flight points.
+    /// A service with neither bound rejects only at shutdown. Every point
+    /// of a rejected submission counts as rejected.
+    fn admit(
         &self,
-        jobs: Vec<Job>,
-        journal: &Arc<SweepJournal>,
-    ) -> Result<BatchHandle, Rejected> {
-        self.submit_batch(jobs, None, Priority::Normal, false, Some(Arc::clone(journal)))
-    }
-
-    /// Expands and submits a sweep, bypassing admission.
-    ///
-    /// # Errors
-    ///
-    /// [`Rejected::InvalidSpec`] for an empty grid, or
-    /// [`Rejected::ShuttingDown`].
-    pub fn submit_sweep(&self, spec: &SweepSpec) -> Result<BatchHandle, Rejected> {
-        let jobs = expand(spec)?;
-        self.submit_batch(jobs, None, Priority::Normal, false, None)
-    }
-
-    /// Expands and submits a sweep on behalf of `tenant` at `priority`,
-    /// through admission control (the whole batch is admitted or rejected
-    /// atomically).
-    ///
-    /// # Errors
-    ///
-    /// Any [`Rejected`] variant.
-    pub fn submit_sweep_as(
-        &self,
+        st: &mut State,
         tenant: &str,
-        priority: Priority,
-        spec: &SweepSpec,
-    ) -> Result<BatchHandle, Rejected> {
-        let jobs = expand(spec)?;
-        self.submit_batch(jobs, Some(tenant.to_owned()), priority, true, None)
+        live: usize,
+        points: usize,
+    ) -> Result<(), Rejected> {
+        let in_flight = st.in_flight.get(tenant).copied().unwrap_or(0);
+        let rejection = match (self.config.queue_capacity, self.config.tenant_quota) {
+            _ if st.shutting_down => Rejected::ShuttingDown,
+            (Some(capacity), _) if st.queued + live > capacity => Rejected::QueueFull { capacity },
+            (_, Some(quota)) if in_flight + live > quota => {
+                Rejected::QuotaExceeded { tenant: tenant.to_owned(), quota }
+            }
+            _ => return Ok(()),
+        };
+        st.rejected += points as u64;
+        self.shared.obs.reject(&rejection, points as u64);
+        Err(rejection)
     }
 
-    /// Expands and submits a sweep against a [`SweepJournal`]: points
-    /// already journaled are served from the journal without re-running
-    /// (and seeded into the cache), and every newly finished point is
-    /// appended to the journal — an interrupted sweep resumes where it
-    /// stopped.
-    ///
-    /// # Errors
-    ///
-    /// [`Rejected::InvalidSpec`] for an empty grid, or
-    /// [`Rejected::ShuttingDown`].
-    pub fn submit_sweep_journaled(
-        &self,
-        spec: &SweepSpec,
-        journal: &Arc<SweepJournal>,
-    ) -> Result<BatchHandle, Rejected> {
-        let jobs = expand(spec)?;
-        self.submit_batch(jobs, None, Priority::Normal, false, Some(Arc::clone(journal)))
-    }
-
-    /// Plans the queue-insertion order, per-point tracing and the
-    /// fast-path groups of a batch. Live points without a serving
-    /// workload are grouped by [`TraceKey`] (compile fingerprint +
-    /// model + strategy + search); points *with* one are grouped by
-    /// ladder identity (design point + rate-free workload — the
-    /// rungs of one `--objective p99` ladder). Groups of at least two
-    /// points become traced — they share one compile → record run and
-    /// replay the rest — and carry a [`GroupKey`] so the worker claiming
+    /// Plans the queue-insertion order and the fast-path groups of a
+    /// batch. Live points without a serving workload are grouped by
+    /// [`TraceKey`] (compile fingerprint + model + strategy + search);
+    /// points *with* one are grouped by ladder identity (design point +
+    /// rate-free workload — the rungs of one `--objective p99` ladder).
+    /// Groups of at least two points carry a [`GroupKey`]: they share one
+    /// compile → record run and replay the rest, and the worker claiming
     /// one member drains the whole group into a single lockstep replay
     /// (or single rate-ladder serve) instead of per-point jobs. The
     /// insertion order interleaves the groups round-robin so every
@@ -1811,11 +1705,16 @@ impl EvalService {
     /// serializing group after group. Singleton groups stay untraced and
     /// pay zero recording overhead. Outcome slots keep grid order
     /// regardless (the handle's ids are indexed by grid position).
-    #[allow(clippy::type_complexity)]
     fn trace_plan(
         jobs: &[Job],
         resumed: &[Option<DseOutcome>],
-    ) -> (Vec<usize>, Vec<bool>, Vec<Option<GroupKey>>) {
+        live: usize,
+    ) -> (Vec<usize>, Vec<Option<GroupKey>>) {
+        // A group needs two live points. With fewer, skip hashing trace
+        // keys: a single submit hashes its model once, for the cache key.
+        if live < 2 {
+            return ((0..jobs.len()).collect(), vec![None; jobs.len()]);
+        }
         let mut groups: Vec<(Option<GroupKey>, Vec<usize>)> = Vec::new();
         let mut by_key: HashMap<TraceKey, usize> = HashMap::new();
         let mut by_ladder: HashMap<(CacheKey, u64), usize> = HashMap::new();
@@ -1849,11 +1748,9 @@ impl EvalService {
                 _ => groups.push((None, vec![index])),
             }
         }
-        let mut traced = vec![false; jobs.len()];
         let mut group_keys: Vec<Option<GroupKey>> = vec![None; jobs.len()];
         for (key, members) in groups.iter().filter(|(_, members)| members.len() >= 2) {
             for &index in members {
-                traced[index] = true;
                 group_keys[index] = key.clone();
             }
         }
@@ -1867,143 +1764,7 @@ impl EvalService {
             }
             round += 1;
         }
-        (order, traced, group_keys)
-    }
-
-    fn submit_batch(
-        &self,
-        jobs: Vec<Job>,
-        tenant: Option<String>,
-        priority: Priority,
-        admission: bool,
-        journal: Option<Arc<SweepJournal>>,
-    ) -> Result<BatchHandle, Rejected> {
-        // Journal resumption is resolved before taking the state lock:
-        // cache seeding must not nest the cache mutex inside it.
-        let resumed: Vec<Option<DseOutcome>> = jobs
-            .iter()
-            .map(|job| {
-                let journal = journal.as_ref()?;
-                let key = job.cache_key()?;
-                let evaluation = journal.lookup(&key)?;
-                self.shared.cache.insert(key, evaluation.clone());
-                Some(DseOutcome { point: job.spec.clone(), result: Ok(evaluation), cached: true })
-            })
-            .collect();
-        let born_terminal = resumed.iter().filter(|r| r.is_some()).count();
-        let live = resumed.len() - born_terminal;
-        let (order, traced, groups) = Self::trace_plan(&jobs, &resumed);
-
-        let (tx, rx) = mpsc::channel();
-        let batch = Arc::new(BatchState {
-            total: jobs.len(),
-            completed: AtomicUsize::new(0),
-            progress: tx,
-        });
-        let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        if st.shutting_down {
-            st.rejected += jobs.len() as u64;
-            self.shared.obs.reject(&Rejected::ShuttingDown, jobs.len() as u64);
-            return Err(Rejected::ShuttingDown);
-        }
-        if admission {
-            if let Some(capacity) = self.config.queue_capacity {
-                if st.queued + live > capacity {
-                    st.rejected += jobs.len() as u64;
-                    let rejection = Rejected::QueueFull { capacity };
-                    self.shared.obs.reject(&rejection, jobs.len() as u64);
-                    return Err(rejection);
-                }
-            }
-            if let (Some(quota), Some(tenant)) = (self.config.tenant_quota, tenant.as_ref()) {
-                let used = st.in_flight.get(tenant).copied().unwrap_or(0);
-                if used + live > quota {
-                    st.rejected += jobs.len() as u64;
-                    let rejection = Rejected::QuotaExceeded { tenant: tenant.clone(), quota };
-                    self.shared.obs.reject(&rejection, jobs.len() as u64);
-                    return Err(rejection);
-                }
-            }
-        }
-        // Queue in the interleaved order, but keep `ids` in grid order so
-        // the handle's per-point slots line up with the submitted grid.
-        let total = jobs.len();
-        let mut slots: Vec<Option<(Job, Option<DseOutcome>)>> =
-            jobs.into_iter().zip(resumed).map(Some).collect();
-        let mut ids = vec![0u64; total];
-        for index in order {
-            let (job, resumed) = slots[index].take().expect("each slot is queued exactly once");
-            let id = st.allocate_id();
-            ids[index] = id;
-            st.submitted += 1;
-            match resumed {
-                Some(outcome) => {
-                    // Journal-resumed point: born terminal.
-                    let done = batch.completed.fetch_add(1, Ordering::SeqCst) + 1;
-                    let _ = batch.progress.send(Progress {
-                        completed: done,
-                        total: batch.total,
-                        index,
-                        label: job.spec.label(),
-                        ok: true,
-                        cached: true,
-                    });
-                    st.completed += 1;
-                    self.shared.obs.evals_completed.inc();
-                    st.entries.insert(
-                        id,
-                        Entry {
-                            job,
-                            tenant: tenant.clone(),
-                            priority,
-                            traced: false,
-                            group: None,
-                            submitted_at: Instant::now(),
-                            status: JobStatus::Done,
-                            outcome: Some(outcome),
-                            batch: Some((Arc::clone(&batch), index)),
-                            events: None,
-                            journal: None,
-                            detached: false,
-                        },
-                    );
-                }
-                None => {
-                    if let Some(tenant) = &tenant {
-                        *st.in_flight.entry(tenant.clone()).or_insert(0) += 1;
-                    }
-                    st.entries.insert(
-                        id,
-                        Entry {
-                            job,
-                            tenant: tenant.clone(),
-                            priority,
-                            traced: traced[index],
-                            group: groups[index].clone(),
-                            submitted_at: Instant::now(),
-                            status: JobStatus::Queued,
-                            outcome: None,
-                            batch: Some((Arc::clone(&batch), index)),
-                            events: None,
-                            journal: journal.clone(),
-                            detached: false,
-                        },
-                    );
-                    st.queue.push(ClaimRef { priority, seq: id, id });
-                    st.queued += 1;
-                }
-            }
-        }
-        self.shared.obs.queue_depth.set(st.queued as i64);
-        drop(st);
-        self.shared.work.notify_all();
-        Ok(BatchHandle {
-            shared: Arc::clone(&self.shared),
-            ids,
-            batch,
-            progress: rx,
-            resumed: born_terminal,
-        })
+        (order, group_keys)
     }
 
     /// A snapshot of the service counters.
@@ -2104,7 +1865,7 @@ impl Drop for EvalService {
 /// Expands a spec, mapping grid errors into [`Rejected::InvalidSpec`]
 /// (carrying the bare reason, so callers can reconstruct the original
 /// [`DseError::Spec`] without stacking display prefixes).
-fn expand(spec: &SweepSpec) -> Result<Vec<Job>, Rejected> {
+pub(crate) fn expand(spec: &SweepSpec) -> Result<Vec<Job>, Rejected> {
     crate::expand_jobs(spec).map_err(|e| Rejected::InvalidSpec {
         reason: match e {
             DseError::Spec { reason } => reason,
@@ -2116,7 +1877,7 @@ fn expand(spec: &SweepSpec) -> Result<Vec<Job>, Rejected> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate, CacheKey};
+    use crate::{evaluate_with_search, CacheKey};
     use cimflow_nn::Model;
 
     fn request(model: &str, strategy: Strategy) -> EvalRequest {
@@ -2145,7 +1906,7 @@ mod tests {
                 .get_or_insert_with(key, || {
                     entered_tx.send(()).expect("entered signal");
                     release.recv().expect("release signal");
-                    evaluate(&arch, &model, strategy)
+                    evaluate_with_search(&arch, &model, strategy, SearchMode::Sequential)
                 })
                 .expect("blocked evaluation succeeds");
         });
@@ -2164,7 +1925,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_wait_round_trip_with_events() {
+    fn submit_wait_round_trip() {
         let service = EvalService::new(ServiceConfig::new().with_workers(2));
         let handle = service
             .submit(request("mobilenetv2", Strategy::GenericMapping).with_tenant("t0"))
@@ -2174,8 +1935,6 @@ mod tests {
         assert!(!outcome.cached);
         assert_eq!(handle.status(), JobStatus::Done);
         assert_eq!(handle.poll().expect("terminal").point, outcome.point);
-        let events: Vec<JobEvent> = handle.events().try_iter().collect();
-        assert_eq!(events, vec![JobEvent::Started, JobEvent::Finished { ok: true, cached: false }]);
         let stats = service.stats();
         assert_eq!((stats.submitted, stats.completed), (1, 1));
         assert_eq!((stats.queued, stats.running), (0, 0));
@@ -2326,14 +2085,8 @@ mod tests {
         go.send(()).unwrap();
         // The high-priority job must finish even though the low one was
         // submitted first.
-        let mut high_events = Vec::new();
-        while !matches!(high_events.last(), Some(JobEvent::Finished { .. })) {
-            high_events.push(
-                high.events()
-                    .recv_timeout(Duration::from_secs(30))
-                    .expect("high-priority job finishes while the low one is blocked"),
-            );
-        }
+        high.wait_timeout(Duration::from_secs(30))
+            .expect("high-priority job finishes while the low one is blocked");
         assert!(!low.status().is_terminal(), "low priority must not overtake high");
         go_low.send(()).unwrap();
         assert!(low.wait().result.is_ok());
@@ -2458,7 +2211,6 @@ mod tests {
         assert!(!doomed.cancel(), "cancellation is idempotent");
         assert_eq!(doomed.status(), JobStatus::Cancelled);
         assert!(matches!(doomed.wait().result, Err(DseError::Cancelled)));
-        assert_eq!(doomed.events().try_iter().collect::<Vec<_>>(), vec![JobEvent::Cancelled]);
         assert!(!running.cancel(), "a running job is not cancellable");
         go.send(()).unwrap();
         assert!(running.wait().result.is_ok());
@@ -2514,18 +2266,22 @@ mod tests {
     }
 
     #[test]
-    fn single_submits_resume_from_and_append_to_the_journal() {
+    fn journaled_batches_resume_from_and_append_to_the_journal() {
         let dir = std::env::temp_dir().join("cimflow-dse-service-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("submit.jsonl");
         std::fs::remove_file(&path).ok();
+        let journaled = |journal: &Arc<SweepJournal>, strategy: Strategy| Submission {
+            jobs: vec![request("mobilenetv2", strategy).to_job()],
+            journal: Some(Arc::clone(journal)),
+            ..Submission::default()
+        };
 
         let journal = Arc::new(SweepJournal::open(&path).unwrap());
         let service = EvalService::new(ServiceConfig::new().with_workers(1));
-        let cold = service
-            .submit_journaled(request("mobilenetv2", Strategy::GenericMapping), &journal)
-            .expect("admitted");
-        let outcome = cold.wait();
+        let cold =
+            service.submit_batch(journaled(&journal, Strategy::GenericMapping)).expect("admitted");
+        let outcome = cold.wait().pop().unwrap();
         assert!(outcome.result.is_ok());
         assert!(!outcome.cached, "first run evaluates");
         assert_eq!(journal.len(), 1, "the worker journaled the point");
@@ -2535,23 +2291,17 @@ mod tests {
         // journal: born terminal, zero evaluations, cache seeded.
         let journal = Arc::new(SweepJournal::open(&path).unwrap());
         let service = EvalService::new(ServiceConfig::new().with_workers(1));
-        let warm = service
-            .submit_journaled(request("mobilenetv2", Strategy::GenericMapping), &journal)
-            .expect("admitted");
-        assert_eq!(warm.status(), JobStatus::Done, "journaled submits are born terminal");
-        let outcome = warm.wait();
-        assert!(outcome.cached);
-        assert_eq!(
-            warm.events().try_iter().collect::<Vec<_>>(),
-            vec![JobEvent::Finished { ok: true, cached: true }]
-        );
+        let warm =
+            service.submit_batch(journaled(&journal, Strategy::GenericMapping)).expect("admitted");
+        assert_eq!(warm.resumed(), 1, "journaled points are born terminal");
+        assert!(warm.is_done());
+        assert!(warm.wait().pop().unwrap().cached);
         assert_eq!(service.cache().len(), 1, "resumption seeds the shared cache");
         assert_eq!(service.cache().stats().misses, 0);
         // A different point still runs (and is journaled in turn).
-        let fresh = service
-            .submit_journaled(request("mobilenetv2", Strategy::DpOptimized), &journal)
-            .expect("admitted");
-        assert!(fresh.wait().result.is_ok());
+        let fresh =
+            service.submit_batch(journaled(&journal, Strategy::DpOptimized)).expect("admitted");
+        assert!(fresh.wait().pop().unwrap().result.is_ok());
         assert_eq!(journal.len(), 2);
         std::fs::remove_file(&path).ok();
     }

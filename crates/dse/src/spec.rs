@@ -135,7 +135,7 @@ pub struct SweepSpec {
     pub local_memory_kib: Vec<u64>,
     /// Clock frequencies in MHz; empty keeps the base value. A
     /// **timing-only** axis: points differing only here share one
-    /// compiled program, so the executor replays a recorded trace
+    /// compiled program, so the service replays a recorded trace
     /// instead of recompiling.
     pub frequencies_mhz: Vec<u32>,
     /// Global-memory-port mesh placements (node index); empty keeps the
@@ -144,7 +144,8 @@ pub struct SweepSpec {
     /// Serving-traffic section: an offered-QPS axis plus the workload
     /// preset. `None` keeps the classic single-inference evaluation.
     pub traffic: Option<TrafficSpec>,
-    /// Worker threads for the executor; `None` lets the executor decide.
+    /// Worker threads of the pool the CLI runs the sweep on; `None`
+    /// sizes it to the machine.
     pub workers: Option<usize>,
 }
 

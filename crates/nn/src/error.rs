@@ -28,6 +28,20 @@ pub enum NnError {
         /// Underlying parser message.
         reason: String,
     },
+    /// The model zoo has no model of this name.
+    UnknownModel {
+        /// The requested name.
+        name: String,
+    },
+    /// A zoo model cannot be built at the requested input resolution.
+    Resolution {
+        /// The model name.
+        model: String,
+        /// The requested input resolution in pixels.
+        resolution: u32,
+        /// The smallest input resolution the model builds at.
+        min: u32,
+    },
 }
 
 impl fmt::Display for NnError {
@@ -41,6 +55,11 @@ impl fmt::Display for NnError {
             NnError::ParseModel { reason } => {
                 write!(f, "failed to parse model description: {reason}")
             }
+            NnError::UnknownModel { name } => write!(f, "unknown benchmark model `{name}`"),
+            NnError::Resolution { model, resolution, min } => write!(
+                f,
+                "{model} cannot be built at input resolution {resolution} px (needs at least {min} px)"
+            ),
         }
     }
 }

@@ -21,6 +21,7 @@ pub use resnet::resnet18;
 pub use vgg::vgg19;
 
 use crate::graph::Model;
+use crate::NnError;
 
 /// The canonical benchmark suite of the paper, at the given input
 /// resolution, in the order used by Fig. 5.
@@ -33,15 +34,27 @@ pub fn benchmark_suite(resolution: u32) -> Vec<Model> {
     ]
 }
 
-/// Looks a benchmark model up by its lowercase name.
-pub fn by_name(name: &str, resolution: u32) -> Option<Model> {
-    match name {
-        "resnet18" => Some(resnet18(resolution)),
-        "vgg19" => Some(vgg19(resolution)),
-        "mobilenetv2" | "mobilenet_v2" => Some(mobilenet_v2(resolution)),
-        "efficientnetb0" | "efficientnet_b0" => Some(efficientnet_b0(resolution)),
-        _ => None,
+/// Looks a benchmark model up by its lowercase name and builds it at
+/// `resolution`.
+///
+/// # Errors
+///
+/// [`NnError::UnknownModel`] for a name outside the zoo, and
+/// [`NnError::Resolution`] for an input too small for the model's
+/// downsampling chain: every model needs at least one pixel, and VGG19's
+/// five unpadded 2×2 stride-2 max-pools need 2⁵ = 32.
+pub fn by_name(name: &str, resolution: u32) -> Result<Model, NnError> {
+    let (build, min): (fn(u32) -> Model, u32) = match name {
+        "resnet18" => (resnet18, 1),
+        "vgg19" => (vgg19, 32),
+        "mobilenetv2" | "mobilenet_v2" => (mobilenet_v2, 1),
+        "efficientnetb0" | "efficientnet_b0" => (efficientnet_b0, 1),
+        _ => return Err(NnError::UnknownModel { name: name.to_owned() }),
+    };
+    if resolution < min {
+        return Err(NnError::Resolution { model: name.to_owned(), resolution, min });
     }
+    Ok(build(resolution))
 }
 
 #[cfg(test)]
@@ -108,8 +121,27 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        assert!(by_name("resnet18", 64).is_some());
-        assert!(by_name("mobilenet_v2", 64).is_some());
-        assert!(by_name("unknown", 64).is_none());
+        assert!(by_name("resnet18", 64).is_ok());
+        assert!(by_name("mobilenet_v2", 64).is_ok());
+        assert_eq!(
+            by_name("unknown", 64).unwrap_err(),
+            NnError::UnknownModel { name: "unknown".into() }
+        );
+    }
+
+    #[test]
+    fn too_small_resolutions_are_errors_not_panics() {
+        for name in ["resnet18", "vgg19", "mobilenetv2", "efficientnetb0"] {
+            let error = by_name(name, 0).unwrap_err();
+            assert!(error.to_string().contains("resolution 0 px"), "{error}");
+        }
+        let error = by_name("vgg19", 31).unwrap_err();
+        assert_eq!(error, NnError::Resolution { model: "vgg19".into(), resolution: 31, min: 32 });
+        // Each model builds at its smallest accepted resolution.
+        for (name, min) in
+            [("resnet18", 1), ("vgg19", 32), ("mobilenetv2", 1), ("efficientnetb0", 1)]
+        {
+            assert!(by_name(name, min).is_ok(), "{name}@{min}");
+        }
     }
 }

@@ -500,7 +500,7 @@ mod tests {
     fn bounded_waits_lease_the_connection_in_slices() {
         use cimflow_arch::ArchConfig;
         use cimflow_compiler::SearchMode;
-        use cimflow_dse::{evaluate, CacheKey, EvalCache};
+        use cimflow_dse::{evaluate_with_search, CacheKey, EvalCache};
         use cimflow_nn::models;
         use std::sync::mpsc;
         use std::time::{Duration, Instant};
@@ -523,7 +523,12 @@ mod tests {
                 .get_or_insert_with(key, || {
                     entered_tx.send(()).expect("entered signal");
                     release.recv().expect("release signal");
-                    evaluate(&arch, &model, Strategy::GenericMapping)
+                    evaluate_with_search(
+                        &arch,
+                        &model,
+                        Strategy::GenericMapping,
+                        SearchMode::Sequential,
+                    )
                 })
                 .expect("blocked evaluation succeeds");
         });

@@ -43,16 +43,17 @@ pub use client::{
     BatchTicket, Client, ClientError, RemoteMetrics, RemoteStats, RemoteStatus, Waited,
 };
 
-// The service core and wire protocol live in `cimflow-dse` (the blocking
-// `Executor` is rebased on them, which a `cimflow-serve` dependency cycle
-// would forbid); this crate is their serving surface.
+// The service core and wire protocol live in `cimflow-dse` (its CLI and
+// explorer submit to them, which a `cimflow-serve` dependency cycle would
+// forbid); this crate is their serving surface.
 pub use cimflow_dse::serve as protocol;
 pub use cimflow_dse::serve::{
     serve_connection, serve_stdio, Connection, Request, Response, Target, TcpServer, WireMetric,
     WireOutcome,
 };
 pub use cimflow_dse::{
-    BatchHandle, CacheStats, DseError, DseOutcome, EvalCache, EvalRequest, EvalService, JobEvent,
-    JobHandle, JobStatus, ModelSpec, Priority, Progress, Rejected, ServiceConfig, ServiceStats,
-    ServingSummary, SweepJournal, SweepSpec, TrafficRequest, TrafficSpec, DEFAULT_TENANT,
+    BatchHandle, CacheStats, DseError, DseOutcome, EvalCache, EvalRequest, EvalService, JobHandle,
+    JobStatus, ModelSpec, Priority, Progress, Rejected, ServiceConfig, ServiceStats,
+    ServingSummary, Submission, SweepJournal, SweepSpec, TrafficRequest, TrafficSpec,
+    DEFAULT_TENANT,
 };

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use cimflow::Strategy;
 use cimflow_dse::{
-    analysis, explore, explore_journaled, EvalCache, EvalService, Executor, ExploreAlgorithm,
-    ExploreSpec, ServiceConfig, SweepJournal, SweepSpec,
+    analysis, explore, EvalCache, EvalService, ExploreAlgorithm, ExploreSpec, ServiceConfig,
+    SweepJournal, SweepSpec,
 };
 
 fn main() -> Result<(), cimflow_dse::DseError> {
@@ -29,7 +29,8 @@ fn main() -> Result<(), cimflow_dse::DseError> {
     // The exhaustive baseline the exploration is judged against.
     let cache = EvalCache::new();
     let started = std::time::Instant::now();
-    let grid = Executor::new().run_spec(&space, &cache)?;
+    let grid =
+        EvalService::with_cache(ServiceConfig::new(), cache.clone()).submit_sweep(&space)?.wait();
     println!("exhaustive grid: {} evaluations in {:.2?}", grid.len(), started.elapsed());
 
     // One reference point per model, weakly worse than every grid point,
@@ -47,7 +48,7 @@ fn main() -> Result<(), cimflow_dse::DseError> {
             .with_algorithm(algorithm)
             .with_seed(17);
         let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
-        let report = explore(&spec, &service)?;
+        let report = explore(&spec, &service, None)?;
         assert!(report.budget_used <= budget, "the budget is a hard cap");
 
         let volume = analysis::hypervolume_by_model(&report.outcomes, &references);
@@ -73,7 +74,7 @@ fn main() -> Result<(), cimflow_dse::DseError> {
     // Full-budget exploration recovers the exact grid frontier.
     let spec = ExploreSpec::new(space.clone()).with_budget(grid_points as u64).with_seed(17);
     let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
-    let full = explore(&spec, &service)?;
+    let full = explore(&spec, &service, None)?;
     assert_eq!(full.evaluated, grid_points, "full budget exhausts the space");
     let full_volume = analysis::hypervolume_by_model(&full.outcomes, &references);
     for (model, &grid_hv) in &grid_volume {
@@ -91,11 +92,11 @@ fn main() -> Result<(), cimflow_dse::DseError> {
     let spec = ExploreSpec::new(space).with_budget(budget).with_seed(17);
     let journal = Arc::new(SweepJournal::open(&journal_path)?);
     let cold_service = EvalService::new(ServiceConfig::new());
-    let cold = explore_journaled(&spec, &cold_service, &journal)?;
+    let cold = explore(&spec, &cold_service, Some(&journal))?;
 
     let journal = Arc::new(SweepJournal::open(&journal_path)?);
     let warm_service = EvalService::new(ServiceConfig::new());
-    let warm = explore_journaled(&spec, &warm_service, &journal)?;
+    let warm = explore(&spec, &warm_service, Some(&journal))?;
     assert_eq!(
         cold.outcomes.iter().map(|o| o.point.label()).collect::<Vec<_>>(),
         warm.outcomes.iter().map(|o| o.point.label()).collect::<Vec<_>>(),

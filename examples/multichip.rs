@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example multichip`.
 
 use cimflow::{models, ArchConfig, CimFlow, InterChipTopology, Strategy};
-use cimflow_dse::{EvalCache, Executor, SweepSpec};
+use cimflow_dse::{EvalService, ServiceConfig, SweepSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // VGG19 at 64 px carries more weights than one default chip's 32 MiB
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_model("vgg19", 64)
         .with_strategies(&[Strategy::DpOptimized])
         .with_chip_counts(&[1, 2, 4]);
-    let outcomes = Executor::new().run_spec(&spec, &EvalCache::new())?;
+    let outcomes = EvalService::new(ServiceConfig::new()).submit_sweep(&spec)?.wait();
     println!("{:>6} {:>12} {:>14} {:>12}", "chips", "latency cyc", "pipelined TOPS", "energy mJ");
     for outcome in &outcomes {
         let sim = &outcome.result.as_ref().expect("all points valid").simulation;

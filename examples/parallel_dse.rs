@@ -7,7 +7,7 @@
 //! Run with `cargo run --release --example parallel_dse`.
 
 use cimflow::Strategy;
-use cimflow_dse::{analysis, export, EvalCache, Executor, SweepSpec};
+use cimflow_dse::{analysis, export, EvalService, ServiceConfig, SweepSpec};
 
 fn main() -> Result<(), cimflow_dse::DseError> {
     // mg = 0 is deliberately invalid: the engine reports it per point
@@ -23,22 +23,22 @@ fn main() -> Result<(), cimflow_dse::DseError> {
     println!("sweep of {} points over 3 architecture axes x 2 models", spec.point_count());
 
     // Sequential baseline.
-    let sequential_cache = EvalCache::new();
+    let sequential = EvalService::new(ServiceConfig::new().with_workers(1));
     let started = std::time::Instant::now();
-    let baseline = Executor::sequential().run_spec(&spec, &sequential_cache)?;
+    let baseline = sequential.submit_sweep(&spec)?.wait();
     let sequential_time = started.elapsed();
 
-    // Parallel run on a fresh cache (same work, fanned out).
-    let cache = EvalCache::new();
-    let workers = Executor::new().workers().max(4);
-    let executor = Executor::with_workers(workers);
+    // Parallel run on a fresh service and cache (same work, fanned out).
+    let config = ServiceConfig::new();
+    let workers = config.workers.max(4);
+    let service = EvalService::new(config.with_workers(workers));
     let started = std::time::Instant::now();
-    let outcomes = executor.run_spec(&spec, &cache)?;
+    let outcomes = service.submit_sweep(&spec)?.wait();
     let parallel_time = started.elapsed();
 
-    // Warm re-run over the shared cache: zero recompilations.
+    // Warm re-run over the service's cache: zero recompilations.
     let started = std::time::Instant::now();
-    let warm = executor.run_spec(&spec, &cache)?;
+    let warm = service.submit_sweep(&spec)?.wait();
     let warm_time = started.elapsed();
     let warm_hits = warm.iter().filter(|o| o.cached).count();
     let valid = warm.iter().filter(|o| o.result.is_ok()).count();

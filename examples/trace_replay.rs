@@ -20,7 +20,7 @@ use std::time::Instant;
 use cimflow::compiler::compile;
 use cimflow::sim::{ReplayEngine, SimOptions, Simulator};
 use cimflow::{ArchConfig, Strategy};
-use cimflow_dse::{EvalCache, Executor, SweepSpec};
+use cimflow_dse::{EvalService, ServiceConfig, SweepSpec};
 use cimflow_nn::models;
 
 fn main() -> Result<(), cimflow_dse::DseError> {
@@ -81,7 +81,7 @@ fn main() -> Result<(), cimflow_dse::DseError> {
 
     // --- 2. The DSE batch surface ----------------------------------------
     // The same reuse, driven from a sweep grid: points sharing a compile
-    // fingerprint form one trace group; the executor records each group
+    // fingerprint form one trace group; the service records each group
     // once and replays the rest.
     let spec = SweepSpec::new()
         .named("trace_replay example")
@@ -95,9 +95,9 @@ fn main() -> Result<(), cimflow_dse::DseError> {
         spec.point_count()
     );
 
-    let cache = EvalCache::new();
+    let service = EvalService::new(ServiceConfig::new().with_workers(4));
     let started = Instant::now();
-    let outcomes = Executor::with_workers(4).run_spec(&spec, &cache)?;
+    let outcomes = service.submit_sweep(&spec)?.wait();
     let elapsed = started.elapsed();
 
     assert!(outcomes.iter().all(|o| o.result.is_ok()), "every point evaluates");

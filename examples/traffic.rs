@@ -14,7 +14,7 @@
 //! Run with `cargo run --release --example traffic`.
 
 use cimflow::compiler::compile;
-use cimflow::dse_engine::{analysis, EvalCache, Executor, SweepSpec, TrafficSpec};
+use cimflow::dse::{analysis, EvalService, ServiceConfig, SweepSpec, TrafficSpec};
 use cimflow::sim::{SimOptions, Simulator};
 use cimflow::{models, ArchConfig, ServeModel, Strategy, WorkloadSpec};
 
@@ -73,8 +73,8 @@ fn main() -> Result<(), cimflow_dse::DseError> {
                 .with_workload(WorkloadSpec { requests: 64, ..WorkloadSpec::default() })
                 .colocated(),
         );
-    let cache = EvalCache::new();
-    let outcomes = Executor::with_workers(2).run_spec(&spec, &cache)?;
+    let service = EvalService::new(ServiceConfig::new().with_workers(2));
+    let outcomes = service.submit_sweep(&spec)?.wait();
 
     println!("\nDSE sweep over the offered-QPS axis ({} points):", outcomes.len());
     let frontier = analysis::pareto_frontier_with(&outcomes, analysis::Objective::P99Latency);

@@ -1,9 +1,9 @@
 //! Integration tests of the user-facing configuration surfaces: the
-//! architecture configuration file, the model description format and the
-//! architectural sweep helpers.
+//! architecture configuration file, the model description format and
+//! architectural sweep specifications.
 
-use cimflow::dse;
-use cimflow::{models, ArchConfig, CimFlow, Strategy};
+use cimflow::dse::SweepSpec;
+use cimflow::{models, ArchConfig, CimFlow, EvalService, ServiceConfig, Strategy};
 use cimflow_nn::Graph;
 
 #[test]
@@ -37,20 +37,21 @@ fn invalid_configurations_are_rejected_before_compilation() {
 
 #[test]
 fn mg_size_sweep_changes_capacity_and_performance() {
-    let base = ArchConfig::paper_default();
-    let model = models::resnet18(32);
-    let points = dse::sweep(&base, &model, &[4, 16], &[8], Strategy::GenericMapping)
-        .expect("sweep succeeds");
-    assert_eq!(points.len(), 2);
-    let small = points.iter().find(|p| p.mg_size == 4).unwrap();
-    let large = points.iter().find(|p| p.mg_size == 16).unwrap();
+    let spec = SweepSpec::new()
+        .with_base(ArchConfig::paper_default())
+        .with_model("resnet18", 32)
+        .with_strategies(&[Strategy::GenericMapping])
+        .with_mg_sizes(&[4, 16])
+        .with_flit_sizes(&[8]);
+    let service = EvalService::new(ServiceConfig::new());
+    let outcomes = service.submit_sweep(&spec).expect("sweep is valid").wait();
+    assert_eq!(outcomes.len(), 2);
+    let tops =
+        |i: usize| outcomes[i].evaluation().expect("point succeeds").simulation.throughput_tops();
+    let (small, large) = (tops(0), tops(1));
+    assert_eq!((outcomes[0].point.mg_size, outcomes[1].point.mg_size), (4, 16));
     // Compute-heavy ResNet18 gains throughput from larger macro groups.
-    assert!(
-        large.throughput_tops() >= small.throughput_tops() * 0.95,
-        "MG 16 {:.3} TOPS vs MG 4 {:.3} TOPS",
-        large.throughput_tops(),
-        small.throughput_tops()
-    );
+    assert!(large >= small * 0.95, "MG 16 {large:.3} TOPS vs MG 4 {small:.3} TOPS");
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Cross-crate integration tests of the `cimflow-dse` engine: the
 //! acceptance scenario of the subsystem — a ≥3-axis × 2-model sweep
-//! through the parallel executor that survives injected invalid
+//! through the evaluation service that survives injected invalid
 //! configurations, exports CSV/JSON, yields a non-empty Pareto frontier
 //! and performs zero recompilations on a warm cache.
 
 use cimflow::Strategy;
-use cimflow_dse::{analysis, export, EvalCache, Executor, SweepSpec};
+use cimflow_dse::{analysis, export, EvalService, ServiceConfig, SweepSpec};
 
 fn acceptance_spec() -> SweepSpec {
     // Three architecture axes (mg, flit, core count) × two models, with an
@@ -23,8 +23,8 @@ fn acceptance_spec() -> SweepSpec {
 #[test]
 fn three_axis_sweep_survives_invalid_points_and_yields_a_frontier() {
     let spec = acceptance_spec();
-    let cache = EvalCache::new();
-    let outcomes = Executor::with_workers(4).run_spec(&spec, &cache).expect("spec is valid");
+    let service = EvalService::new(ServiceConfig::new().with_workers(4));
+    let outcomes = service.submit_sweep(&spec).expect("spec is valid").wait();
     assert_eq!(outcomes.len(), 2 * 2 * 2 * 2);
 
     let failed = outcomes.iter().filter(|o| o.result.is_err()).count();
@@ -56,13 +56,13 @@ fn three_axis_sweep_survives_invalid_points_and_yields_a_frontier() {
 #[test]
 fn warm_cache_rerun_performs_zero_recompilations() {
     let spec = acceptance_spec();
-    let cache = EvalCache::new();
-    let executor = Executor::with_workers(4);
-    let cold = executor.run_spec(&spec, &cache).expect("spec is valid");
+    let service = EvalService::new(ServiceConfig::new().with_workers(4));
+    let cache = service.cache();
+    let cold = service.submit_sweep(&spec).expect("spec is valid").wait();
     let cold_misses = cache.stats().misses;
     let failed = cold.iter().filter(|o| o.result.is_err()).count() as u64;
 
-    let warm = executor.run_spec(&spec, &cache).expect("spec is valid");
+    let warm = service.submit_sweep(&spec).expect("spec is valid").wait();
     // Failed points are never cached (they abort before compiling), so
     // only they may re-miss; every successful point is a warm hit — i.e.
     // the warm run performs zero recompilations.
@@ -75,20 +75,4 @@ fn warm_cache_rerun_performs_zero_recompilations() {
         }
     }
     assert!(warm.iter().all(|o| o.cached || o.result.is_err()));
-}
-
-#[test]
-fn facade_sweep_helpers_run_on_the_engine_without_fail_fast() {
-    // The historic cimflow::dse::sweep aborted on the first invalid
-    // configuration; routed through the engine it reports per point.
-    let base = cimflow::ArchConfig::paper_default();
-    let model = cimflow::models::mobilenet_v2(32);
-    let outcomes =
-        cimflow::dse::sweep_outcomes(&base, &model, &[0, 8], &[8], Strategy::GenericMapping);
-    assert_eq!(outcomes.len(), 2);
-    assert!(outcomes[0].result.is_err() && outcomes[1].result.is_ok());
-
-    let points =
-        cimflow::dse::sweep(&base, &model, &[0, 8], &[8], Strategy::GenericMapping).unwrap();
-    assert_eq!(points.len(), 1);
 }

@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use cimflow::Strategy;
 use cimflow_dse::{
-    analysis, explore, explore_journaled, EvalCache, EvalService, Executor, ExploreAlgorithm,
-    ExploreSpec, ServiceConfig, SweepJournal, SweepSpec,
+    analysis, explore, EvalCache, EvalService, ExploreAlgorithm, ExploreSpec, ServiceConfig,
+    SweepJournal, SweepSpec,
 };
 
 /// Per-model frontier objective sets of a batch of outcomes.
@@ -45,7 +45,10 @@ fn small_space() -> SweepSpec {
 fn full_budget_exploration_equals_the_exhaustive_grid_frontier() {
     let space = small_space();
     let cache = EvalCache::new();
-    let grid = Executor::new().run_spec(&space, &cache).unwrap();
+    let grid = EvalService::with_cache(ServiceConfig::new(), cache.clone())
+        .submit_sweep(&space)
+        .unwrap()
+        .wait();
     let expected = frontier_objectives(&grid);
 
     for algorithm in [ExploreAlgorithm::SuccessiveHalving, ExploreAlgorithm::Evolutionary] {
@@ -54,7 +57,7 @@ fn full_budget_exploration_equals_the_exhaustive_grid_frontier() {
             .with_algorithm(algorithm)
             .with_seed(42);
         let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
-        let report = explore(&spec, &service).unwrap();
+        let report = explore(&spec, &service, None).unwrap();
         assert_eq!(report.evaluated, space.point_count(), "{algorithm} exhausts the space");
         assert_eq!(
             frontier_objectives(&report.outcomes),
@@ -72,8 +75,7 @@ mod properties {
     // proptest prelude's `Strategy` trait: name the test deps instead.
     use super::frontier_objectives;
     use cimflow_dse::{
-        explore, EvalCache, EvalService, Executor, ExploreAlgorithm, ExploreSpec, ServiceConfig,
-        SweepSpec,
+        explore, EvalCache, EvalService, ExploreAlgorithm, ExploreSpec, ServiceConfig, SweepSpec,
     };
     use proptest::prelude::*;
 
@@ -94,7 +96,10 @@ mod properties {
                 .with_mg_sizes(&mg_values[..mg_axis])
                 .with_flit_sizes(&flit_values[..flit_axis]);
             let cache = EvalCache::new();
-            let grid = Executor::new().run_spec(&space, &cache).unwrap();
+            let grid = EvalService::with_cache(ServiceConfig::new(), cache.clone())
+                .submit_sweep(&space)
+                .unwrap()
+                .wait();
             let algorithm = if halving {
                 ExploreAlgorithm::SuccessiveHalving
             } else {
@@ -105,7 +110,7 @@ mod properties {
                 .with_algorithm(algorithm)
                 .with_seed(seed);
             let service = EvalService::with_cache(ServiceConfig::new(), cache.clone());
-            let report = explore(&spec, &service).unwrap();
+            let report = explore(&spec, &service, None).unwrap();
             prop_assert_eq!(report.evaluated, space.point_count());
             prop_assert_eq!(
                 frontier_objectives(&report.outcomes),
@@ -134,7 +139,7 @@ fn calibrated_ladder_detects_the_resnet18_mg_misranking() {
         .with_algorithm(ExploreAlgorithm::SuccessiveHalving)
         .with_seed(20);
     let service = EvalService::new(ServiceConfig::new());
-    let report = explore(&spec, &service).unwrap();
+    let report = explore(&spec, &service, None).unwrap();
 
     // Every MG point is scouted at 32 px and graduated at 64 px, so the
     // calibration has the full axis to rank.
@@ -156,7 +161,7 @@ fn calibrated_ladder_detects_the_resnet18_mg_misranking() {
 
     // The fixed split measures the same misranking but is forbidden
     // from acting on it.
-    let pinned = explore(&spec.clone().with_scout_share(Some(0.5)), &service).unwrap();
+    let pinned = explore(&spec.clone().with_scout_share(Some(0.5)), &service, None).unwrap();
     assert_eq!(pinned.rank_fidelity.get("resnet18/coarse32"), Some(&tau));
     assert_eq!(pinned.scout_share, 0.5, "fixed-split SH never moves its budget split");
 }
@@ -179,7 +184,7 @@ fn journal_resumption_submits_no_duplicate_evaluations() {
 
     let journal = Arc::new(SweepJournal::open(&path).unwrap());
     let service = EvalService::new(ServiceConfig::new());
-    let cold = explore_journaled(&spec, &service, &journal).unwrap();
+    let cold = explore(&spec, &service, Some(&journal)).unwrap();
     assert!(cold.outcomes.iter().all(|o| !o.cached), "the cold run evaluates everything");
     let journaled = journal.len();
     assert_eq!(journaled, cold.evaluated);
@@ -188,7 +193,7 @@ fn journal_resumption_submits_no_duplicate_evaluations() {
     // Fresh service, fresh (cold) cache: only the journal carries state.
     let journal = Arc::new(SweepJournal::open(&path).unwrap());
     let service = EvalService::new(ServiceConfig::new());
-    let warm = explore_journaled(&spec, &service, &journal).unwrap();
+    let warm = explore(&spec, &service, Some(&journal)).unwrap();
     assert_eq!(
         cold.outcomes.iter().map(|o| o.point.label()).collect::<Vec<_>>(),
         warm.outcomes.iter().map(|o| o.point.label()).collect::<Vec<_>>(),
@@ -205,8 +210,7 @@ fn journal_resumption_submits_no_duplicate_evaluations() {
     let space_points = small_space().point_count() as u64;
     let journal = Arc::new(SweepJournal::open(&path).unwrap());
     let service = EvalService::new(ServiceConfig::new());
-    let wider =
-        explore_journaled(&spec.clone().with_budget(space_points), &service, &journal).unwrap();
+    let wider = explore(&spec.clone().with_budget(space_points), &service, Some(&journal)).unwrap();
     assert_eq!(wider.evaluated as u64, space_points);
     let replayed = wider.outcomes.iter().filter(|o| o.cached).count();
     assert_eq!(replayed, cold.evaluated, "the prefix replays from the journal");

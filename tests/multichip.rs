@@ -4,7 +4,7 @@
 //! chip-count sweep axis of the DSE engine.
 
 use cimflow::{models, ArchConfig, CimFlow, SearchMode, Strategy};
-use cimflow_dse::{export, CacheKey, EvalCache, Executor, SweepSpec};
+use cimflow_dse::{export, CacheKey, EvalCache, EvalService, ServiceConfig, SweepSpec};
 
 /// The headline workload class the system level unlocks: a model whose
 /// weights exceed one chip's CIM arrays compiles and simulates on two or
@@ -75,7 +75,8 @@ fn multichip_sweep_spec_runs_end_to_end_with_distinct_cache_keys() {
     assert_eq!(spec.chip_counts, vec![1, 2, 4]);
 
     let cache = EvalCache::new();
-    let outcomes = Executor::with_workers(2).run_spec(&spec, &cache).unwrap();
+    let service = EvalService::with_cache(ServiceConfig::new().with_workers(2), cache.clone());
+    let outcomes = service.submit_sweep(&spec).unwrap().wait();
     assert_eq!(outcomes.len(), 2 * 3, "two models x three chip counts");
     assert!(outcomes.iter().all(|o| o.result.is_ok()), "every point evaluates");
     // Distinct cache keys per chip count: six points, six cache entries.

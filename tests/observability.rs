@@ -8,7 +8,7 @@ use cimflow::compiler::{compile_with_options, CompileOptions};
 use cimflow::obs::MetricValue;
 use cimflow::sim::{SimOptions, Simulator};
 use cimflow::{models, ArchConfig, MetricsRegistry, Strategy, Tracer};
-use cimflow_serve::{EvalService, Priority, ServiceConfig, SweepSpec};
+use cimflow_serve::{EvalService, ServiceConfig, Submission, SweepSpec};
 use serde_json::Value;
 
 /// Looks up a key in a JSON object node.
@@ -42,8 +42,9 @@ fn a_metered_service_run_feeds_the_registry_and_a_parseable_trace() {
         .with_model("mobilenetv2", 32)
         .with_strategies(&[Strategy::GenericMapping])
         .with_mg_sizes(&[4, 8]);
-    let outcomes =
-        service.submit_sweep_as("obs", Priority::Normal, &spec).expect("admitted").wait();
+    let jobs = cimflow_dse::expand_jobs(&spec).expect("valid spec");
+    let submission = Submission { jobs, tenant: Some("obs".to_owned()), ..Submission::default() };
+    let outcomes = service.submit_batch(submission).expect("admitted").wait();
     assert_eq!(outcomes.len(), 2);
     assert!(outcomes.iter().all(|o| o.result.is_ok()));
 

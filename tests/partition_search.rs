@@ -5,8 +5,8 @@
 
 use cimflow::compiler::{compile, compile_with_options, CompileOptions};
 use cimflow::sim::{HandoffMode, SimOptions, Simulator};
-use cimflow::{models, ArchConfig, SearchMode, Strategy};
-use cimflow_dse::{evaluate_with_search, EvalCache, Executor, SweepSpec};
+use cimflow::{models, ArchConfig, CimFlow, SearchMode, Strategy};
+use cimflow_dse::{evaluate_with_search, EvalCache, EvalService, ServiceConfig, SweepSpec};
 
 fn options(search: SearchMode) -> CompileOptions {
     CompileOptions { strategy: Strategy::DpOptimized, search, ..CompileOptions::default() }
@@ -110,7 +110,7 @@ fn sequential_single_chip_numbers_are_bit_exact() {
     let arch = ArchConfig::paper_default();
     let a =
         evaluate_with_search(&arch, &model, Strategy::DpOptimized, SearchMode::Sequential).unwrap();
-    let b = cimflow_dse::evaluate(&arch, &model, Strategy::DpOptimized).unwrap();
+    let b = CimFlow::new(arch).unwrap().evaluate(&model, Strategy::DpOptimized).unwrap();
     assert_eq!(a.simulation.total_cycles, b.simulation.total_cycles);
     assert!((a.simulation.energy.total_pj() - b.simulation.energy.total_pj()).abs() < 1e-9);
     assert_eq!(a.search, SearchMode::Sequential);
@@ -127,7 +127,8 @@ fn search_mode_sweeps_run_end_to_end_with_distinct_cache_keys() {
         .with_search_modes(&[SearchMode::Sequential, SearchMode::Joint])
         .with_chip_counts(&[2]);
     let cache = EvalCache::new();
-    let outcomes = Executor::with_workers(2).run_spec(&spec, &cache).unwrap();
+    let service = EvalService::with_cache(ServiceConfig::new().with_workers(2), cache.clone());
+    let outcomes = service.submit_sweep(&spec).unwrap().wait();
     assert_eq!(outcomes.len(), 2);
     assert!(outcomes.iter().all(|o| o.result.is_ok()));
     assert_eq!(cache.len(), 2, "sequential and joint results occupy distinct slots");

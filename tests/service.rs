@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use cimflow::Strategy;
 use cimflow_serve::{
-    EvalRequest, EvalService, JobStatus, Priority, Rejected, ServiceConfig, SweepSpec,
+    EvalRequest, EvalService, JobStatus, Rejected, ServiceConfig, Submission, SweepSpec,
 };
 
 fn sweep(mg_sizes: &[u32]) -> SweepSpec {
@@ -29,10 +29,10 @@ fn concurrent_overlapping_sweeps_share_cache_hits_without_deadlock() {
             .map(|(tenant, spec)| {
                 let service = Arc::clone(&service);
                 scope.spawn(move || {
-                    service
-                        .submit_sweep_as(tenant, Priority::Normal, spec)
-                        .expect("admitted")
-                        .wait()
+                    let jobs = cimflow_dse::expand_jobs(spec).expect("valid spec");
+                    let tenant = Some((*tenant).to_owned());
+                    let submission = Submission { jobs, tenant, ..Submission::default() };
+                    service.submit_batch(submission).expect("admitted").wait()
                 })
             })
             .collect();

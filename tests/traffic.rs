@@ -10,7 +10,9 @@
 //! saturation rate instead of growing without bound.
 
 use cimflow::compiler::compile;
-use cimflow::dse_engine::{analysis, export, EvalCache, Executor, SweepSpec, TrafficSpec};
+use cimflow::dse::{
+    analysis, export, EvalCache, EvalService, ServiceConfig, SweepSpec, TrafficSpec,
+};
 use cimflow::sim::{ServingReport, SimOptions, Simulator};
 use cimflow::{models, ArchConfig, ServeModel, Strategy, WorkloadSpec};
 
@@ -113,7 +115,8 @@ fn colocated_qps_sweep_exports_a_nondegenerate_p99_energy_frontier() {
                 .colocated(),
         );
     let cache = EvalCache::new();
-    let outcomes = Executor::sequential().run_spec(&spec, &cache).unwrap();
+    let service = EvalService::with_cache(ServiceConfig::new().with_workers(1), cache.clone());
+    let outcomes = service.submit_sweep(&spec).unwrap().wait();
     assert_eq!(outcomes.len(), 6, "2 models x 3 offered rates");
     for outcome in &outcomes {
         let serving = outcome
