@@ -48,15 +48,15 @@ fn main() {
     // Baseline 1: the full pipeline per point (what the sweep costs with
     // neither the trace store nor the lockstep walk).
     let started = Instant::now();
-    let interpreted: Vec<_> = points
+    let simulated: Vec<_> = points
         .iter()
         .map(|(arch, options)| {
             let compiled = compile(&model, arch, Strategy::DpOptimized).expect("compiles");
             Simulator::with_options(&compiled, *options).run().expect("simulates")
         })
         .collect();
-    let interpret_elapsed = started.elapsed();
-    let interpret_rate = points.len() as f64 / interpret_elapsed.as_secs_f64();
+    let pipeline_elapsed = started.elapsed();
+    let pipeline_rate = points.len() as f64 / pipeline_elapsed.as_secs_f64();
 
     // One shared compile + record for both replay paths (charged to
     // neither: the gate compares replay against replay).
@@ -83,7 +83,7 @@ fn main() {
     for (index, report) in lockstep.iter().enumerate() {
         let report = report.as_ref().expect("every timing-only point replays");
         assert_eq!(report, &scalar[index], "point {index}: lockstep == scalar replay");
-        assert_eq!(report, &interpreted[index], "point {index}: lockstep == interpreter");
+        assert_eq!(report, &simulated[index], "point {index}: lockstep == compile + simulate");
     }
     assert_eq!(stats.batches, 1, "one chunk covers the ladder");
     assert_eq!(stats.lanes as usize, PORTS.len(), "frequencies collapse onto port lanes");
@@ -91,7 +91,7 @@ fn main() {
     println!("{:>28} {:>10} {:>12}", "path", "elapsed", "points/s");
     println!(
         "{:>28} {:>10.2?} {:>12.1}",
-        "compile+simulate per point", interpret_elapsed, interpret_rate
+        "compile+simulate per point", pipeline_elapsed, pipeline_rate
     );
     println!("{:>28} {:>10.2?} {:>12.1}", "scalar replay per point", scalar_elapsed, scalar_rate);
     println!("{:>28} {:>10.2?} {:>12.1}", "lockstep batch", lockstep_elapsed, lockstep_rate);

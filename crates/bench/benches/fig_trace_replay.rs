@@ -4,10 +4,10 @@
 //!
 //! The family is a frequency × memory-port grid over one compiled
 //! program — exactly the shape the DSE trace store exploits: every point
-//! shares the compile fingerprint, so the interpreter's per-point
-//! compile + simulate is pure overhead the replay path pays once.
-//! Replays are verified bit-exact against the interpreter per point
-//! before any rate is reported.
+//! shares the compile fingerprint, so the per-point compile + simulate
+//! is pure overhead the replay path pays once. Replays are verified
+//! bit-exact against a fresh compile + simulate per point before any
+//! rate is reported.
 //!
 //! Run with `cargo bench -p cimflow-bench --bench fig_trace_replay`.
 
@@ -55,8 +55,8 @@ fn main() {
             Simulator::with_options(&compiled, *options).run().expect("simulates")
         })
         .collect();
-    let interpret_elapsed = started.elapsed();
-    let interpret_rate = points.len() as f64 / interpret_elapsed.as_secs_f64();
+    let pipeline_elapsed = started.elapsed();
+    let pipeline_rate = points.len() as f64 / pipeline_elapsed.as_secs_f64();
 
     // Replay path: one compile + record, then batched replay.
     let started = Instant::now();
@@ -78,7 +78,7 @@ fn main() {
     println!("{:>28} {:>10} {:>12}", "path", "elapsed", "points/s");
     println!(
         "{:>28} {:>10.2?} {:>12.1}",
-        "compile+simulate per point", interpret_elapsed, interpret_rate
+        "compile+simulate per point", pipeline_elapsed, pipeline_rate
     );
     println!(
         "{:>28} {:>10.2?} {:>12.1}",
@@ -86,10 +86,10 @@ fn main() {
         record_elapsed + replay_elapsed,
         replay_rate
     );
-    let speedup = replay_rate / interpret_rate;
+    let speedup = replay_rate / pipeline_rate;
     println!("\nspeedup: {speedup:.1}x (recording run amortized into the replay rate)");
     assert!(
         speedup >= 5.0,
-        "trace replay must be at least 5x the interpreter on timing-only sweeps, got {speedup:.1}x"
+        "trace replay must be at least 5x compile + simulate on timing-only sweeps, got {speedup:.1}x"
     );
 }

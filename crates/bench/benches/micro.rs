@@ -3,9 +3,9 @@
 //! enumeration + DP partitioning, NoC transfers and a full
 //! compile-and-simulate run of a compact model.
 //!
-//! These are ablation/overhead benches supporting the design decisions
-//! called out in DESIGN.md (bitmask closure enumeration, cost-model-driven
-//! greedy duplication); they do not correspond to a paper figure.
+//! These are ablation/overhead benches of the compiler's design decisions
+//! (bitmask closure enumeration, cost-model-driven greedy duplication);
+//! they do not correspond to a paper figure.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;

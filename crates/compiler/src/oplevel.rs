@@ -4,8 +4,8 @@
 //! capacity).
 //!
 //! The paper performs these transformations as MLIR passes; this module
-//! implements the same decisions on an explicit loop-nest representation
-//! (see DESIGN.md for the substitution note). The output of the phase is
+//! implements the same decisions on an explicit loop-nest representation,
+//! which needs no MLIR toolchain. The output of the phase is
 //! an [`OpTiling`], the exact tile geometry the code generator lowers into
 //! instructions.
 

@@ -24,14 +24,14 @@ use serde::{Deserialize, Serialize};
 use crate::trace_store::{TraceEntry, TraceKey, TraceStore};
 use crate::DseError;
 
-/// How a design point's simulation report was produced: by the full
-/// cycle-level interpreter, or by replaying a recorded trace of a
-/// compile-identical point. Replay is **bit-exact** — the path is
+/// How a design point's simulation report was produced: by a full
+/// compile and simulation of the point, or by replaying a recorded trace
+/// of a compile-identical point. Replay is **bit-exact** — the path is
 /// provenance, not a fidelity level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EvalPath {
-    /// Full `compile → simulate` interpretation (includes the recording
-    /// run that seeds a trace group).
+    /// Full `compile → simulate` run (includes the recording run that
+    /// seeds a trace group).
     #[default]
     Interpreted,
     /// Timing-only replay of a previously recorded trace.
@@ -257,7 +257,7 @@ pub fn evaluate_with_search(
 
 /// [`evaluate_with_search`] through a shared [`TraceStore`]: the first
 /// point of a trace group compiles and *records* (its report comes from
-/// the recording interpreter run — [`EvalPath::Interpreted`]); every
+/// the recording run — [`EvalPath::Interpreted`]); every
 /// later point with the same [`TraceKey`] skips compilation entirely and
 /// replays the recorded trace ([`EvalPath::Replayed`]), which is
 /// bit-exact by construction.

@@ -1958,8 +1958,8 @@ mod tests {
         assert_eq!(replayed, 3);
         assert_eq!(service.trace_store().len(), 1);
         assert_eq!(service.trace_store().stats().recorded, 1);
-        // Every replayed point is bit-exact against a fresh interpreter
-        // run of the same retimed architecture.
+        // Every replayed point is bit-exact against a fresh compile +
+        // simulation of the same retimed architecture.
         let base = spec.base_arch();
         for outcome in &outcomes {
             let evaluation = outcome.result.as_ref().expect("sweep point succeeds");

@@ -8,7 +8,7 @@
 //! SRAM, Design Compiler + PrimeTime PX for the digital logic, and Noxim
 //! for the NoC. None of those tools are redistributable, so this crate
 //! substitutes **parameterized analytical models with constants calibrated
-//! to published 28 nm figures** (see DESIGN.md). Absolute joules therefore
+//! to published 28 nm figures**. Absolute joules therefore
 //! differ from the authors' testbed, but the *ratios* between component
 //! energies — which drive every trend in Figs. 5–7 — are realistic:
 //!

@@ -4,8 +4,8 @@
 //! user input of the paper's workflow (Fig. 2).
 //!
 //! The original framework ingests ONNX models; this reproduction uses an
-//! equivalent in-crate computation-graph IR plus a JSON serialization (see
-//! DESIGN.md for the substitution rationale). The crate provides:
+//! equivalent in-crate computation-graph IR plus a JSON serialization, so
+//! the workspace needs no ONNX runtime. The crate provides:
 //!
 //! * tensor shapes and INT8/INT32 data types ([`TensorShape`], [`DataType`]),
 //! * operator descriptions with shape inference, weight footprints and MAC

@@ -9,8 +9,7 @@
 //!
 //! Weights are synthetic: they are generated deterministically from the
 //! operator name so that the compiler, the simulator and the reference
-//! model all observe identical values without shipping real checkpoints
-//! (see DESIGN.md, substitution table).
+//! model all observe identical values without shipping real checkpoints.
 
 use crate::graph::{Graph, Node};
 use crate::op::{ActivationKind, OpKind};

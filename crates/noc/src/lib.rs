@@ -171,54 +171,68 @@ impl NocStats {
     }
 }
 
-/// Walks a packet of `flits` flits (carrying `bytes` payload bytes) over
-/// `route`, queueing on busy links and accounting into `stats` — the one
-/// contention/serialization model shared by the on-chip [`Mesh`] and the
-/// chip-to-chip [`InterChipFabric`], which differ only in how they route.
-///
-/// An empty route or a zero-flit packet completes immediately without
-/// touching the network (the packet is still counted).
-fn transfer_over(
-    route: &[Link],
-    flits: u64,
-    bytes: u64,
-    hop_latency: u64,
+/// A packet's head flit crossing its route link by link, queueing on busy
+/// links and occupying each for the packet's serialization time — the
+/// one contention/serialization model shared by the on-chip [`Mesh`] and
+/// the chip-to-chip [`InterChipFabric`], which differ only in how they
+/// route and where they keep each link's free time.
+struct LinkWalk {
     now: u64,
-    link_free: &mut BTreeMap<Link, u64>,
-    stats: &mut NocStats,
-) -> TransferOutcome {
-    if route.is_empty() || flits == 0 {
-        let outcome =
-            TransferOutcome { departure: now, arrival: now, hops: 0, flits, contention: 0 };
+    flits: u64,
+    hop_latency: u64,
+    head_time: u64,
+    hops: u32,
+    contention: u64,
+}
+
+impl LinkWalk {
+    fn new(now: u64, flits: u64, hop_latency: u64) -> Self {
+        LinkWalk { now, flits, hop_latency, head_time: now, hops: 0, contention: 0 }
+    }
+
+    /// Crosses the link whose free time is `link_free`.
+    fn cross(&mut self, link_free: &mut u64) {
+        let start = self.head_time.max(*link_free);
+        self.contention += start - self.head_time;
+        // The link is busy until the tail flit has crossed it.
+        *link_free = start + self.flits;
+        self.head_time = start + self.hop_latency;
+        self.hops += 1;
+    }
+
+    /// Completes the transfer of `bytes`, accounting it into `stats`. A
+    /// walk that crossed no link, or a zero-flit packet, completes
+    /// immediately (the packet is still counted).
+    fn finish(self, bytes: u64, stats: &mut NocStats) -> TransferOutcome {
         stats.packets += 1;
         stats.bytes += bytes;
-        stats.flits += flits;
-        return outcome;
+        stats.flits += self.flits;
+        if self.hops == 0 || self.flits == 0 {
+            let now = self.now;
+            return TransferOutcome {
+                departure: now,
+                arrival: now,
+                hops: 0,
+                flits: self.flits,
+                contention: 0,
+            };
+        }
+        // The tail flit arrives `flits - 1` cycles after the head.
+        let arrival = self.head_time + self.flits.saturating_sub(1);
+        let outcome = TransferOutcome {
+            departure: self.now,
+            arrival,
+            hops: self.hops,
+            flits: self.flits,
+            contention: self.contention,
+        };
+        stats.flit_hops += self.flits * u64::from(self.hops);
+        stats.byte_hops += bytes * u64::from(self.hops);
+        stats.total_latency += outcome.latency();
+        stats.total_contention += self.contention;
+        stats.max_latency = stats.max_latency.max(outcome.latency());
+        outcome
     }
-    let hops = route.len() as u32;
-    let mut head_time = now;
-    let mut contention = 0u64;
-    for link in route {
-        let free_at = link_free.get(link).copied().unwrap_or(0);
-        let start = head_time.max(free_at);
-        contention += start - head_time;
-        // The link is busy until the tail flit has crossed it.
-        link_free.insert(*link, start + flits);
-        head_time = start + hop_latency;
-    }
-    // The tail flit arrives `flits - 1` cycles after the head.
-    let arrival = head_time + flits.saturating_sub(1);
-    let outcome = TransferOutcome { departure: now, arrival, hops, flits, contention };
-
-    stats.packets += 1;
-    stats.bytes += bytes;
-    stats.flits += flits;
-    stats.flit_hops += flits * u64::from(hops);
-    stats.byte_hops += bytes * u64::from(hops);
-    stats.total_latency += outcome.latency();
-    stats.total_contention += contention;
-    stats.max_latency = stats.max_latency.max(outcome.latency());
-    outcome
 }
 
 /// A packet-switched interconnect: something that can carry one packet
@@ -244,14 +258,21 @@ pub trait Interconnect {
 #[derive(Debug, Clone)]
 pub struct Mesh {
     config: NocConfig,
-    link_free: BTreeMap<Link, u64>,
+    /// Free time of every directed link, indexed by [`Mesh::link_slot`].
+    link_free: Vec<u64>,
     stats: NocStats,
 }
+
+/// Directions of a router's outgoing links, in link-slot order.
+const EAST: u32 = 0;
+const WEST: u32 = 1;
+const NORTH: u32 = 2;
+const SOUTH: u32 = 3;
 
 impl Mesh {
     /// Creates an idle mesh.
     pub fn new(config: NocConfig) -> Self {
-        Mesh { config, link_free: BTreeMap::new(), stats: NocStats::default() }
+        Mesh { config, link_free: vec![0; config.nodes() as usize * 4], stats: NocStats::default() }
     }
 
     /// The mesh configuration.
@@ -266,31 +287,48 @@ impl Mesh {
 
     /// Clears contention state and statistics.
     pub fn reset(&mut self) {
-        self.link_free.clear();
+        self.link_free.fill(0);
         self.stats = NocStats::default();
     }
 
     /// The XY route from `src` to `dst` as a list of directed links.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<Link> {
         let mut links = Vec::new();
-        let (mut x, mut y) = self.config.coordinates(src);
-        let (tx, ty) = self.config.coordinates(dst);
+        Self::walk_route(&self.config, src, dst, |link, _| links.push(link));
+        links
+    }
+
+    /// Calls `visit` with every directed link of the XY route from `src`
+    /// to `dst` and the direction it leaves its upstream router in.
+    fn walk_route(config: &NocConfig, src: NodeId, dst: NodeId, mut visit: impl FnMut(Link, u32)) {
+        let (mut x, mut y) = config.coordinates(src);
+        let (tx, ty) = config.coordinates(dst);
         let mut current = src;
         while x != tx {
-            let next_x = if x < tx { x + 1 } else { x - 1 };
-            let next = y * self.config.width + next_x;
-            links.push(Link { from: current, to: next });
+            let (next_x, direction) = if x < tx { (x + 1, EAST) } else { (x - 1, WEST) };
+            let next = y * config.width + next_x;
+            visit(Link { from: current, to: next }, direction);
             current = next;
             x = next_x;
         }
         while y != ty {
-            let next_y = if y < ty { y + 1 } else { y - 1 };
-            let next = next_y * self.config.width + x;
-            links.push(Link { from: current, to: next });
+            let (next_y, direction) = if y < ty { (y + 1, NORTH) } else { (y - 1, SOUTH) };
+            let next = next_y * config.width + x;
+            visit(Link { from: current, to: next }, direction);
             current = next;
             y = next_y;
         }
-        links
+    }
+
+    /// Index of the link leaving router `from` in `direction` in
+    /// `link_free` (grown for out-of-mesh nodes, which only unvalidated
+    /// configurations produce).
+    fn link_slot(link_free: &mut Vec<u64>, from: NodeId, direction: u32) -> &mut u64 {
+        let slot = from as usize * 4 + direction as usize;
+        if slot >= link_free.len() {
+            link_free.resize(slot + 1, 0);
+        }
+        &mut link_free[slot]
     }
 
     /// Simulates one packet transfer of `bytes` from `src` to `dst`
@@ -300,16 +338,13 @@ impl Mesh {
     /// without touching the network.
     pub fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, now: u64) -> TransferOutcome {
         let flits = self.config.flits_for(bytes);
-        let route = if src == dst { Vec::new() } else { self.route(src, dst) };
-        transfer_over(
-            &route,
-            flits,
-            bytes,
-            u64::from(self.config.hop_latency),
-            now,
-            &mut self.link_free,
-            &mut self.stats,
-        )
+        let mut walk = LinkWalk::new(now, flits, u64::from(self.config.hop_latency));
+        if src != dst && flits > 0 {
+            Self::walk_route(&self.config, src, dst, |link, direction| {
+                walk.cross(Self::link_slot(&mut self.link_free, link.from, direction));
+            });
+        }
+        walk.finish(bytes, &mut self.stats)
     }
 
     /// Convenience wrapper for a transfer to the global-memory port.
@@ -439,16 +474,13 @@ impl InterChipFabric {
 impl Interconnect for InterChipFabric {
     fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, now: u64) -> TransferOutcome {
         let flits = self.config.flits_for(bytes);
-        let route = self.route(src, dst);
-        transfer_over(
-            &route,
-            flits,
-            bytes,
-            u64::from(self.config.link_latency),
-            now,
-            &mut self.link_free,
-            &mut self.stats,
-        )
+        let mut walk = LinkWalk::new(now, flits, u64::from(self.config.link_latency));
+        if flits > 0 {
+            for link in self.route(src, dst) {
+                walk.cross(self.link_free.entry(link).or_insert(0));
+            }
+        }
+        walk.finish(bytes, &mut self.stats)
     }
 
     fn stats(&self) -> &NocStats {

@@ -1,88 +1,50 @@
-//! Per-core execution state: the three-stage pipeline abstraction, the
-//! register file, the unit scoreboard and per-core statistics.
+//! Per-core functional state of the front end: the register file, the
+//! program counter, the timing-invariant energy and unit-busy sums, and
+//! the core's position in the op stream it hands the back end.
 
-use cimflow_arch::ArchConfig;
 use cimflow_energy::EnergyBreakdown;
 use cimflow_isa::{GReg, Instruction, SReg};
 
-/// Why a core is currently unable to advance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockReason {
-    /// The core is runnable.
-    None,
-    /// Waiting for a message from the given source core.
-    Recv {
-        /// The sender the core is waiting for.
-        src: u32,
-    },
-    /// Waiting at a barrier.
-    Barrier {
-        /// The barrier identifier.
-        id: u16,
-    },
-    /// The program has halted.
-    Halted,
-}
+use crate::trace::TraceOp;
 
-/// Scoreboard entry of one macro group.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MacroGroupState {
-    /// The macro group is busy issuing an MVM until this cycle.
-    pub busy_until: u64,
-    /// Its accumulator holds the result of the last MVM at this cycle.
-    pub acc_ready: u64,
-    /// Cumulative busy cycles (utilization accounting).
-    pub busy_cycles: u64,
-}
-
-/// The execution state of one core.
+/// The functional state of one core.
 #[derive(Debug, Clone)]
 pub struct CoreState {
-    /// Core identifier.
-    pub id: u32,
     /// Program counter.
     pub pc: usize,
-    /// Local cycle counter (fetch/decode overhead is folded into the
-    /// single-cycle issue of every instruction).
-    pub now: u64,
     /// General-purpose register file.
     pub regs: [i64; 32],
     /// Special registers.
     pub sregs: [i64; 8],
-    /// Per-macro-group scoreboard.
-    pub macro_groups: Vec<MacroGroupState>,
-    /// The vector unit is busy until this cycle.
-    pub vector_busy_until: u64,
-    /// Cumulative vector-unit busy cycles.
-    pub vector_busy_cycles: u64,
-    /// Why the core cannot advance.
-    pub block: BlockReason,
-    /// Energy charged to this core.
+    /// Timing-invariant energy charged to this core (the NoC share is the
+    /// back end's).
     pub energy: EnergyBreakdown,
-    /// Dynamically executed instructions.
-    pub executed: u64,
+    /// Summed macro-group occupancy of the core's CIM ops.
+    pub mg_busy_cycles: u64,
+    /// Summed vector-unit occupancy.
+    pub vector_busy_cycles: u64,
+    /// Ops handed to the back end so far.
+    pub handed: usize,
+    /// The last op handed out, which the back end may ask for again; an
+    /// out-of-range peer core reads as `Err(core)`.
+    pub current: Result<TraceOp, u32>,
 }
 
 impl CoreState {
-    /// Creates an idle core.
-    pub fn new(id: u32, arch: &ArchConfig) -> Self {
+    /// Creates a core at the start of its program; `id` is its chip-local
+    /// (mesh) id.
+    pub fn new(id: u32) -> Self {
         let mut sregs = [0i64; 8];
         sregs[SReg::CoreId.index() as usize] = i64::from(id);
         CoreState {
-            id,
             pc: 0,
-            now: 0,
             regs: [0; 32],
             sregs,
-            macro_groups: vec![
-                MacroGroupState::default();
-                arch.core.cim_unit.macro_groups as usize
-            ],
-            vector_busy_until: 0,
-            vector_busy_cycles: 0,
-            block: BlockReason::None,
             energy: EnergyBreakdown::new(),
-            executed: 0,
+            mg_busy_cycles: 0,
+            vector_busy_cycles: 0,
+            handed: 0,
+            current: Ok(TraceOp::Halt { counted: false }),
         }
     }
 
@@ -107,51 +69,8 @@ impl CoreState {
         }
     }
 
-    /// Whether the core has halted.
-    pub fn is_halted(&self) -> bool {
-        self.block == BlockReason::Halted
-    }
-
-    /// Whether the core can currently advance.
-    pub fn is_runnable(&self) -> bool {
-        self.block == BlockReason::None
-    }
-
-    /// Applies the taken-branch penalty of the three-stage pipeline
-    /// (fetch and decode of the wrong-path instructions are squashed).
-    pub fn branch_penalty(&mut self) {
-        self.now += 2;
-    }
-
-    /// Marks `cycles` of occupancy on the given macro group starting at
-    /// `start`, returning the completion times `(issue_done, result_ready)`.
-    pub fn occupy_macro_group(
-        &mut self,
-        index: usize,
-        start: u64,
-        issue_cycles: u64,
-        latency: u64,
-    ) -> (u64, u64) {
-        let count = self.macro_groups.len().max(1);
-        let mg = &mut self.macro_groups[index % count];
-        let begin = start.max(mg.busy_until);
-        mg.busy_until = begin + issue_cycles;
-        mg.acc_ready = begin + latency;
-        mg.busy_cycles += issue_cycles;
-        (mg.busy_until, mg.acc_ready)
-    }
-
-    /// Marks the vector unit busy for `cycles` starting at `start`,
-    /// returning the completion time.
-    pub fn occupy_vector_unit(&mut self, start: u64, cycles: u64) -> u64 {
-        let begin = start.max(self.vector_busy_until);
-        self.vector_busy_until = begin + cycles;
-        self.vector_busy_cycles += cycles;
-        self.vector_busy_until
-    }
-
     /// Executes the functional (register-file) effect of a scalar
-    /// instruction. Non-scalar instructions are handled by the engine.
+    /// instruction. Non-scalar instructions are handled by the front end.
     pub fn execute_scalar(&mut self, inst: &Instruction) {
         match *inst {
             Instruction::ScAlu { op, dst, a, b } => {
@@ -184,7 +103,7 @@ mod tests {
     use cimflow_isa::ScalarAluOp;
 
     fn core() -> CoreState {
-        CoreState::new(3, &ArchConfig::paper_default())
+        CoreState::new(3)
     }
 
     fn g(i: u8) -> GReg {
@@ -222,43 +141,5 @@ mod tests {
         assert_eq!(c.read(g(4)), 3);
         c.execute_scalar(&Instruction::ScWrSpecial { sreg: SReg::StageId, src: g(3) });
         assert_eq!(c.sregs[SReg::StageId.index() as usize], 4);
-    }
-
-    #[test]
-    fn macro_group_scoreboard_serializes_back_to_back_mvms() {
-        let mut c = core();
-        let (busy1, ready1) = c.occupy_macro_group(0, 10, 256, 262);
-        assert_eq!(busy1, 266);
-        assert_eq!(ready1, 272);
-        // A second MVM on the same group waits for the first issue to drain.
-        let (busy2, _) = c.occupy_macro_group(0, 20, 256, 262);
-        assert_eq!(busy2, 266 + 256);
-        // A different group is independent.
-        let (busy3, _) = c.occupy_macro_group(1, 20, 256, 262);
-        assert_eq!(busy3, 20 + 256);
-        assert_eq!(c.macro_groups[0].busy_cycles, 512);
-    }
-
-    #[test]
-    fn vector_unit_occupancy_accumulates() {
-        let mut c = core();
-        assert_eq!(c.occupy_vector_unit(5, 10), 15);
-        assert_eq!(c.occupy_vector_unit(0, 10), 25);
-        assert_eq!(c.vector_busy_cycles, 20);
-    }
-
-    #[test]
-    fn block_states() {
-        let mut c = core();
-        assert!(c.is_runnable());
-        c.block = BlockReason::Recv { src: 7 };
-        assert!(!c.is_runnable());
-        assert!(!c.is_halted());
-        c.block = BlockReason::Halted;
-        assert!(c.is_halted());
-        let before = c.now;
-        c.block = BlockReason::None;
-        c.branch_penalty();
-        assert_eq!(c.now, before + 2);
     }
 }

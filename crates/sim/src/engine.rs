@@ -1,31 +1,26 @@
-//! The multi-core, multi-chip simulation engine: conservative
-//! discrete-event execution of the per-core programs with NoC,
-//! global-memory and barrier coordination per chip, and inter-chip
-//! transfers over the system-level fabric.
+//! The simulator's entry points and its functional front end.
+//!
+//! A [`Simulator`] run has two halves. The front end here executes each
+//! core's program for its functional effects — decode, the register
+//! file, branches, and the energy that does not depend on timing — and
+//! hands the timing back end (`replay.rs`) that core's next [`TraceOp`]
+//! only when the back end asks for it. It has no clocks, no mesh and no
+//! scheduler, and it never holds more than one op per core: the streams
+//! are consumed as they are decoded, not lowered whole first.
+//! [`Simulator::record`] runs the same pair and also keeps the ops it
+//! hands out, as a [`SimTrace`] for the [`ReplayEngine`](crate::ReplayEngine).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-use cimflow_arch::{AddressMap, ArchConfig, InterChipTopology};
-use cimflow_compiler::{CompiledProgram, SystemPlan, STREAM_TILE_BYTES};
-use cimflow_energy::{EnergyBreakdown, EnergyModel};
+use cimflow_arch::{AddressMap, ArchConfig};
+use cimflow_compiler::CompiledProgram;
+use cimflow_energy::EnergyModel;
 use cimflow_isa::{Instruction, OpcodeClass, Program};
-use cimflow_noc::{InterChipConfig, InterChipFabric, Interconnect, Mesh, NocConfig, NocStats};
 use cimflow_obs::{new_track, AttrValue, Tracer};
 
-use crate::core::{BlockReason, CoreState};
-use crate::report::{SimReport, UnitActivity};
-use crate::trace::{CoreInvariants, SimTrace, TraceOp, TraceRecorder, TraceTransfer};
+use crate::core::CoreState;
+use crate::replay::{walk_one, OpSource};
+use crate::report::SimReport;
+use crate::trace::{CoreInvariants, Layout, RunTotals, SimTrace, TraceOp, TracePasses};
 use crate::SimError;
-
-/// Maximum dynamically executed instructions before the simulator aborts
-/// (a defence against runaway generated code).
-pub(crate) const INSTRUCTION_BUDGET: u64 = 2_000_000_000;
-/// Number of instructions a core may execute before control returns to the
-/// scheduler (keeps NoC contention interleaving reasonably accurate).
-pub(crate) const SLICE: u64 = 4096;
-/// Upper bound on the tiles one cut activation streams as, so a huge
-/// transfer does not degenerate into millions of fabric packets.
-pub(crate) const MAX_STREAM_TILES: u64 = 64;
 
 /// How cut activations hand off between chips of a multi-chip system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,9 +56,10 @@ pub struct SimOptions {
 /// pre-allocated tracks its timelines render on (one per chip, one for
 /// the inter-chip fabric). All timestamps are simulated cycles, not wall
 /// time — export a profiled run into its own trace file rather than
-/// mixing it with wall-clock spans.
+/// mixing it with wall-clock spans. The back end calls its event methods
+/// as the walk produces them.
 #[derive(Debug)]
-struct SimProfile {
+pub(crate) struct SimProfile {
     tracer: Tracer,
     /// Track of each chip's timeline (`chip-N`).
     chip_tracks: Vec<u64>,
@@ -83,7 +79,7 @@ impl SimProfile {
     }
 
     /// One fabric transfer (or streamed tile): departure → landed.
-    fn fabric_transfer(&self, from: u32, to: u32, bytes: u64, depart: u64, landed: u64) {
+    pub(crate) fn fabric_transfer(&self, from: u32, to: u32, bytes: u64, depart: u64, landed: u64) {
         self.tracer.complete(
             "transfer",
             "sim.fabric",
@@ -99,7 +95,7 @@ impl SimProfile {
     }
 
     /// The memory-port window an incoming tile occupied on `chip`.
-    fn port_landing(&self, chip: usize, port_start: u64, landed: u64, bytes: u64) {
+    pub(crate) fn port_landing(&self, chip: usize, port_start: u64, landed: u64, bytes: u64) {
         self.tracer.complete(
             "input-land",
             "sim.mem_port",
@@ -109,196 +105,88 @@ impl SimProfile {
             vec![("bytes".to_owned(), AttrValue::from(bytes))],
         );
     }
-}
 
-/// A message in flight between two cores.
-#[derive(Debug, Clone, Copy)]
-struct Message {
-    arrival: u64,
-    bytes: u64,
-}
+    /// A global-memory request on `chip` that arrived at the port at
+    /// `arrival`, waited behind another occupant until `port_start` and
+    /// completed at `completion`.
+    pub(crate) fn port_contention(
+        &self,
+        chip: usize,
+        arrival: u64,
+        port_start: u64,
+        completion: u64,
+        bytes: u64,
+    ) {
+        self.tracer.complete(
+            "port-contention",
+            "sim.mem_port",
+            self.chip_tracks[chip],
+            arrival,
+            completion - arrival,
+            vec![
+                ("bytes".to_owned(), AttrValue::from(bytes)),
+                ("waited".to_owned(), AttrValue::from(port_start - arrival)),
+            ],
+        );
+    }
 
-/// What the trace recorder should note for one executed instruction,
-/// resolved per [`Simulator::step`] arm and applied at the accounting
-/// tail (so recording never interleaves with the timing updates).
-enum Recorded {
-    /// One fusible single-cycle instruction.
-    Advance,
-    /// A taken branch or jump: one cycle plus the squash penalty,
-    /// terminating the current fused run.
-    Penalty,
-    /// A non-fusible timing op.
-    Op(TraceOp),
+    /// The execution window of local stage `ordinal` on `chip`.
+    pub(crate) fn stage(&self, chip: usize, ordinal: usize, start: u64, end: u64, cores: usize) {
+        self.tracer.complete(
+            &format!("stage-{ordinal}"),
+            "sim.stage",
+            self.chip_tracks[chip],
+            start,
+            end - start,
+            vec![("cores".to_owned(), AttrValue::from(cores))],
+        );
+    }
+
+    /// One chip's busy span, from the report's own numbers.
+    pub(crate) fn chip_busy(&self, chip: usize, start: u64, cycles: u64) {
+        self.tracer.complete(
+            "chip-busy",
+            "sim.chip",
+            self.chip_tracks[chip],
+            start,
+            cycles,
+            vec![("chip".to_owned(), AttrValue::from(chip))],
+        );
+    }
 }
 
 /// The CIMFlow cycle-level simulator.
 ///
 /// One chip is the paper's platform: every core runs its program against
 /// the chip's mesh, global-memory port and barrier group. A multi-chip
-/// system replicates that per chip — per-chip core states, meshes and
-/// memory ports — and executes the compiler's [`SystemPlan`] on top: a
-/// chip starts once every inter-chip activation feeding it has landed in
-/// its global memory, and a finished chip ships its cut activations over
-/// the [`InterChipFabric`], so one inference flows through the chips as a
+/// system replicates that per chip and executes the compiler's
+/// [`SystemPlan`](cimflow_compiler::SystemPlan) on top: a chip starts
+/// once every inter-chip activation feeding it has landed in its global
+/// memory, and a finished chip ships its cut activations over the
+/// inter-chip fabric, so one inference flows through the chips as a
 /// pipeline.
 ///
 /// See the crate-level documentation for the modelled behaviour and the
 /// crate example for typical usage.
 #[derive(Debug)]
-pub struct Simulator {
-    arch: ArchConfig,
-    programs: Vec<Program>,
-    /// All cores, chip-major: global core `g` is local core `g % cc` of
-    /// chip `g / cc`. `CoreState::id` is the chip-local (mesh) id.
-    cores: Vec<CoreState>,
-    cores_per_chip: usize,
-    meshes: Vec<Mesh>,
-    fabric: InterChipFabric,
-    system: SystemPlan,
+pub struct Simulator<'a> {
+    compiled: &'a CompiledProgram,
     options: SimOptions,
-    chip_started: Vec<bool>,
-    chip_dispatched: Vec<bool>,
-    chip_ready: Vec<u64>,
-    chip_start_time: Vec<u64>,
-    chip_finish_time: Vec<u64>,
-    incoming_remaining: Vec<usize>,
-    /// Whether each system transfer has been pushed onto the fabric yet.
-    transfer_dispatched: Vec<bool>,
-    /// Chip-local stage ordinal of each transfer's producing group
-    /// (`None` when the producer is unplaced, e.g. legacy plans).
-    transfer_stage: Vec<Option<usize>>,
-    /// Per producing chip: ascending indices into the system transfer
-    /// list, precomputed once so the per-retirement / per-stage dispatch
-    /// passes scan only that chip's transfers instead of rescanning the
-    /// whole list per chip.
-    chip_transfers: Vec<Vec<usize>>,
-    /// Per chip: release time of each barrier id, recorded as barriers
-    /// open (stage `k` runs between barriers `2k` and `2k + 1`).
-    barrier_release: Vec<HashMap<u16, u64>>,
-    /// Per chip: the [port_start, landed) windows its incoming tiles
-    /// occupied on the global-memory port (input-stall accounting).
-    landing_windows: Vec<Vec<(u64, u64)>>,
-    /// Per chip: when the last byte of its cut inputs landed.
-    last_input_landed: Vec<u64>,
     /// Cycle-domain timeline sink; `Some` only when
     /// [`SimOptions::profile`] is set *and* a tracer was attached.
     profile: Option<SimProfile>,
-    energy_model: EnergyModel,
-    /// System-level energy not attributable to one core (inter-chip
-    /// links, the landing writes into consumer global memories).
-    system_energy: EnergyBreakdown,
-    address_map: AddressMap,
-    channels: HashMap<(u32, u32), VecDeque<Message>>,
-    global_port_free: Vec<u64>,
-    dynamic: BTreeMap<OpcodeClass, u64>,
-    cim_ops: u64,
-    vector_ops: u64,
-    total_macs: u64,
-    executed: u64,
-    /// Trace recording hook; `Some` only inside [`Simulator::record`].
-    recorder: Option<TraceRecorder>,
 }
 
-impl Simulator {
+impl<'a> Simulator<'a> {
     /// Prepares a simulation of a compiled program with the default
     /// options (tile-streaming inter-chip hand-off).
-    pub fn new(compiled: &CompiledProgram) -> Self {
+    pub fn new(compiled: &'a CompiledProgram) -> Self {
         Self::with_options(compiled, SimOptions::default())
     }
 
     /// Prepares a simulation with explicit [`SimOptions`].
-    pub fn with_options(compiled: &CompiledProgram, options: SimOptions) -> Self {
-        let arch = compiled.arch;
-        let chip_count = compiled.system.chip_count.max(1) as usize;
-        let cores_per_chip = arch.chip().core_count as usize;
-        let noc_config = NocConfig {
-            width: arch.chip().mesh.width,
-            height: arch.chip().mesh.height,
-            flit_bytes: arch.chip().noc_flit_bytes,
-            hop_latency: arch.chip().noc_hop_latency,
-            memory_port: arch.chip().memory_port,
-        };
-        let link = &arch.system.interconnect;
-        let fabric = InterChipFabric::new(InterChipConfig {
-            chips: chip_count as u32,
-            link_bytes: link.link_bytes_per_cycle,
-            link_latency: link.link_latency_cycles,
-            ring: link.topology == InterChipTopology::Ring,
-        });
-        let cores: Vec<CoreState> = (0..chip_count * cores_per_chip)
-            .map(|g| CoreState::new((g % cores_per_chip) as u32, &arch))
-            .collect();
-        let mut incoming_remaining = vec![0usize; chip_count];
-        for transfer in &compiled.system.transfers {
-            incoming_remaining[transfer.to_chip as usize] += 1;
-        }
-        let chip_started: Vec<bool> = incoming_remaining.iter().map(|n| *n == 0).collect();
-        let total_macs = compiled.condensed.groups().iter().map(|g| g.metrics.macs).sum();
-
-        // Chip-local stage ordinal of every placed group: the merged plan
-        // lists each chip's stages contiguously, and the per-chip code
-        // generator emitted barrier pair (2k, 2k + 1) around its local
-        // stage k — that pairing is what lets the streaming hand-off tie
-        // a cut activation to the execution window producing it.
-        let mut group_stage: HashMap<usize, usize> = HashMap::new();
-        let mut stages_seen = vec![0usize; chip_count];
-        for stage in &compiled.plan.stages {
-            let Some(first) = stage.placements.first() else { continue };
-            let chip = compiled.system.assignment.get(first.group).copied().unwrap_or(0) as usize;
-            let ordinal = stages_seen[chip.min(chip_count - 1)];
-            stages_seen[chip.min(chip_count - 1)] += 1;
-            for placement in &stage.placements {
-                group_stage.insert(placement.group, ordinal);
-            }
-        }
-        let transfer_stage: Vec<Option<usize>> = compiled
-            .system
-            .transfers
-            .iter()
-            .map(|t| group_stage.get(&t.producer).copied())
-            .collect();
-        let mut chip_transfers: Vec<Vec<usize>> = vec![Vec::new(); chip_count];
-        for (index, transfer) in compiled.system.transfers.iter().enumerate() {
-            let from = transfer.from_chip as usize;
-            if from < chip_count {
-                chip_transfers[from].push(index);
-            }
-        }
-
-        Simulator {
-            arch,
-            programs: compiled.per_core.clone(),
-            cores,
-            cores_per_chip,
-            meshes: vec![Mesh::new(noc_config); chip_count],
-            fabric,
-            system: compiled.system.clone(),
-            options,
-            chip_started,
-            chip_dispatched: vec![false; chip_count],
-            chip_ready: vec![0; chip_count],
-            chip_start_time: vec![0; chip_count],
-            chip_finish_time: vec![0; chip_count],
-            incoming_remaining,
-            transfer_dispatched: vec![false; compiled.system.transfers.len()],
-            transfer_stage,
-            chip_transfers,
-            barrier_release: vec![HashMap::new(); chip_count],
-            landing_windows: vec![Vec::new(); chip_count],
-            last_input_landed: vec![0; chip_count],
-            profile: None,
-            energy_model: EnergyModel::calibrated_28nm(),
-            system_energy: EnergyBreakdown::new(),
-            address_map: arch.address_map(),
-            channels: HashMap::new(),
-            global_port_free: vec![0; chip_count],
-            dynamic: BTreeMap::new(),
-            cim_ops: 0,
-            vector_ops: 0,
-            total_macs,
-            executed: 0,
-            recorder: None,
-        }
+    pub fn with_options(compiled: &'a CompiledProgram, options: SimOptions) -> Self {
+        Simulator { compiled, options, profile: None }
     }
 
     /// Attaches a tracer for the cycle-domain timeline events enabled by
@@ -309,18 +197,9 @@ impl Simulator {
     /// and memory-port occupancy (`sim.mem_port`).
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         if self.options.profile {
-            self.profile = Some(SimProfile::new(tracer.clone(), self.chip_count()));
+            let chips = self.compiled.system.chip_count.max(1) as usize;
+            self.profile = Some(SimProfile::new(tracer.clone(), chips));
         }
-    }
-
-    /// Number of chips being simulated.
-    fn chip_count(&self) -> usize {
-        self.meshes.len()
-    }
-
-    /// Global core ids of one chip.
-    fn chip_cores(&self, chip: usize) -> std::ops::Range<usize> {
-        chip * self.cores_per_chip..(chip + 1) * self.cores_per_chip
     }
 
     /// Runs the simulation to completion.
@@ -331,790 +210,346 @@ impl Simulator {
     /// [`SimError::InvalidCore`] for out-of-range core references and
     /// [`SimError::CycleLimitExceeded`] when the instruction budget is
     /// exhausted.
-    pub fn run(mut self) -> Result<SimReport, SimError> {
-        self.run_loop()?;
-        Ok(self.finish())
+    pub fn run(self) -> Result<SimReport, SimError> {
+        let layout = Layout::of(self.compiled);
+        let mut front = FrontEnd::new(self.compiled, false);
+        let arch = &self.compiled.arch;
+        let profile = self.profile.as_ref();
+        let walked = walk_one(&layout, &mut front, arch, self.options.handoff, profile)?;
+        Ok(walked.finish(&layout, &front.totals(), arch, profile))
     }
 
     /// Runs the simulation to completion *while recording a trace*,
     /// returning the [`SimTrace`] alongside the ordinary report. The
-    /// report is identical to what [`Simulator::run`] would produce —
-    /// recording only appends to side buffers and never influences
-    /// timing — and the trace replays to that same report through a
+    /// report is identical to what [`Simulator::run`] would produce under
+    /// the default options — recording only keeps the ops the front end
+    /// hands out — and the trace replays to that same report through a
     /// [`ReplayEngine`](crate::ReplayEngine) for any design point whose
     /// [`compile_fingerprint`](ArchConfig::compile_fingerprint) matches.
+    /// The trace itself is option-independent: op streams never depend
+    /// on the hand-off mode.
     ///
     /// # Errors
     ///
     /// Exactly the errors of [`Simulator::run`].
     pub fn record(compiled: &CompiledProgram) -> Result<(SimTrace, SimReport), SimError> {
-        Self::record_with_options(compiled, SimOptions::default())
+        let layout = Layout::of(compiled);
+        let mut front = FrontEnd::new(compiled, true);
+        let arch = &compiled.arch;
+        let walked = walk_one(&layout, &mut front, arch, SimOptions::default().handoff, None)?;
+        let totals = front.totals();
+        let report = walked.finish(&layout, &totals, arch, None);
+        let trace = SimTrace {
+            arch: *arch,
+            fingerprint: arch.compile_fingerprint(),
+            layout,
+            ops: front.kept.unwrap_or_default(),
+            totals,
+            passes: TracePasses { fused_instructions: front.fused },
+        };
+        Ok((trace, report))
+    }
+}
+
+/// Marks an unassigned slot of the front end's channel table.
+const NO_CHANNEL: u32 = u32::MAX;
+
+/// The live op source: every core's program executed for its functional
+/// effects, one op ahead of the back end at most.
+struct FrontEnd<'a> {
+    programs: &'a [Program],
+    arch: ArchConfig,
+    cores: Vec<CoreState>,
+    cores_per_chip: usize,
+    macro_groups: usize,
+    energy: EnergyModel,
+    address_map: AddressMap,
+    /// Dense channel id of every (global sender, chip-local receiver)
+    /// pair, assigned the first time either end decodes.
+    channel_ids: Vec<u32>,
+    channels: u32,
+    /// Dynamic instructions per [`OpcodeClass`] discriminant.
+    dynamic: [u64; OpcodeClass::ALL.len()],
+    cim_ops: u64,
+    vector_ops: u64,
+    executed: u64,
+    /// Instructions handed out inside `Advance` runs.
+    fused: u64,
+    total_macs: u64,
+    /// Every op handed out, per core, when recording.
+    kept: Option<Vec<Vec<TraceOp>>>,
+}
+
+impl<'a> FrontEnd<'a> {
+    fn new(compiled: &'a CompiledProgram, keep: bool) -> Self {
+        let arch = compiled.arch;
+        let chips = compiled.system.chip_count.max(1) as usize;
+        let cores_per_chip = arch.chip().core_count as usize;
+        let cores = chips * cores_per_chip;
+        FrontEnd {
+            programs: &compiled.per_core,
+            arch,
+            cores: (0..cores).map(|g| CoreState::new((g % cores_per_chip) as u32)).collect(),
+            cores_per_chip,
+            macro_groups: arch.core.cim_unit.macro_groups.max(1) as usize,
+            energy: EnergyModel::calibrated_28nm(),
+            address_map: arch.address_map(),
+            channel_ids: vec![NO_CHANNEL; cores * cores_per_chip],
+            channels: 0,
+            dynamic: [0; OpcodeClass::ALL.len()],
+            cim_ops: 0,
+            vector_ops: 0,
+            executed: 0,
+            fused: 0,
+            total_macs: compiled.condensed.groups().iter().map(|g| g.metrics.macs).sum(),
+            kept: keep.then(|| vec![Vec::new(); cores]),
+        }
     }
 
-    /// [`Simulator::record`] with explicit [`SimOptions`]. The recorded
-    /// trace itself is option-independent (op streams never depend on the
-    /// hand-off mode); only the returned report reflects `options`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Simulator::run`].
-    pub fn record_with_options(
-        compiled: &CompiledProgram,
-        options: SimOptions,
-    ) -> Result<(SimTrace, SimReport), SimError> {
-        let mut sim = Self::with_options(compiled, options);
-        sim.recorder = Some(TraceRecorder::new(sim.cores.len()));
-        sim.run_loop()?;
-        let trace = sim.build_trace();
-        Ok((trace, sim.finish()))
-    }
-
-    /// The main scheduling loop shared by [`Simulator::run`] and the
-    /// recording entry points.
-    fn run_loop(&mut self) -> Result<(), SimError> {
-        loop {
-            self.retire_finished_chips();
-            if self.cores.iter().all(CoreState::is_halted) {
-                break;
+    /// Executes core `index`'s program up to and including its next op:
+    /// register effects, timing-invariant energy and busy sums, counts.
+    /// Single-cycle instructions (scalars, nops, not-taken branches) fuse
+    /// into one `Advance`, which a taken branch ends; any other
+    /// instruction ends a pending run *before* it and is executed on the
+    /// next call. An out-of-range peer core is returned as `Err(core)`.
+    fn next_op(&mut self, index: usize) -> Result<TraceOp, u32> {
+        /// What one instruction contributes to the op being built.
+        enum Decoded {
+            Fused,
+            Taken(i32),
+            Op(TraceOp),
+        }
+        let program = self.programs[index].instructions();
+        let unit = self.arch.core.cim_unit;
+        let model = &self.energy;
+        let cores_per_chip = self.cores_per_chip;
+        let groups = self.macro_groups;
+        // Resolves a macro-group operand (the modulo is only ever needed
+        // for out-of-range operands).
+        let macro_group = |mg: u8| {
+            if usize::from(mg) < groups {
+                u32::from(mg)
+            } else {
+                (mg as usize % groups) as u32
             }
-            match self.pick_core() {
-                Some(core) => self.run_slice(core)?,
-                None => {
-                    if self.release_barriers() {
-                        continue;
+        };
+        let mut channel_of = |sender: usize, receiver: u32| {
+            let slot = &mut self.channel_ids[sender * cores_per_chip + receiver as usize];
+            if *slot == NO_CHANNEL {
+                *slot = self.channels;
+                self.channels += 1;
+            }
+            *slot
+        };
+        let core = &mut self.cores[index];
+        let mut insts = 0u32;
+        loop {
+            let Some(&inst) = program.get(core.pc) else {
+                // Running past the end halts without counting as an
+                // instruction.
+                self.fused += u64::from(insts);
+                return Ok(match insts {
+                    0 => TraceOp::Halt { counted: false },
+                    insts => TraceOp::Advance { insts, penalty: false },
+                });
+            };
+            let own_op = matches!(
+                inst,
+                Instruction::CimMvm { .. }
+                    | Instruction::CimLoad { .. }
+                    | Instruction::CimStoreAcc { .. }
+                    | Instruction::VecOp { .. }
+                    | Instruction::VecQuant { .. }
+                    | Instruction::VecMac { .. }
+                    | Instruction::VecPool { .. }
+                    | Instruction::MemCpy { .. }
+                    | Instruction::Send { .. }
+                    | Instruction::Recv { .. }
+                    | Instruction::Barrier { .. }
+                    | Instruction::Halt
+            );
+            if own_op && insts > 0 {
+                self.fused += u64::from(insts);
+                return Ok(TraceOp::Advance { insts, penalty: false });
+            }
+            let decoded = match inst {
+                Instruction::Nop => Decoded::Fused,
+                Instruction::Jmp { offset } => Decoded::Taken(offset),
+                Instruction::Beq { a, b, offset } if core.read(a) == core.read(b) => {
+                    Decoded::Taken(offset)
+                }
+                Instruction::Bne { a, b, offset } if core.read(a) != core.read(b) => {
+                    Decoded::Taken(offset)
+                }
+                Instruction::Beq { .. } | Instruction::Bne { .. } => Decoded::Fused,
+                Instruction::CimMvm { rows, mg, .. } => {
+                    let rows =
+                        core.read_unsigned(rows).clamp(1, u64::from(unit.rows_per_operation()))
+                            as u32;
+                    let issue = unit.mvm_issue_cycles(rows);
+                    core.mg_busy_cycles += issue;
+                    core.energy.compute_pj +=
+                        model.cim.compute_pj(unit.macs_per_group_operation(rows));
+                    core.energy.local_memory_pj += model.sram.local_read_pj(u64::from(rows));
+                    self.cim_ops += 1;
+                    let latency = unit.mvm_latency_cycles(rows);
+                    Decoded::Op(TraceOp::CimMvm { mg: macro_group(mg), issue, latency })
+                }
+                Instruction::CimLoad { rows, mg, .. } => {
+                    let rows =
+                        core.read_unsigned(rows).clamp(1, u64::from(unit.rows_per_operation()))
+                            as u32;
+                    let cycles = unit.weight_load_cycles(rows);
+                    core.mg_busy_cycles += cycles;
+                    let bytes = u64::from(rows) * u64::from(unit.output_channels_per_group());
+                    core.energy.compute_pj += model.cim.weight_load_pj(bytes);
+                    core.energy.local_memory_pj += model.sram.local_read_pj(bytes);
+                    Decoded::Op(TraceOp::CimLoad { mg: macro_group(mg), cycles })
+                }
+                Instruction::CimStoreAcc { len, mg, .. } => {
+                    let lanes = core.read_unsigned(len).max(1);
+                    core.energy.local_memory_pj += model.sram.local_write_pj(lanes * 4);
+                    Decoded::Op(TraceOp::CimStoreAcc { mg: macro_group(mg) })
+                }
+                Instruction::VecOp { len, .. }
+                | Instruction::VecQuant { len, .. }
+                | Instruction::VecMac { len, .. } => {
+                    let elems = core.read_unsigned(len).max(1);
+                    let cycles = self.arch.core.vector_unit.cycles_for(elems);
+                    core.vector_busy_cycles += cycles;
+                    core.energy.compute_pj += model.digital.vector_pj_per_elem * elems as f64;
+                    core.energy.local_memory_pj +=
+                        model.sram.local_read_pj(elems) + model.sram.local_write_pj(elems);
+                    self.vector_ops += elems;
+                    Decoded::Op(TraceOp::Vector { cycles })
+                }
+                Instruction::VecPool { len, window, .. } => {
+                    let elems = core.read_unsigned(len).max(1) * core.read_unsigned(window).max(1);
+                    let cycles = self.arch.core.vector_unit.cycles_for(elems);
+                    core.vector_busy_cycles += cycles;
+                    core.energy.compute_pj += model.digital.vector_pj_per_elem * elems as f64;
+                    core.energy.local_memory_pj += model.sram.local_read_pj(elems);
+                    self.vector_ops += elems;
+                    Decoded::Op(TraceOp::Vector { cycles })
+                }
+                Instruction::MemCpy { src, dst, len, offset } => {
+                    let bytes = core.read_unsigned(len).max(1);
+                    let src_addr = (core.read(src) + i64::from(offset)).max(0) as u64;
+                    let from_memory = self.address_map.is_global(src_addr);
+                    Decoded::Op(
+                        if from_memory || self.address_map.is_global(core.read_unsigned(dst)) {
+                            core.energy.global_memory_pj += model.sram.global_pj(bytes);
+                            core.energy.local_memory_pj += model.sram.local_write_pj(bytes);
+                            let port_cycles = self.arch.chip().global_memory.transfer_cycles(bytes);
+                            TraceOp::GlobalCpy { bytes, from_memory, port_cycles }
+                        } else {
+                            core.energy.local_memory_pj +=
+                                model.sram.local_read_pj(bytes) + model.sram.local_write_pj(bytes);
+                            let cycles = self.arch.core.local_memory.transfer_cycles(bytes);
+                            TraceOp::LocalCpy { cycles }
+                        },
+                    )
+                }
+                Instruction::Send { len, dst_core, .. } => {
+                    let bytes = core.read_unsigned(len).max(1);
+                    let dst = core.read_unsigned(dst_core) as u32;
+                    if dst >= cores_per_chip as u32 {
+                        return Err(dst);
                     }
-                    return Err(self.deadlock());
+                    core.energy.local_memory_pj += model.sram.local_read_pj(bytes);
+                    Decoded::Op(TraceOp::Send { dst, bytes, channel: channel_of(index, dst) })
+                }
+                Instruction::Recv { src_core, .. } => {
+                    let src = core.read_unsigned(src_core) as u32;
+                    if src >= cores_per_chip as u32 {
+                        return Err(src);
+                    }
+                    // The local write is charged when the message arrives.
+                    let sender = index - index % cores_per_chip + src as usize;
+                    let channel = channel_of(sender, (index % cores_per_chip) as u32);
+                    Decoded::Op(TraceOp::Recv { src, channel })
+                }
+                Instruction::Barrier { id } => Decoded::Op(TraceOp::Barrier { id }),
+                // The back end never asks a halted core for another op.
+                Instruction::Halt => Decoded::Op(TraceOp::Halt { counted: true }),
+                _ => {
+                    // Scalar instructions: functional register update.
+                    core.execute_scalar(&inst);
+                    core.energy.control_pj += model.digital.scalar_pj_per_op;
+                    Decoded::Fused
+                }
+            };
+            core.energy.control_pj += model.digital.issue_pj_per_inst;
+            self.executed += 1;
+            self.dynamic[inst.class() as usize] += 1;
+            match decoded {
+                Decoded::Fused => {
+                    insts += 1;
+                    core.pc += 1;
+                }
+                Decoded::Taken(offset) => {
+                    insts += 1;
+                    self.fused += u64::from(insts);
+                    core.pc = (core.pc as i64 + 1 + i64::from(offset)).max(0) as usize;
+                    return Ok(TraceOp::Advance { insts, penalty: true });
+                }
+                Decoded::Op(op) => {
+                    core.pc += 1;
+                    return Ok(op);
                 }
             }
-            if self.executed > INSTRUCTION_BUDGET {
-                return Err(SimError::CycleLimitExceeded { limit: INSTRUCTION_BUDGET });
-            }
         }
-        Ok(())
     }
 
-    /// Harvests the recorder into a [`SimTrace`] (must only be called
-    /// after a successful [`Simulator::run_loop`] with a recorder set).
-    fn build_trace(&mut self) -> SimTrace {
-        let recorder = self.recorder.take().expect("build_trace without recorder");
-        let (ops, passes) = recorder.finish(self.cores_per_chip);
-        let core_invariants: Vec<CoreInvariants> = self
-            .cores
-            .iter()
-            .map(|core| CoreInvariants {
-                mg_busy_cycles: core.macro_groups.iter().map(|m| m.busy_cycles).sum(),
-                vector_busy_cycles: core.vector_busy_cycles,
-                compute_pj: core.energy.compute_pj,
-                local_memory_pj: core.energy.local_memory_pj,
-                global_memory_pj: core.energy.global_memory_pj,
-                control_pj: core.energy.control_pj,
-            })
-            .collect();
-        let transfers: Vec<TraceTransfer> = self
-            .system
-            .transfers
-            .iter()
-            .zip(&self.transfer_stage)
-            .map(|(t, stage)| TraceTransfer {
-                from_chip: t.from_chip,
-                to_chip: t.to_chip,
-                bytes: t.bytes,
-                stage: *stage,
-            })
-            .collect();
-        SimTrace {
-            arch: self.arch,
-            fingerprint: self.arch.compile_fingerprint(),
-            cores_per_chip: self.cores_per_chip,
-            chip_count: self.chip_count(),
-            macro_groups: self.arch.core.cim_unit.macro_groups.max(1) as usize,
-            ops,
-            transfers,
-            chip_transfers: self.chip_transfers.clone(),
-            dynamic_instructions: self
-                .dynamic
-                .iter()
-                .map(|(class, count)| (class.to_string(), *count))
+    /// The run's timing-invariant totals (complete once the walk is).
+    fn totals(&self) -> RunTotals {
+        RunTotals {
+            dynamic_instructions: OpcodeClass::ALL
+                .into_iter()
+                .filter(|class| self.dynamic[*class as usize] > 0)
+                .map(|class| (class.to_string(), self.dynamic[class as usize]))
                 .collect(),
             cim_ops: self.cim_ops,
             vector_ops: self.vector_ops,
             total_macs: self.total_macs,
             executed: self.executed,
-            core_invariants,
-            passes,
-        }
-    }
-
-    /// Ships the remaining cut activations of every chip that has just
-    /// finished over the inter-chip fabric, and starts every chip whose
-    /// hand-off gate has opened. Under tile streaming most transfers have
-    /// already been dispatched at their producing stage's end barrier;
-    /// this pass catches whatever is left (and is the whole hand-off
-    /// under [`HandoffMode::AtRetirement`]).
-    fn retire_finished_chips(&mut self) {
-        if self.chip_count() == 1 {
-            return;
-        }
-        for chip in 0..self.chip_count() {
-            if !self.chip_started[chip]
-                || self.chip_dispatched[chip]
-                || !self.chip_cores(chip).all(|g| self.cores[g].is_halted())
-            {
-                continue;
-            }
-            let cores_done = self.chip_cores(chip).map(|g| self.cores[g].now).max().unwrap_or(0);
-            // A streamed consumer may outrun the timing model's port
-            // coupling; it can never truly finish before its inputs
-            // exist, so the chip's retirement is clamped to the last
-            // landing.
-            let finish = cores_done.max(self.last_input_landed[chip]);
-            self.chip_finish_time[chip] = finish;
-            self.chip_dispatched[chip] = true;
-            for k in 0..self.chip_transfers[chip].len() {
-                let index = self.chip_transfers[chip][k];
-                let transfer = self.system.transfers[index];
-                if self.transfer_dispatched[index] {
-                    continue;
-                }
-                self.transfer_dispatched[index] = true;
-                let to = transfer.to_chip as usize;
-                let outcome = self.fabric.transfer(
-                    transfer.from_chip,
-                    transfer.to_chip,
-                    transfer.bytes,
-                    finish,
-                );
-                // The activation lands in the consumer chip's global
-                // memory through its (shared) memory port.
-                let port_start = outcome.arrival.max(self.global_port_free[to]);
-                let landed =
-                    port_start + self.arch.chip().global_memory.transfer_cycles(transfer.bytes);
-                self.global_port_free[to] = landed;
-                self.landing_windows[to].push((port_start, landed));
-                if let Some(profile) = &self.profile {
-                    profile.fabric_transfer(
-                        transfer.from_chip,
-                        transfer.to_chip,
-                        transfer.bytes,
-                        finish,
-                        outcome.arrival,
-                    );
-                    profile.port_landing(to, port_start, landed, transfer.bytes);
-                }
-                self.system_energy.interchip_pj +=
-                    self.energy_model.interchip.transfer_pj(transfer.bytes, outcome.hops);
-                self.system_energy.global_memory_pj +=
-                    self.energy_model.sram.global_pj(transfer.bytes);
-                self.chip_ready[to] = self.chip_ready[to].max(landed);
-                self.last_input_landed[to] = self.last_input_landed[to].max(landed);
-                self.incoming_remaining[to] -= 1;
-            }
-        }
-        self.start_ready_chips();
-    }
-
-    /// Starts every chip whose hand-off gate has opened (all inputs fully
-    /// landed at retirement granularity; first tiles landed under
-    /// streaming).
-    fn start_ready_chips(&mut self) {
-        for chip in 0..self.chip_count() {
-            if self.chip_started[chip] || self.incoming_remaining[chip] != 0 {
-                continue;
-            }
-            self.chip_started[chip] = true;
-            self.chip_start_time[chip] = self.chip_ready[chip];
-            for g in self.chip_cores(chip) {
-                self.cores[g].now = self.chip_ready[chip];
-            }
-        }
-    }
-
-    /// Streams every not-yet-dispatched transfer produced by local stage
-    /// `ordinal` of `chip`, whose execution window just closed at `end`.
-    fn stream_stage_transfers(&mut self, chip: usize, ordinal: usize, end: u64) {
-        if self.chip_count() == 1 {
-            return;
-        }
-        let window_start = self.barrier_release[chip]
-            .get(&((ordinal * 2) as u16))
-            .copied()
-            .unwrap_or(self.chip_start_time[chip])
-            .min(end);
-        for k in 0..self.chip_transfers[chip].len() {
-            let index = self.chip_transfers[chip][k];
-            if self.transfer_dispatched[index] || self.transfer_stage[index] != Some(ordinal) {
-                continue;
-            }
-            self.transfer_dispatched[index] = true;
-            self.dispatch_streamed(index, window_start, end);
-        }
-        self.start_ready_chips();
-    }
-
-    /// Ships one cut activation as tiles spread across the producing
-    /// stage's `[start, end]` window: the producer emits its output
-    /// pixels incrementally, so tile `i` enters the fabric once its share
-    /// of the stage has executed. The consumer's hand-off gate opens at
-    /// the first landed tile; the remaining tiles occupy its memory port
-    /// (and are tracked for the stall/overlap metrics).
-    fn dispatch_streamed(&mut self, index: usize, start: u64, end: u64) {
-        let transfer = self.system.transfers[index];
-        let to = transfer.to_chip as usize;
-        let tile = STREAM_TILE_BYTES.max(transfer.bytes.div_ceil(MAX_STREAM_TILES));
-        let tiles = transfer.bytes.div_ceil(tile).max(1);
-        let span = end.saturating_sub(start);
-        let mut remaining = transfer.bytes;
-        let mut first_landed = end;
-        let mut last_landed = end;
-        for i in 0..tiles {
-            let size = remaining.min(tile);
-            remaining -= size;
-            let available = start + (span * (i + 1)) / tiles;
-            let outcome =
-                self.fabric.transfer(transfer.from_chip, transfer.to_chip, size, available);
-            let port_start = outcome.arrival.max(self.global_port_free[to]);
-            let landed = port_start + self.arch.chip().global_memory.transfer_cycles(size);
-            self.global_port_free[to] = landed;
-            self.landing_windows[to].push((port_start, landed));
-            if let Some(profile) = &self.profile {
-                profile.fabric_transfer(
-                    transfer.from_chip,
-                    transfer.to_chip,
-                    size,
-                    available,
-                    outcome.arrival,
-                );
-                profile.port_landing(to, port_start, landed, size);
-            }
-            self.system_energy.interchip_pj +=
-                self.energy_model.interchip.transfer_pj(size, outcome.hops);
-            self.system_energy.global_memory_pj += self.energy_model.sram.global_pj(size);
-            if i == 0 {
-                first_landed = landed;
-            }
-            last_landed = landed;
-        }
-        self.chip_ready[to] = self.chip_ready[to].max(first_landed);
-        self.last_input_landed[to] = self.last_input_landed[to].max(last_landed);
-        self.incoming_remaining[to] -= 1;
-    }
-
-    /// Chooses the runnable core with the smallest local time.
-    fn pick_core(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, core) in self.cores.iter().enumerate() {
-            if !self.chip_started[i / self.cores_per_chip] {
-                continue;
-            }
-            let runnable = match core.block {
-                BlockReason::None => true,
-                BlockReason::Recv { src } => {
-                    self.channels.get(&(src, i as u32)).is_some_and(|q| !q.is_empty())
-                }
-                _ => false,
-            };
-            if runnable {
-                best = match best {
-                    Some(b) if self.cores[b].now <= core.now => Some(b),
-                    _ => Some(i),
-                };
-            }
-        }
-        best
-    }
-
-    /// Tries to release the lowest pending barrier of every started chip.
-    /// Returns whether any core was released.
-    fn release_barriers(&mut self) -> bool {
-        let mut released = false;
-        for chip in 0..self.chip_count() {
-            if self.chip_started[chip] {
-                released |= self.release_barrier(chip);
-            }
-        }
-        released
-    }
-
-    /// Releases the set of cores of `chip` waiting at its lowest pending
-    /// barrier if every non-halted core of the chip has reached a barrier
-    /// (barriers are chip-local: the code generator emits them per chip).
-    /// Returns whether any core was released.
-    fn release_barrier(&mut self, chip: usize) -> bool {
-        let mut waiting: Vec<(usize, u16)> = Vec::new();
-        for i in self.chip_cores(chip) {
-            match self.cores[i].block {
-                BlockReason::Barrier { id } => waiting.push((i, id)),
-                BlockReason::Halted => {}
-                _ => return false,
-            }
-        }
-        if waiting.is_empty() {
-            return false;
-        }
-        let min_id = waiting.iter().map(|(_, id)| *id).min().expect("non-empty");
-        let members: Vec<usize> =
-            waiting.iter().filter(|(_, id)| *id == min_id).map(|(i, _)| *i).collect();
-        // A barrier only opens once every participant has arrived; with the
-        // codegen emitting every barrier on every core of the chip this
-        // means all its non-halted cores share the minimum id.
-        let halted = self.chip_cores(chip).filter(|i| self.cores[*i].is_halted()).count();
-        if members.len() + halted != self.cores_per_chip {
-            // Some core waits at a later barrier — structurally impossible
-            // with the current code generator; treat as deadlock.
-            return false;
-        }
-        let release = members.iter().map(|i| self.cores[*i].now).max().unwrap_or(0) + 1;
-        for i in members {
-            self.cores[i].now = release;
-            self.cores[i].block = BlockReason::None;
-        }
-        self.barrier_release[chip].insert(min_id, release);
-        // An odd barrier id closes local stage (id - 1) / 2; under tile
-        // streaming its cut activations enter the fabric now, backdated
-        // across the stage window they were produced in.
-        if min_id % 2 == 1 {
-            let ordinal = (min_id as usize - 1) / 2;
-            if let Some(profile) = &self.profile {
-                let start = self.barrier_release[chip]
-                    .get(&((ordinal * 2) as u16))
-                    .copied()
-                    .unwrap_or(self.chip_start_time[chip])
-                    .min(release);
-                profile.tracer.complete(
-                    &format!("stage-{ordinal}"),
-                    "sim.stage",
-                    profile.chip_tracks[chip],
-                    start,
-                    release - start,
-                    vec![("cores".to_owned(), AttrValue::from(self.cores_per_chip))],
-                );
-            }
-            if self.options.handoff == HandoffMode::TileStreaming {
-                self.stream_stage_transfers(chip, ordinal, release);
-            }
-        }
-        true
-    }
-
-    fn deadlock(&self) -> SimError {
-        let mut recv = Vec::new();
-        let mut barrier = Vec::new();
-        for (i, core) in self.cores.iter().enumerate() {
-            match core.block {
-                BlockReason::Recv { .. } => recv.push(i as u32),
-                BlockReason::Barrier { .. } => barrier.push(i as u32),
-                _ => {}
-            }
-        }
-        SimError::Deadlock { blocked_on_recv: recv, blocked_on_barrier: barrier }
-    }
-
-    /// Executes up to [`SLICE`] instructions on one core.
-    fn run_slice(&mut self, index: usize) -> Result<(), SimError> {
-        self.cores[index].block = BlockReason::None;
-        for _ in 0..SLICE {
-            if !self.cores[index].is_runnable() {
-                break;
-            }
-            self.step(index)?;
-        }
-        Ok(())
-    }
-
-    /// Executes one instruction on one core.
-    fn step(&mut self, index: usize) -> Result<(), SimError> {
-        let pc = self.cores[index].pc;
-        let program = &self.programs[index];
-        let Some(&inst) = program.instructions().get(pc) else {
-            self.cores[index].block = BlockReason::Halted;
-            if let Some(rec) = &mut self.recorder {
-                // Running past the end halts without counting as an
-                // instruction; the trace keeps the distinction.
-                rec.push(index, TraceOp::Halt { counted: false });
-            }
-            return Ok(());
-        };
-
-        // Issue cost of the three-stage pipeline front end.
-        let issue_pj = self.energy_model.digital.issue_pj_per_inst;
-        let unit = self.arch.core.cim_unit;
-        let local = self.arch.core.local_memory;
-        let vector = self.arch.core.vector_unit;
-        let chip = index / self.cores_per_chip;
-        // Chip-local (mesh) id; programs address peers chip-locally.
-        let core_id = self.cores[index].id;
-
-        let mut advance = true;
-        let mut recorded = Recorded::Advance;
-        match inst {
-            Instruction::CimMvm { rows, output: _, mg, input: _ } => {
-                let core = &mut self.cores[index];
-                let rows_value =
-                    core.read_unsigned(rows).clamp(1, u64::from(unit.rows_per_operation())) as u32;
-                let issue = unit.mvm_issue_cycles(rows_value);
-                let latency = unit.mvm_latency_cycles(rows_value);
-                let start = core.now;
-                core.occupy_macro_group(mg as usize, start, issue, latency);
-                core.now += 1;
-                let macs = unit.macs_per_group_operation(rows_value);
-                core.energy.compute_pj += self.energy_model.cim.compute_pj(macs);
-                core.energy.local_memory_pj +=
-                    self.energy_model.sram.local_read_pj(u64::from(rows_value));
-                let count = core.macro_groups.len().max(1);
-                recorded = Recorded::Op(TraceOp::CimMvm {
-                    mg: (mg as usize % count) as u32,
-                    issue,
-                    latency,
-                });
-                self.cim_ops += 1;
-            }
-            Instruction::CimLoad { rows, mg, weights: _ } => {
-                let core = &mut self.cores[index];
-                let rows_value =
-                    core.read_unsigned(rows).clamp(1, u64::from(unit.rows_per_operation())) as u32;
-                let cycles = unit.weight_load_cycles(rows_value);
-                let start = core.now;
-                core.occupy_macro_group(mg as usize, start, cycles, cycles);
-                core.now += 1;
-                let bytes = u64::from(rows_value) * u64::from(unit.output_channels_per_group());
-                core.energy.compute_pj += self.energy_model.cim.weight_load_pj(bytes);
-                core.energy.local_memory_pj += self.energy_model.sram.local_read_pj(bytes);
-                let count = core.macro_groups.len().max(1);
-                recorded =
-                    Recorded::Op(TraceOp::CimLoad { mg: (mg as usize % count) as u32, cycles });
-            }
-            Instruction::CimStoreAcc { len, mg, output: _ } => {
-                let core = &mut self.cores[index];
-                let lanes = core.read_unsigned(len).max(1);
-                let count = core.macro_groups.len().max(1);
-                let ready = core.macro_groups[mg as usize % count].acc_ready;
-                core.now = core.now.max(ready) + 1;
-                core.energy.local_memory_pj += self.energy_model.sram.local_write_pj(lanes * 4);
-                recorded = Recorded::Op(TraceOp::CimStoreAcc { mg: (mg as usize % count) as u32 });
-            }
-            Instruction::VecOp { len, .. }
-            | Instruction::VecQuant { len, .. }
-            | Instruction::VecMac { len, .. } => {
-                let core = &mut self.cores[index];
-                let elems = core.read_unsigned(len).max(1);
-                let cycles = vector.cycles_for(elems);
-                let start = core.now;
-                core.occupy_vector_unit(start, cycles);
-                core.now += 1;
-                core.energy.compute_pj +=
-                    self.energy_model.digital.vector_pj_per_elem * elems as f64;
-                core.energy.local_memory_pj += self.energy_model.sram.local_read_pj(elems)
-                    + self.energy_model.sram.local_write_pj(elems);
-                recorded = Recorded::Op(TraceOp::Vector { cycles });
-                self.vector_ops += elems;
-            }
-            Instruction::VecPool { len, window, .. } => {
-                let core = &mut self.cores[index];
-                let elems = core.read_unsigned(len).max(1) * core.read_unsigned(window).max(1);
-                let cycles = vector.cycles_for(elems);
-                let start = core.now;
-                core.occupy_vector_unit(start, cycles);
-                core.now += 1;
-                core.energy.compute_pj +=
-                    self.energy_model.digital.vector_pj_per_elem * elems as f64;
-                core.energy.local_memory_pj += self.energy_model.sram.local_read_pj(elems);
-                recorded = Recorded::Op(TraceOp::Vector { cycles });
-                self.vector_ops += elems;
-            }
-            Instruction::MemCpy { src, dst, len, offset } => {
-                let bytes = self.cores[index].read_unsigned(len).max(1);
-                let src_addr = (self.cores[index].read(src) + i64::from(offset)).max(0) as u64;
-                let dst_addr = self.cores[index].read_unsigned(dst);
-                let src_global = self.address_map.is_global(src_addr);
-                let dst_global = self.address_map.is_global(dst_addr);
-                if src_global || dst_global {
-                    let now = self.cores[index].now;
-                    let mesh = &mut self.meshes[chip];
-                    let outcome = if src_global {
-                        mesh.transfer_from_memory(core_id, bytes, now)
-                    } else {
-                        mesh.transfer_to_memory(core_id, bytes, now)
-                    };
-                    let port_start = outcome.arrival.max(self.global_port_free[chip]);
-                    let port_cycles = self.arch.chip().global_memory.transfer_cycles(bytes);
-                    let completion = port_start + port_cycles;
-                    self.global_port_free[chip] = completion;
-                    // Profile only the *contended* port windows (the
-                    // request waited behind another occupant) — the
-                    // interesting signal, at a fraction of the events.
-                    if port_start > outcome.arrival {
-                        if let Some(profile) = &self.profile {
-                            profile.tracer.complete(
-                                "port-contention",
-                                "sim.mem_port",
-                                profile.chip_tracks[chip],
-                                outcome.arrival,
-                                completion - outcome.arrival,
-                                vec![
-                                    ("bytes".to_owned(), AttrValue::from(bytes)),
-                                    (
-                                        "waited".to_owned(),
-                                        AttrValue::from(port_start - outcome.arrival),
-                                    ),
-                                ],
-                            );
-                        }
-                    }
-                    let core = &mut self.cores[index];
-                    core.now = completion;
-                    core.energy.global_memory_pj += self.energy_model.sram.global_pj(bytes);
-                    core.energy.noc_pj += self.energy_model.noc.transfer_pj(
-                        outcome.flits,
-                        self.arch.chip().noc_flit_bytes,
-                        outcome.hops.max(1),
-                    );
-                    core.energy.local_memory_pj += self.energy_model.sram.local_write_pj(bytes);
-                    recorded = Recorded::Op(TraceOp::GlobalCpy {
-                        bytes,
-                        from_memory: src_global,
-                        port_cycles,
-                    });
-                } else {
-                    let core = &mut self.cores[index];
-                    let cycles = local.transfer_cycles(bytes);
-                    core.now += cycles;
-                    core.energy.local_memory_pj += self.energy_model.sram.local_read_pj(bytes)
-                        + self.energy_model.sram.local_write_pj(bytes);
-                    recorded = Recorded::Op(TraceOp::LocalCpy { cycles });
-                }
-            }
-            Instruction::Send { len, dst_core, .. } => {
-                let bytes = self.cores[index].read_unsigned(len).max(1);
-                let dst = self.cores[index].read_unsigned(dst_core) as u32;
-                if dst >= self.cores_per_chip as u32 {
-                    return Err(SimError::InvalidCore { core: dst });
-                }
-                let now = self.cores[index].now;
-                let outcome = self.meshes[chip].transfer(core_id, dst, bytes, now);
-                let dst_global = (chip * self.cores_per_chip) as u32 + dst;
-                self.channels
-                    .entry((index as u32, dst_global))
-                    .or_default()
-                    .push_back(Message { arrival: outcome.arrival, bytes });
-                let core = &mut self.cores[index];
-                core.now += 1;
-                core.energy.noc_pj += self.energy_model.noc.transfer_pj(
-                    outcome.flits,
-                    self.arch.chip().noc_flit_bytes,
-                    outcome.hops.max(1),
-                );
-                core.energy.local_memory_pj += self.energy_model.sram.local_read_pj(bytes);
-                recorded = Recorded::Op(TraceOp::Send { dst, bytes, push: true });
-            }
-            Instruction::Recv { src_core, .. } => {
-                let src = self.cores[index].read_unsigned(src_core) as u32;
-                if src >= self.cores_per_chip as u32 {
-                    return Err(SimError::InvalidCore { core: src });
-                }
-                let src_global = (chip * self.cores_per_chip) as u32 + src;
-                let queue = self.channels.entry((src_global, index as u32)).or_default();
-                match queue.pop_front() {
-                    Some(message) => {
-                        let core = &mut self.cores[index];
-                        let local_cycles = local.transfer_cycles(message.bytes);
-                        core.now = core.now.max(message.arrival) + local_cycles;
-                        core.energy.local_memory_pj +=
-                            self.energy_model.sram.local_write_pj(message.bytes);
-                        recorded = Recorded::Op(TraceOp::Recv { src, local_cycles });
-                    }
-                    None => {
-                        // Stay at this instruction until a message arrives.
-                        self.cores[index].block = BlockReason::Recv { src: src_global };
-                        return Ok(());
-                    }
-                }
-            }
-            Instruction::Jmp { offset } => {
-                let core = &mut self.cores[index];
-                core.now += 1;
-                core.branch_penalty();
-                core.pc = (core.pc as i64 + 1 + i64::from(offset)).max(0) as usize;
-                advance = false;
-                recorded = Recorded::Penalty;
-            }
-            Instruction::Beq { a, b, offset } | Instruction::Bne { a, b, offset } => {
-                let core = &mut self.cores[index];
-                let equal = core.read(a) == core.read(b);
-                let taken = match inst {
-                    Instruction::Beq { .. } => equal,
-                    _ => !equal,
-                };
-                core.now += 1;
-                if taken {
-                    core.branch_penalty();
-                    core.pc = (core.pc as i64 + 1 + i64::from(offset)).max(0) as usize;
-                    advance = false;
-                    recorded = Recorded::Penalty;
-                }
-            }
-            Instruction::Barrier { id } => {
-                let core = &mut self.cores[index];
-                core.now += 1;
-                core.pc += 1;
-                core.block = BlockReason::Barrier { id };
-                advance = false;
-                recorded = Recorded::Op(TraceOp::Barrier { id });
-            }
-            Instruction::Halt => {
-                self.cores[index].block = BlockReason::Halted;
-                advance = false;
-                recorded = Recorded::Op(TraceOp::Halt { counted: true });
-            }
-            Instruction::Nop => {
-                self.cores[index].now += 1;
-            }
-            _ => {
-                // Scalar instructions: functional register update, one cycle.
-                let core = &mut self.cores[index];
-                core.execute_scalar(&inst);
-                core.now += 1;
-                core.energy.control_pj += self.energy_model.digital.scalar_pj_per_op;
-            }
-        }
-
-        let core = &mut self.cores[index];
-        core.energy.control_pj += issue_pj;
-        core.executed += 1;
-        self.executed += 1;
-        *self.dynamic.entry(inst.class()).or_insert(0) += 1;
-        if advance {
-            core.pc += 1;
-        }
-        if let Some(rec) = &mut self.recorder {
-            match recorded {
-                Recorded::Advance => rec.advance(index),
-                Recorded::Penalty => rec.advance_penalty(index),
-                Recorded::Op(op) => rec.push(index, op),
-            }
-        }
-        Ok(())
-    }
-
-    /// Collects the final report.
-    fn finish(self) -> SimReport {
-        // The per-inference latency covers the last core's retirement and
-        // the last landing of any streamed activation (a consumer cannot
-        // truly finish before its inputs exist).
-        let total_cycles = self
-            .cores
-            .iter()
-            .map(|c| c.now)
-            .chain(self.last_input_landed.iter().copied())
-            .chain(self.chip_finish_time.iter().copied())
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let mut energy = cimflow_energy::EnergyBreakdown::new();
-        for core in &self.cores {
-            energy.accumulate(&core.energy);
-        }
-        energy.accumulate(&self.system_energy);
-        energy.accumulate(&self.energy_model.static_energy(&self.arch, total_cycles));
-
-        let mg_per_core = self.arch.core.cim_unit.macro_groups.max(1) as f64;
-        let core_utilization: Vec<f64> = self
-            .cores
-            .iter()
-            .map(|c| {
-                let busy: u64 = c.macro_groups.iter().map(|m| m.busy_cycles).sum();
-                (busy as f64 / mg_per_core / total_cycles as f64).min(1.0)
-            })
-            .collect();
-        let cim_busy: u64 =
-            self.cores.iter().flat_map(|c| c.macro_groups.iter().map(|m| m.busy_cycles)).sum();
-        let vector_busy: u64 = self.cores.iter().map(|c| c.vector_busy_cycles).sum();
-
-        // Per-chip busy spans: the bottleneck chip bounds the steady-state
-        // pipeline throughput of a multi-chip system. On a single chip the
-        // one span equals the total latency.
-        let chip_finish: Vec<u64> = (0..self.chip_count())
-            .map(|chip| {
-                if self.chip_dispatched[chip] {
-                    self.chip_finish_time[chip]
-                } else {
-                    self.chip_cores(chip)
-                        .map(|g| self.cores[g].now)
-                        .max()
-                        .unwrap_or(0)
-                        .max(self.last_input_landed[chip])
-                }
-            })
-            .collect();
-        let chip_cycles: Vec<u64> = chip_finish
-            .iter()
-            .zip(&self.chip_start_time)
-            .map(|(finish, start)| finish.saturating_sub(*start))
-            .collect();
-        // One busy span per chip, emitted from the report's own numbers:
-        // the trace's `sim.chip` durations sum to `chip_cycles` exactly.
-        if let Some(profile) = &self.profile {
-            for (chip, cycles) in chip_cycles.iter().enumerate() {
-                profile.tracer.complete(
-                    "chip-busy",
-                    "sim.chip",
-                    profile.chip_tracks[chip],
-                    self.chip_start_time[chip],
-                    *cycles,
-                    vec![("chip".to_owned(), AttrValue::from(chip))],
-                );
-            }
-        }
-        // Input-stall accounting: the port time incoming tiles consumed
-        // *inside* a chip's active span. In steady state those landings
-        // overlap the previous inference, so the pipeline interval
-        // excludes them; at-retirement hand-off lands everything before
-        // the chip starts and accrues zero.
-        let chip_stall_cycles: Vec<u64> = (0..self.chip_count())
-            .map(|chip| {
-                let (start, finish) = (self.chip_start_time[chip], chip_finish[chip]);
-                self.landing_windows[chip]
-                    .iter()
-                    .map(|(from, to)| to.min(&finish).saturating_sub(*from.max(&start)))
-                    .sum()
-            })
-            .collect();
-        // Intra-inference overlap: how long a chip ran while its cut
-        // inputs were still streaming in (zero without tile streaming).
-        let chip_overlap_cycles: Vec<u64> = (0..self.chip_count())
-            .map(|chip| {
-                self.last_input_landed[chip]
-                    .min(chip_finish[chip])
-                    .saturating_sub(self.chip_start_time[chip])
-            })
-            .collect();
-
-        let mut noc = NocStats::default();
-        for mesh in &self.meshes {
-            noc.merge(mesh.stats());
-        }
-
-        let mut report = SimReport {
-            total_cycles,
-            energy,
-            dynamic_instructions: self
-                .dynamic
-                .into_iter()
-                .map(|(class, count)| (class.to_string(), count))
+            cores: self
+                .cores
+                .iter()
+                .map(|core| CoreInvariants {
+                    mg_busy_cycles: core.mg_busy_cycles,
+                    vector_busy_cycles: core.vector_busy_cycles,
+                    compute_pj: core.energy.compute_pj,
+                    local_memory_pj: core.energy.local_memory_pj,
+                    global_memory_pj: core.energy.global_memory_pj,
+                    control_pj: core.energy.control_pj,
+                })
                 .collect(),
-            cim_activity: UnitActivity { busy_cycles: cim_busy, operations: self.cim_ops },
-            vector_activity: UnitActivity { busy_cycles: vector_busy, operations: self.vector_ops },
-            noc,
-            interchip: self.fabric.stats().clone(),
-            core_utilization,
-            chip_cycles,
-            chip_stall_cycles,
-            chip_overlap_cycles,
-            total_macs: self.total_macs,
-            frequency_mhz: 0,
-            chip_count: 0,
-        };
-        report.attach_arch(&self.arch);
-        report
+        }
+    }
+}
+
+impl OpSource for FrontEnd<'_> {
+    #[inline]
+    fn op(&mut self, core: usize, pos: usize) -> Result<TraceOp, u32> {
+        let state = &self.cores[core];
+        if pos < state.handed {
+            // Asked again: a blocked `Recv` or a split `Advance`.
+            return state.current;
+        }
+        debug_assert_eq!(pos, state.handed, "ops are asked for in stream order");
+        let op = self.next_op(core);
+        if let (Ok(op), Some(kept)) = (op, &mut self.kept) {
+            kept[core].push(op);
+        }
+        let state = &mut self.cores[core];
+        state.handed += 1;
+        state.current = op;
+        op
+    }
+
+    fn received(&mut self, core: usize, bytes: u64) {
+        self.cores[core].energy.local_memory_pj += self.energy.sram.local_write_pj(bytes);
     }
 }
 

@@ -24,7 +24,7 @@ pub enum SimError {
     },
     /// A design point cannot replay a recorded trace: its configuration
     /// is invalid or differs in a compile-affecting field. The caller
-    /// should fall back to a full compile + interpretation — the replay
+    /// should fall back to a full compile + simulation — the replay
     /// engine never approximates.
     TraceMismatch {
         /// What was incompatible.

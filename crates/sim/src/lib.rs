@@ -6,8 +6,8 @@
 //! per-component energy and hardware utilization.
 //!
 //! The original simulator is written in SystemC; this reproduction uses a
-//! conservative parallel discrete-event engine in safe Rust (see DESIGN.md
-//! for the substitution note). The modelled behaviour follows the paper:
+//! conservative discrete-event engine in safe Rust. The modelled behaviour
+//! follows the paper:
 //!
 //! * each core executes its instruction stream in order through a
 //!   three-stage pipeline (fetch / decode / execute) with a scoreboard
@@ -23,6 +23,21 @@
 //! * every event is charged to the `cimflow-energy` models, producing the
 //!   compute / local-memory / NoC / global-memory breakdown plotted in
 //!   Fig. 6.
+//!
+//! # One timing model, two op sources
+//!
+//! A simulation is split in two. A per-core functional front end decodes
+//! each core's program, updates its registers, takes its branches and
+//! sums the energy that does not depend on timing; it reduces the program
+//! to a stream of typed timing ops ([`TraceOp`]) and hands the back end a
+//! core's next op only when the back end asks for it. The timing back end
+//! — clocks, scoreboards, the meshes, the memory ports, barriers, the
+//! inter-chip hand-off and the scheduler — is implemented once and walks
+//! ops from either source: the live front end for [`Simulator::run`] (and
+//! [`Simulator::record`], which also keeps the ops as a [`SimTrace`]), or
+//! a recorded trace for the [`ReplayEngine`], which re-times it for any
+//! number of timing-only design points. The committed golden corpus in
+//! `tests/golden_reports.rs` pins the reports of both paths.
 //!
 //! # Example
 //!

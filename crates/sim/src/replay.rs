@@ -1,59 +1,65 @@
-//! Batched timing-only replay of a recorded [`SimTrace`]: re-times the
-//! invariant per-core op streams for many design points, producing
-//! [`SimReport`]s bit-exact against the interpreter.
+//! The timing back end: the one scheduler and timing model of the
+//! simulator, walking per-core [`TraceOp`] streams from either of two
+//! sources.
 //!
-//! Replay mirrors the interpreter's scheduler *exactly* — the same
-//! smallest-local-time core pick, the same 4096-instruction scheduling
-//! slices (fused [`TraceOp::Advance`] runs split at slice boundaries),
-//! the same barrier-release, chip hand-off and streamed-tile rules —
-//! because mesh contention, port queuing and channel arrival order all
-//! depend on that interleaving. What it *skips* is everything the trace
-//! already resolved: instruction fetch/decode, the register file, and
-//! every energy term that does not depend on timing.
+//! * The live functional front end (`engine.rs`) decodes each core's next
+//!   op only when the walk asks for it. [`Simulator::run`](crate::Simulator::run)
+//!   walks it for one design point; [`Simulator::record`](crate::Simulator::record)
+//!   also keeps what it hands out, as a [`SimTrace`].
+//! * A recorded [`SimTrace`]: the [`ReplayEngine`] re-times it for any
+//!   number of timing-only design points.
+//!
+//! The walk is a conservative discrete-event schedule: the runnable core
+//! with the smallest local clock runs a slice of up to 4096 instructions
+//! (a fused [`TraceOp::Advance`] run splits at the slice boundary), a
+//! `Recv` blocks until its channel holds a message, a chip's barrier
+//! opens once every non-halted core of the chip waits at it, and chips
+//! hand cut activations to each other at retirement or tile by tile
+//! (see [`HandoffMode`]). Mesh contention, port queuing and channel
+//! arrival order all depend on that interleaving, which is why there is
+//! exactly one implementation of it.
 //!
 //! # Lockstep lanes
 //!
-//! The fast path exploits a structural fact about trace replay: under an
-//! agreed core-pick sequence, *all* op-consumption control flow is
-//! identical across timing-only points. Whether a `Recv` finds a message,
-//! which cores wait at a barrier, when a chip retires or starts, how a
-//! fused advance splits at a slice boundary — all of it depends only on
-//! op positions, block states and channel queue *lengths*, never on the
-//! lane-local clock values. The one genuinely timing-dependent decision
-//! is the scheduler's smallest-`now` core pick. [`ReplayEngine`] therefore
-//! splits the state into a shared control block ([`ReplayCtl`]) and
-//! K per-lane timing blocks ([`ReplayLane`]), walks the op stream
+//! Under an agreed core-pick sequence, *all* op-consumption control flow
+//! is identical across timing-only points. Whether a `Recv` finds a
+//! message, which cores wait at a barrier, when a chip retires or starts,
+//! how a fused advance splits at a slice boundary — all of it depends
+//! only on op positions, block states and channel queue *lengths*, never
+//! on the lane-local clock values. The one genuinely timing-dependent
+//! decision is the scheduler's smallest-clock core pick. The walk
+//! therefore splits its state into a shared control block ([`ReplayCtl`])
+//! and K per-lane timing blocks ([`ReplayLane`]), walks the op stream
 //! **once**, and updates every lane per op — amortizing op decode,
 //! scheduling and channel bookkeeping across the batch. Each step the
 //! pick is computed per lane from lane-local clocks; when lanes disagree,
 //! the minority lanes are **peeled off with a cloned control block and
 //! continue through the identical code path on their own** — the batch
-//! splits, it never approximates. Two further exact reductions:
+//! splits, it never approximates. A live source is always walked with one
+//! lane, so it never peels. Two further exact reductions:
 //!
 //! * `frequency_mhz` never enters cycle-domain timing (it only scales the
 //!   report's time/energy conversions), so points differing only in
-//!   frequency share one lane and split at [`ReplayEngine::finish`].
-//! * Channels are flat vectors indexed by a per-trace `(src, dst) → id`
-//!   table built once in [`ReplayEngine::new`], and the scheduler scans a
-//!   live-core list that shrinks as cores halt — both paths (scalar and
-//!   lockstep) share the hash-free hot loop.
+//!   frequency share one lane and split at report assembly.
+//! * Channels are flat vectors indexed by the dense ids the front end
+//!   assigned, and the scheduler scans a live-core list that shrinks as
+//!   cores halt, so the hot loop never hashes.
 //!
-//! Bit-exactness is the contract, not a goal: every lane's report must be
-//! `==` to a scalar `replay()` of that point, which in turn is `==` to a
-//! fresh compile + interpretation (`tests/lockstep_replay.rs` is the
-//! property suite).
+//! Every lane's report must be `==` to a scalar replay of that point, and
+//! every report to the committed golden corpus
+//! (`tests/golden_reports.rs`); `tests/lockstep_replay.rs` is the
+//! lockstep property suite.
 
 use std::collections::{HashMap, VecDeque};
 
-use cimflow_arch::ArchConfig;
+use cimflow_arch::{ArchConfig, InterChipTopology};
 use cimflow_compiler::STREAM_TILE_BYTES;
 use cimflow_energy::{EnergyBreakdown, EnergyModel};
-use cimflow_noc::{InterChipFabric, Interconnect, Mesh, NocConfig, NocStats};
+use cimflow_noc::{InterChipConfig, InterChipFabric, Interconnect, Mesh, NocConfig, NocStats};
 
-use crate::core::BlockReason;
-use crate::engine::{HandoffMode, SimOptions, INSTRUCTION_BUDGET, MAX_STREAM_TILES, SLICE};
+use crate::engine::{HandoffMode, SimOptions, SimProfile};
 use crate::report::{SimReport, UnitActivity};
-use crate::trace::{SimTrace, TraceOp};
+use crate::trace::{Layout, RunTotals, SimTrace, TraceOp};
 use crate::SimError;
 
 /// Lane width of one lockstep walk: how many *cycle-distinct* design
@@ -62,8 +68,45 @@ use crate::SimError;
 /// at this width.
 pub const LOCKSTEP_LANES: usize = 8;
 
-/// Marks ops without an associated channel in the per-trace channel table.
-const NO_CHANNEL: u32 = u32::MAX;
+/// Maximum dynamically executed instructions before the walk aborts (a
+/// defence against runaway generated code).
+const INSTRUCTION_BUDGET: u64 = 2_000_000_000;
+/// Number of instructions a core may execute before control returns to
+/// the scheduler (keeps NoC contention interleaving reasonably accurate).
+const SLICE: u64 = 4096;
+/// Upper bound on the tiles one cut activation streams as, so a huge
+/// transfer does not degenerate into millions of fabric packets.
+const MAX_STREAM_TILES: u64 = 64;
+
+/// Where the back end's ops come from.
+///
+/// The walk asks for op `pos` of core `core`'s stream only after it has
+/// consumed op `pos - 1`, and may ask for the same op again (a blocked
+/// `Recv`, or an `Advance` split across scheduling slices).
+pub(crate) trait OpSource {
+    /// Op `pos` of `core`'s stream. A stream that has ended reads as an
+    /// uncounted halt.
+    ///
+    /// # Errors
+    ///
+    /// The id of the peer core when the op addresses one outside the
+    /// chip (the walk fails with [`SimError::InvalidCore`]).
+    fn op(&mut self, core: usize, pos: usize) -> Result<TraceOp, u32>;
+
+    /// `core` has just received a message of `bytes` bytes (its
+    /// [`TraceOp::Recv`] was consumed).
+    fn received(&mut self, core: usize, bytes: u64);
+}
+
+/// A recorded trace is a source whose energy is already final.
+impl OpSource for &SimTrace {
+    #[inline]
+    fn op(&mut self, core: usize, pos: usize) -> Result<TraceOp, u32> {
+        Ok(self.ops[core].get(pos).copied().unwrap_or(TraceOp::Halt { counted: false }))
+    }
+
+    fn received(&mut self, _core: usize, _bytes: u64) {}
+}
 
 /// Counters of one [`ReplayEngine::replay_batch_stats`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,51 +142,12 @@ pub struct LockstepStats {
 #[derive(Debug)]
 pub struct ReplayEngine<'a> {
     trace: &'a SimTrace,
-    /// Number of distinct (sender, receiver) channels in the trace.
-    channel_count: usize,
-    /// Per core, aligned with its op stream: the flat channel id of a
-    /// pushing [`TraceOp::Send`] / [`TraceOp::Recv`] op ([`NO_CHANNEL`]
-    /// elsewhere). Built once so the replay hot loop never hashes.
-    op_channel: Vec<Vec<u32>>,
-}
-
-/// One lane with the indices of the batch points it answers (points
-/// differing only in clock frequency share a lane).
-struct LaneRun {
-    lane: ReplayLane,
-    points: Vec<usize>,
-}
-
-/// Outcome of one scheduler pick across all lanes.
-enum Pick {
-    /// Every lane picks the same core (or none is runnable — runnability
-    /// is shared control state, so "no pick" is always unanimous).
-    Agreed(Option<usize>),
-    /// Lanes disagree; the per-lane picks, aligned with the runs.
-    Diverged(Vec<usize>),
 }
 
 impl<'a> ReplayEngine<'a> {
-    /// Creates a replay engine over one recorded trace, resolving every
-    /// channel-touching op to a flat channel id up front.
+    /// Creates a replay engine over one recorded trace.
     pub fn new(trace: &'a SimTrace) -> Self {
-        let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut op_channel = Vec::with_capacity(trace.ops.len());
-        for (index, stream) in trace.ops.iter().enumerate() {
-            let chip_base = (index / trace.cores_per_chip * trace.cores_per_chip) as u32;
-            let mut resolved = vec![NO_CHANNEL; stream.len()];
-            for (k, op) in stream.iter().enumerate() {
-                let pair = match *op {
-                    TraceOp::Send { dst, push: true, .. } => (index as u32, chip_base + dst),
-                    TraceOp::Recv { src, .. } => (chip_base + src, index as u32),
-                    _ => continue,
-                };
-                let next = ids.len() as u32;
-                resolved[k] = *ids.entry(pair).or_insert(next);
-            }
-            op_channel.push(resolved);
-        }
-        ReplayEngine { trace, channel_count: ids.len(), op_channel }
+        ReplayEngine { trace }
     }
 
     /// The trace being replayed.
@@ -156,10 +160,9 @@ impl<'a> ReplayEngine<'a> {
     /// # Errors
     ///
     /// [`SimError::TraceMismatch`] when `arch` fails validation or its
-    /// compile fingerprint differs from the trace's; the interpreter's
-    /// error conditions ([`SimError::Deadlock`],
-    /// [`SimError::CycleLimitExceeded`]) are mirrored too, though a
-    /// successfully recorded trace cannot reach them.
+    /// compile fingerprint differs from the trace's; the walk's own error
+    /// conditions ([`SimError::Deadlock`], [`SimError::CycleLimitExceeded`])
+    /// too, though a successfully recorded trace cannot reach them.
     pub fn replay(&self, arch: &ArchConfig, options: SimOptions) -> Result<SimReport, SimError> {
         self.replay_batch(&[(*arch, options)]).pop().expect("one point, one result")
     }
@@ -182,6 +185,7 @@ impl<'a> ReplayEngine<'a> {
         &self,
         points: &[(ArchConfig, SimOptions)],
     ) -> (Vec<Result<SimReport, SimError>>, LockstepStats) {
+        let trace = self.trace;
         let mut stats = LockstepStats::default();
         let mut out: Vec<Option<Result<SimReport, SimError>>> =
             points.iter().map(|_| None).collect();
@@ -189,7 +193,7 @@ impl<'a> ReplayEngine<'a> {
         // enters cycle-domain timing, so it is normalized away; the
         // hand-off mode steers shared control flow, so lanes only share a
         // walk with like-moded lanes.
-        let recorded_mhz = self.trace.arch.chip().frequency_mhz;
+        let recorded_mhz = trace.arch.chip().frequency_mhz;
         struct LaneGroup {
             arch: ArchConfig,
             handoff: HandoffMode,
@@ -225,7 +229,7 @@ impl<'a> ReplayEngine<'a> {
             let runs: Vec<LaneRun> = groups[start..end]
                 .iter()
                 .map(|g| LaneRun {
-                    lane: ReplayLane::new(self.trace, &g.arch, self.channel_count),
+                    lane: ReplayLane::new(&trace.layout, &g.arch),
                     points: g.points.clone(),
                 })
                 .collect();
@@ -233,9 +237,22 @@ impl<'a> ReplayEngine<'a> {
                 stats.batches += 1;
                 stats.lanes += runs.len() as u64;
             }
-            let options = SimOptions { handoff, profile: false };
-            let mut ctl = ReplayCtl::new(self.trace, self.channel_count);
-            self.run_group(&mut ctl, runs, options, &mut stats, &mut out, points);
+            let mut source = trace;
+            let mut walk = Walk::new(&trace.layout, &mut source, handoff, None);
+            walk.run_group(&mut ReplayCtl::new(&trace.layout), runs);
+            stats.fallback_lanes += walk.fallback_lanes;
+            for (run, result) in walk.done {
+                let walked =
+                    result.map(|chip_dispatched| Walked { lane: run.lane, chip_dispatched });
+                for &p in &run.points {
+                    out[p] = Some(match &walked {
+                        Ok(walked) => {
+                            Ok(walked.finish(&trace.layout, &trace.totals, &points[p].0, None))
+                        }
+                        Err(err) => Err(err.clone()),
+                    });
+                }
+            }
             start = end;
         }
         (out.into_iter().map(|slot| slot.expect("every point resolved")).collect(), stats)
@@ -259,80 +276,281 @@ impl<'a> ReplayEngine<'a> {
         }
         Ok(())
     }
+}
 
-    /// The interpreter's top-level loop over trace ops, for 1..=K lanes.
-    /// Writes one result per member point into `out`; lanes whose pick
-    /// diverges recurse with a cloned control block (strictly fewer lanes
-    /// per level, so the recursion is bounded by the chunk width).
-    fn run_group(
+/// The final state of one walked lane: what its report is assembled
+/// from, together with the run's timing-invariant [`RunTotals`].
+pub(crate) struct Walked {
+    lane: ReplayLane,
+    /// Per chip: whether it retired through the hand-off pass.
+    chip_dispatched: Vec<bool>,
+}
+
+/// Walks `source` for one design point with one lane — the timing half
+/// of [`Simulator::run`](crate::Simulator::run). Profiling events go to
+/// `profile` when one is attached.
+pub(crate) fn walk_one<S: OpSource>(
+    layout: &Layout,
+    source: &mut S,
+    arch: &ArchConfig,
+    handoff: HandoffMode,
+    profile: Option<&SimProfile>,
+) -> Result<Walked, SimError> {
+    let run = LaneRun { lane: ReplayLane::new(layout, arch), points: Vec::new() };
+    let mut walk = Walk::new(layout, source, handoff, profile);
+    walk.run_group(&mut ReplayCtl::new(layout), vec![run]);
+    let (run, result) = walk.done.pop().expect("one lane, one outcome");
+    Ok(Walked { lane: run.lane, chip_dispatched: result? })
+}
+
+impl Walked {
+    /// Assembles the report of one point of this lane, substituting the
+    /// run's invariants where timing cannot reach. Lanes deduplicate
+    /// frequency, so this takes the point's own arch: it is where
+    /// frequency-dependent terms (static energy, the cycle↔time
+    /// conversion constants) split back out.
+    pub(crate) fn finish(
         &self,
-        ctl: &mut ReplayCtl,
-        mut runs: Vec<LaneRun>,
-        options: SimOptions,
-        stats: &mut LockstepStats,
-        out: &mut [Option<Result<SimReport, SimError>>],
-        points: &[(ArchConfig, SimOptions)],
-    ) {
-        let energy = EnergyModel::calibrated_28nm();
+        layout: &Layout,
+        totals: &RunTotals,
+        arch: &ArchConfig,
+        profile: Option<&SimProfile>,
+    ) -> SimReport {
+        let lane = &self.lane;
+        let energy_model = EnergyModel::calibrated_28nm();
+        // The per-inference latency covers the last core's retirement
+        // and the last landing of any streamed activation (a consumer
+        // cannot truly finish before its inputs exist).
+        let total_cycles = lane
+            .now
+            .iter()
+            .copied()
+            .chain(lane.last_input_landed.iter().copied())
+            .chain(lane.chip_finish_time.iter().copied())
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let mut energy = EnergyBreakdown::new();
+        for (i, inv) in totals.cores.iter().enumerate() {
+            let core_energy = EnergyBreakdown {
+                compute_pj: inv.compute_pj,
+                local_memory_pj: inv.local_memory_pj,
+                noc_pj: lane.noc_pj[i],
+                global_memory_pj: inv.global_memory_pj,
+                control_pj: inv.control_pj,
+                ..EnergyBreakdown::new()
+            };
+            energy.accumulate(&core_energy);
+        }
+        energy.accumulate(&lane.system_energy);
+        energy.accumulate(&energy_model.static_energy(arch, total_cycles));
+
+        let mg_per_core = arch.core.cim_unit.macro_groups.max(1) as f64;
+        let core_utilization: Vec<f64> = totals
+            .cores
+            .iter()
+            .map(|inv| (inv.mg_busy_cycles as f64 / mg_per_core / total_cycles as f64).min(1.0))
+            .collect();
+        let cim_busy: u64 = totals.cores.iter().map(|inv| inv.mg_busy_cycles).sum();
+        let vector_busy: u64 = totals.cores.iter().map(|inv| inv.vector_busy_cycles).sum();
+
+        // Per-chip busy spans: the bottleneck chip bounds the steady-state
+        // pipeline throughput of a multi-chip system. On a single chip the
+        // one span equals the total latency.
+        let chip_finish: Vec<u64> = (0..layout.chip_count)
+            .map(|chip| {
+                if self.chip_dispatched[chip] {
+                    lane.chip_finish_time[chip]
+                } else {
+                    (chip * layout.cores_per_chip..(chip + 1) * layout.cores_per_chip)
+                        .map(|g| lane.now[g])
+                        .max()
+                        .unwrap_or(0)
+                        .max(lane.last_input_landed[chip])
+                }
+            })
+            .collect();
+        let chip_cycles: Vec<u64> = chip_finish
+            .iter()
+            .zip(&lane.chip_start_time)
+            .map(|(finish, start)| finish.saturating_sub(*start))
+            .collect();
+        // One busy span per chip, emitted from the report's own numbers:
+        // the trace's `sim.chip` durations sum to `chip_cycles` exactly.
+        if let Some(profile) = profile {
+            for (chip, cycles) in chip_cycles.iter().enumerate() {
+                profile.chip_busy(chip, lane.chip_start_time[chip], *cycles);
+            }
+        }
+        // Input-stall accounting: the port time incoming tiles consumed
+        // *inside* a chip's active span. In steady state those landings
+        // overlap the previous inference, so the pipeline interval
+        // excludes them; at-retirement hand-off lands everything before
+        // the chip starts and accrues zero.
+        let chip_stall_cycles: Vec<u64> = (0..layout.chip_count)
+            .map(|chip| {
+                let (start, finish) = (lane.chip_start_time[chip], chip_finish[chip]);
+                lane.landing_windows[chip]
+                    .iter()
+                    .map(|(from, to)| to.min(&finish).saturating_sub(*from.max(&start)))
+                    .sum()
+            })
+            .collect();
+        // Intra-inference overlap: how long a chip ran while its cut
+        // inputs were still streaming in (zero without tile streaming).
+        let chip_overlap_cycles: Vec<u64> = (0..layout.chip_count)
+            .map(|chip| {
+                lane.last_input_landed[chip]
+                    .min(chip_finish[chip])
+                    .saturating_sub(lane.chip_start_time[chip])
+            })
+            .collect();
+
+        let mut noc = NocStats::default();
+        for mesh in &lane.meshes {
+            noc.merge(mesh.stats());
+        }
+
+        let mut report = SimReport {
+            total_cycles,
+            energy,
+            dynamic_instructions: totals.dynamic_instructions.clone(),
+            cim_activity: UnitActivity { busy_cycles: cim_busy, operations: totals.cim_ops },
+            vector_activity: UnitActivity {
+                busy_cycles: vector_busy,
+                operations: totals.vector_ops,
+            },
+            noc,
+            interchip: lane.fabric.stats().clone(),
+            core_utilization,
+            chip_cycles,
+            chip_stall_cycles,
+            chip_overlap_cycles,
+            total_macs: totals.total_macs,
+            frequency_mhz: 0,
+            chip_count: 0,
+        };
+        report.attach_arch(arch);
+        report
+    }
+}
+
+/// Why a core is currently unable to advance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BlockReason {
+    /// The core is runnable.
+    None,
+    /// Waiting for a message on the given channel.
+    Recv {
+        /// Dense channel id.
+        channel: u32,
+    },
+    /// Waiting at a barrier.
+    Barrier {
+        /// The barrier identifier.
+        id: u16,
+    },
+    /// The stream has ended.
+    Halted,
+}
+
+/// One lane with the indices of the batch points it answers (points
+/// differing only in clock frequency share a lane).
+struct LaneRun {
+    lane: ReplayLane,
+    points: Vec<usize>,
+}
+
+/// Outcome of one scheduler pick across all lanes.
+enum Pick {
+    /// Every lane picks the same core (or none is runnable — runnability
+    /// is shared control state, so "no pick" is always unanimous).
+    Agreed(Option<usize>),
+    /// Lanes disagree; the per-lane picks, aligned with the runs.
+    Diverged(Vec<usize>),
+}
+
+/// One walk of a group of lanes over one op source.
+struct Walk<'w, S> {
+    layout: &'w Layout,
+    source: &'w mut S,
+    handoff: HandoffMode,
+    /// Timeline sink of a profiled single-lane walk.
+    profile: Option<&'w SimProfile>,
+    energy: EnergyModel,
+    /// Lanes peeled off to their own walk on a schedule divergence.
+    fallback_lanes: u64,
+    /// Every lane's outcome: the chip retirement flags its report needs,
+    /// or the error that ended its walk.
+    done: Vec<(LaneRun, Result<Vec<bool>, SimError>)>,
+}
+
+impl<'w, S: OpSource> Walk<'w, S> {
+    fn new(
+        layout: &'w Layout,
+        source: &'w mut S,
+        handoff: HandoffMode,
+        profile: Option<&'w SimProfile>,
+    ) -> Self {
+        Walk {
+            layout,
+            source,
+            handoff,
+            profile,
+            energy: EnergyModel::calibrated_28nm(),
+            fallback_lanes: 0,
+            done: Vec::new(),
+        }
+    }
+
+    /// The scheduling loop, for 1..=K lanes. Records one outcome per lane
+    /// in `done`; lanes whose pick diverges recurse with a cloned control
+    /// block (strictly fewer lanes per level, so the recursion is bounded
+    /// by the chunk width).
+    fn run_group(&mut self, ctl: &mut ReplayCtl, mut runs: Vec<LaneRun>) {
         let mut runnable: Vec<usize> = Vec::new();
-        loop {
-            self.retire_finished_chips(ctl, &mut runs, &energy);
+        let outcome = loop {
+            self.retire_finished_chips(ctl, &mut runs);
             // The live list holds every non-halted core, so an empty list
-            // is exactly the interpreter's all-halted exit.
+            // means every core has halted.
             if ctl.live.is_empty() {
-                break;
+                break Ok(());
             }
             match self.pick_core(ctl, &runs, &mut runnable) {
-                Pick::Agreed(Some(core)) => self.run_slice(ctl, &mut runs, core, &energy),
+                Pick::Agreed(Some(core)) => {
+                    if let Err(core) = self.run_slice(ctl, &mut runs, core) {
+                        break Err(SimError::InvalidCore { core });
+                    }
+                }
                 Pick::Agreed(None) => {
-                    if self.release_barriers(ctl, &mut runs, &energy, options) {
+                    if self.release_barriers(ctl, &mut runs) {
                         continue;
                     }
-                    let err = self.deadlock(ctl);
-                    Self::fail_all(&runs, &err, out);
-                    return;
+                    break Err(Self::deadlock(ctl));
                 }
                 Pick::Diverged(picks) => {
-                    runs = self.peel_divergent(ctl, runs, picks, options, stats, out, points);
+                    runs = self.peel_divergent(ctl, runs, picks);
                     continue;
                 }
             }
             if ctl.executed > INSTRUCTION_BUDGET {
-                let err = SimError::CycleLimitExceeded { limit: INSTRUCTION_BUDGET };
-                Self::fail_all(&runs, &err, out);
-                return;
+                break Err(SimError::CycleLimitExceeded { limit: INSTRUCTION_BUDGET });
             }
-        }
-        for run in &runs {
-            for &p in &run.points {
-                out[p] = Some(Ok(self.finish(ctl, &run.lane, &points[p].0)));
-            }
-        }
-    }
-
-    fn fail_all(runs: &[LaneRun], err: &SimError, out: &mut [Option<Result<SimReport, SimError>>]) {
-        for run in runs {
-            for &p in &run.points {
-                out[p] = Some(Err(err.clone()));
-            }
-        }
+        };
+        let outcome = outcome.map(|()| ctl.chip_dispatched.clone());
+        self.done.extend(runs.into_iter().map(|run| (run, outcome.clone())));
     }
 
     /// Splits the batch on a schedule divergence: lanes sharing the
     /// plurality pick continue the lockstep walk, every other lane
-    /// continues mid-trace on a cloned control block — the exact state it
-    /// would have reached running alone, so the fallback never
+    /// continues mid-stream on a cloned control block — the exact state
+    /// it would have reached walking alone, so the fallback never
     /// approximates.
-    #[allow(clippy::too_many_arguments)]
     fn peel_divergent(
-        &self,
+        &mut self,
         ctl: &ReplayCtl,
         runs: Vec<LaneRun>,
         picks: Vec<usize>,
-        options: SimOptions,
-        stats: &mut LockstepStats,
-        out: &mut [Option<Result<SimReport, SimError>>],
-        points: &[(ArchConfig, SimOptions)],
     ) -> Vec<LaneRun> {
         // Plurality pick; ties resolve to the earliest lane's pick so the
         // split is deterministic.
@@ -358,25 +576,32 @@ impl<'a> ReplayEngine<'a> {
             }
         }
         for (_, group) in peeled {
-            stats.fallback_lanes += group.len() as u64;
-            let mut sub = ctl.clone();
-            self.run_group(&mut sub, group, options, stats, out, points);
+            self.fallback_lanes += group.len() as u64;
+            self.run_group(&mut ctl.clone(), group);
         }
         kept
     }
 
-    /// Mirror of the interpreter's smallest-local-time runnable pick.
-    /// Runnability (block state, chip start, channel occupancy) is shared
-    /// control state; only the arg-min over lane clocks can differ.
+    /// The smallest-local-time runnable pick. Runnability (block state,
+    /// chip start, channel occupancy) is shared control state; only the
+    /// arg-min over lane clocks can differ.
     fn pick_core(&self, ctl: &ReplayCtl, runs: &[LaneRun], runnable: &mut Vec<usize>) -> Pick {
         runnable.clear();
+        // `live` is ascending, so the chip only changes at its boundaries.
+        let cores_per_chip = self.layout.cores_per_chip;
+        let (mut chip_end, mut started) = (0, false);
         for &i in &ctl.live {
-            if !ctl.chip_started[i / self.trace.cores_per_chip] {
+            if i >= chip_end {
+                let chip = i / cores_per_chip;
+                started = ctl.chip_started[chip];
+                chip_end = (chip + 1) * cores_per_chip;
+            }
+            if !started {
                 continue;
             }
             let ok = match ctl.block[i] {
                 BlockReason::None => true,
-                BlockReason::Recv { .. } => ctl.channel_len[ctl.recv_wait[i] as usize] > 0,
+                BlockReason::Recv { channel } => ctl.channel_len[channel as usize] > 0,
                 _ => false,
             };
             if ok {
@@ -416,22 +641,23 @@ impl<'a> ReplayEngine<'a> {
     }
 
     /// Executes up to [`SLICE`] *instructions* (not ops: a fused advance
-    /// run splits at the boundary) on one core, across every lane.
+    /// run splits at the boundary) on one core, across every lane. Fails
+    /// with the id of an out-of-range peer core.
     fn run_slice(
-        &self,
+        &mut self,
         ctl: &mut ReplayCtl,
         runs: &mut [LaneRun],
         index: usize,
-        energy: &EnergyModel,
-    ) {
+    ) -> Result<(), u32> {
         ctl.block[index] = BlockReason::None;
         let mut budget = SLICE;
         while budget > 0 {
             if ctl.block[index] != BlockReason::None {
                 break;
             }
-            budget -= self.step(ctl, runs, index, budget, energy);
+            budget -= self.step(ctl, runs, index, budget)?;
         }
+        Ok(())
     }
 
     /// Marks a core permanently halted: block state, live list (ordered
@@ -441,30 +667,25 @@ impl<'a> ReplayEngine<'a> {
         if let Ok(pos) = ctl.live.binary_search(&index) {
             ctl.live.remove(pos);
         }
-        ctl.chip_halted[index / self.trace.cores_per_chip] += 1;
+        ctl.chip_halted[index / self.layout.cores_per_chip] += 1;
     }
 
-    /// Consumes (part of) the core's next trace op on every lane; returns
-    /// the number of slice-budget instructions it accounted for (≥ 1).
-    /// Decode, op-stream bookkeeping and channel occupancy happen once;
-    /// only the clock/scoreboard/mesh arithmetic repeats per lane.
+    /// Consumes (part of) the core's next op on every lane; returns the
+    /// number of slice-budget instructions it accounted for (≥ 1). Op
+    /// fetch, stream bookkeeping and channel occupancy happen once; only
+    /// the clock/scoreboard/mesh arithmetic repeats per lane.
     fn step(
-        &self,
+        &mut self,
         ctl: &mut ReplayCtl,
         runs: &mut [LaneRun],
         index: usize,
         budget: u64,
-        energy: &EnergyModel,
-    ) -> u64 {
-        let trace = self.trace;
-        let Some(&op) = trace.ops[index].get(ctl.op_idx[index]) else {
-            // Structurally unreachable (every stream ends in `Halt`),
-            // but degrade to a halt rather than walking off the end.
-            self.halt_core(ctl, index);
-            return 1;
-        };
-        let chip = index / trace.cores_per_chip;
-        let core_id = (index % trace.cores_per_chip) as u32;
+    ) -> Result<u64, u32> {
+        let op = self.source.op(index, ctl.op_idx[index])?;
+        let layout = self.layout;
+        let energy = &self.energy;
+        // Chip and chip-local (mesh) id, for the ops that use the network.
+        let place = || (index / layout.cores_per_chip, (index % layout.cores_per_chip) as u32);
         match op {
             TraceOp::Advance { insts, penalty } => {
                 let done = ctl.advance_done[index];
@@ -483,10 +704,10 @@ impl<'a> ReplayEngine<'a> {
                     ctl.advance_done[index] = done + take as u32;
                 }
                 ctl.executed += take;
-                take
+                return Ok(take);
             }
             TraceOp::CimMvm { mg, issue, latency } => {
-                let slot = index * trace.macro_groups + mg as usize;
+                let slot = index * layout.macro_groups + mg as usize;
                 for run in runs.iter_mut() {
                     let lane = &mut run.lane;
                     let begin = lane.now[index].max(lane.mg_busy_until[slot]);
@@ -494,12 +715,9 @@ impl<'a> ReplayEngine<'a> {
                     lane.mg_acc_ready[slot] = begin + latency;
                     lane.now[index] += 1;
                 }
-                ctl.op_idx[index] += 1;
-                ctl.executed += 1;
-                1
             }
             TraceOp::CimLoad { mg, cycles } => {
-                let slot = index * trace.macro_groups + mg as usize;
+                let slot = index * layout.macro_groups + mg as usize;
                 for run in runs.iter_mut() {
                     let lane = &mut run.lane;
                     let begin = lane.now[index].max(lane.mg_busy_until[slot]);
@@ -507,19 +725,13 @@ impl<'a> ReplayEngine<'a> {
                     lane.mg_acc_ready[slot] = begin + cycles;
                     lane.now[index] += 1;
                 }
-                ctl.op_idx[index] += 1;
-                ctl.executed += 1;
-                1
             }
             TraceOp::CimStoreAcc { mg } => {
-                let slot = index * trace.macro_groups + mg as usize;
+                let slot = index * layout.macro_groups + mg as usize;
                 for run in runs.iter_mut() {
                     let lane = &mut run.lane;
                     lane.now[index] = lane.now[index].max(lane.mg_acc_ready[slot]) + 1;
                 }
-                ctl.op_idx[index] += 1;
-                ctl.executed += 1;
-                1
             }
             TraceOp::Vector { cycles } => {
                 for run in runs.iter_mut() {
@@ -528,19 +740,14 @@ impl<'a> ReplayEngine<'a> {
                     lane.vector_busy_until[index] = begin + cycles;
                     lane.now[index] += 1;
                 }
-                ctl.op_idx[index] += 1;
-                ctl.executed += 1;
-                1
             }
             TraceOp::LocalCpy { cycles } => {
                 for run in runs.iter_mut() {
                     run.lane.now[index] += cycles;
                 }
-                ctl.op_idx[index] += 1;
-                ctl.executed += 1;
-                1
             }
             TraceOp::GlobalCpy { bytes, from_memory, port_cycles } => {
+                let (chip, core_id) = place();
                 for run in runs.iter_mut() {
                     let lane = &mut run.lane;
                     let now = lane.now[index];
@@ -553,6 +760,18 @@ impl<'a> ReplayEngine<'a> {
                     let port_start = outcome.arrival.max(lane.global_port_free[chip]);
                     let completion = port_start + port_cycles;
                     lane.global_port_free[chip] = completion;
+                    // Profile only the *contended* port windows (the
+                    // request waited behind another occupant) — the
+                    // interesting signal, at a fraction of the events.
+                    if let (Some(profile), true) = (self.profile, port_start > outcome.arrival) {
+                        profile.port_contention(
+                            chip,
+                            outcome.arrival,
+                            port_start,
+                            completion,
+                            bytes,
+                        );
+                    }
                     lane.now[index] = completion;
                     lane.noc_pj[index] += energy.noc.transfer_pj(
                         outcome.flits,
@@ -560,19 +779,16 @@ impl<'a> ReplayEngine<'a> {
                         outcome.hops.max(1),
                     );
                 }
-                ctl.op_idx[index] += 1;
-                ctl.executed += 1;
-                1
             }
-            TraceOp::Send { dst, bytes, push } => {
-                let cid = self.op_channel[index][ctl.op_idx[index]];
+            TraceOp::Send { dst, bytes, channel } => {
+                let channel = channel as usize;
+                ctl.open_channel(runs, channel);
+                let (chip, core_id) = place();
                 for run in runs.iter_mut() {
                     let lane = &mut run.lane;
                     let now = lane.now[index];
                     let outcome = lane.meshes[chip].transfer(core_id, dst, bytes, now);
-                    if push {
-                        lane.channels[cid as usize].push_back(outcome.arrival);
-                    }
+                    lane.channels[channel].push_back((outcome.arrival, bytes));
                     lane.now[index] += 1;
                     lane.noc_pj[index] += energy.noc.transfer_pj(
                         outcome.flits,
@@ -580,88 +796,84 @@ impl<'a> ReplayEngine<'a> {
                         outcome.hops.max(1),
                     );
                 }
-                if push {
-                    ctl.channel_len[cid as usize] += 1;
-                }
-                ctl.op_idx[index] += 1;
-                ctl.executed += 1;
-                1
+                ctl.channel_len[channel] += 1;
             }
-            TraceOp::Recv { src, local_cycles } => {
-                let cid = self.op_channel[index][ctl.op_idx[index]];
-                if ctl.channel_len[cid as usize] > 0 {
-                    ctl.channel_len[cid as usize] -= 1;
-                    for run in runs.iter_mut() {
-                        let lane = &mut run.lane;
-                        let arrival = lane.channels[cid as usize]
-                            .pop_front()
-                            .expect("channel occupancy is lane-invariant");
-                        lane.now[index] = lane.now[index].max(arrival) + local_cycles;
-                    }
-                    ctl.op_idx[index] += 1;
-                    ctl.executed += 1;
-                    1
-                } else {
+            TraceOp::Recv { channel, .. } => {
+                ctl.open_channel(runs, channel as usize);
+                if ctl.channel_len[channel as usize] == 0 {
                     // Stay at this op until a message arrives.
-                    let src_global = (chip * trace.cores_per_chip) as u32 + src;
-                    ctl.block[index] = BlockReason::Recv { src: src_global };
-                    ctl.recv_wait[index] = cid;
-                    1
+                    ctl.block[index] = BlockReason::Recv { channel };
+                    return Ok(1);
                 }
+                ctl.channel_len[channel as usize] -= 1;
+                let mut delivered = 0;
+                for run in runs.iter_mut() {
+                    let lane = &mut run.lane;
+                    let (arrival, bytes) = lane.channels[channel as usize]
+                        .pop_front()
+                        .expect("channel occupancy is lane-invariant");
+                    let local_cycles = lane.arch.core.local_memory.transfer_cycles(bytes);
+                    lane.now[index] = lane.now[index].max(arrival) + local_cycles;
+                    delivered = bytes;
+                }
+                self.source.received(index, delivered);
             }
             TraceOp::Barrier { id } => {
                 for run in runs.iter_mut() {
                     run.lane.now[index] += 1;
                 }
                 ctl.block[index] = BlockReason::Barrier { id };
-                ctl.op_idx[index] += 1;
-                ctl.executed += 1;
-                1
             }
             TraceOp::Halt { counted } => {
                 self.halt_core(ctl, index);
                 if counted {
                     ctl.executed += 1;
                 }
-                1
+                return Ok(1);
             }
         }
+        ctl.op_idx[index] += 1;
+        ctl.executed += 1;
+        Ok(1)
     }
 
-    /// Mirror of the interpreter's finished-chip hand-off pass. Which
-    /// chips retire and which transfers dispatch is shared control state;
-    /// the fabric/port/landing arithmetic repeats per lane.
-    fn retire_finished_chips(
-        &self,
-        ctl: &mut ReplayCtl,
-        runs: &mut [LaneRun],
-        energy: &EnergyModel,
-    ) {
-        let trace = self.trace;
-        if trace.chip_count == 1 {
+    /// Ships the remaining cut activations of every chip that has just
+    /// finished over the inter-chip fabric, and starts every chip whose
+    /// hand-off gate has opened. Under tile streaming most transfers have
+    /// already been dispatched at their producing stage's end barrier;
+    /// this pass catches whatever is left (and is the whole hand-off
+    /// under [`HandoffMode::AtRetirement`]). Which chips retire and which
+    /// transfers dispatch is shared control state; the
+    /// fabric/port/landing arithmetic repeats per lane.
+    fn retire_finished_chips(&mut self, ctl: &mut ReplayCtl, runs: &mut [LaneRun]) {
+        let layout = self.layout;
+        if layout.chip_count == 1 {
             return;
         }
-        for chip in 0..trace.chip_count {
+        for chip in 0..layout.chip_count {
             if !ctl.chip_started[chip]
                 || ctl.chip_dispatched[chip]
-                || ctl.chip_halted[chip] != trace.cores_per_chip
+                || ctl.chip_halted[chip] != layout.cores_per_chip
             {
                 continue;
             }
             ctl.chip_dispatched[chip] = true;
-            let cores = chip * trace.cores_per_chip..(chip + 1) * trace.cores_per_chip;
+            let cores = chip * layout.cores_per_chip..(chip + 1) * layout.cores_per_chip;
             for run in runs.iter_mut() {
                 let lane = &mut run.lane;
                 let cores_done = cores.clone().map(|g| lane.now[g]).max().unwrap_or(0);
+                // A streamed consumer may outrun the timing model's port
+                // coupling; it can never truly finish before its inputs
+                // exist, so the chip's retirement is clamped to the last
+                // landing.
                 lane.chip_finish_time[chip] = cores_done.max(lane.last_input_landed[chip]);
             }
-            for k in 0..trace.chip_transfers[chip].len() {
-                let tindex = trace.chip_transfers[chip][k];
+            for &tindex in &layout.chip_transfers[chip] {
                 if ctl.transfer_dispatched[tindex] {
                     continue;
                 }
                 ctl.transfer_dispatched[tindex] = true;
-                let transfer = trace.transfers[tindex];
+                let transfer = layout.transfers[tindex];
                 let to = transfer.to_chip as usize;
                 for run in runs.iter_mut() {
                     let lane = &mut run.lane;
@@ -672,14 +884,27 @@ impl<'a> ReplayEngine<'a> {
                         transfer.bytes,
                         finish,
                     );
+                    // The activation lands in the consumer chip's global
+                    // memory through its (shared) memory port.
                     let port_start = outcome.arrival.max(lane.global_port_free[to]);
                     let landed =
                         port_start + lane.arch.chip().global_memory.transfer_cycles(transfer.bytes);
                     lane.global_port_free[to] = landed;
                     lane.landing_windows[to].push((port_start, landed));
+                    if let Some(profile) = self.profile {
+                        profile.fabric_transfer(
+                            transfer.from_chip,
+                            transfer.to_chip,
+                            transfer.bytes,
+                            finish,
+                            outcome.arrival,
+                        );
+                        profile.port_landing(to, port_start, landed, transfer.bytes);
+                    }
                     lane.system_energy.interchip_pj +=
-                        energy.interchip.transfer_pj(transfer.bytes, outcome.hops);
-                    lane.system_energy.global_memory_pj += energy.sram.global_pj(transfer.bytes);
+                        self.energy.interchip.transfer_pj(transfer.bytes, outcome.hops);
+                    lane.system_energy.global_memory_pj +=
+                        self.energy.sram.global_pj(transfer.bytes);
                     lane.chip_ready[to] = lane.chip_ready[to].max(landed);
                     lane.last_input_landed[to] = lane.last_input_landed[to].max(landed);
                 }
@@ -689,9 +914,12 @@ impl<'a> ReplayEngine<'a> {
         self.start_ready_chips(ctl, runs);
     }
 
-    /// Mirror of the interpreter's chip-start gate.
+    /// Starts every chip whose hand-off gate has opened (all inputs fully
+    /// landed at retirement granularity; first tiles landed under
+    /// streaming).
     fn start_ready_chips(&self, ctl: &mut ReplayCtl, runs: &mut [LaneRun]) {
-        for chip in 0..self.trace.chip_count {
+        let layout = self.layout;
+        for chip in 0..layout.chip_count {
             if ctl.chip_started[chip] || ctl.incoming_remaining[chip] != 0 {
                 continue;
             }
@@ -699,60 +927,51 @@ impl<'a> ReplayEngine<'a> {
             for run in runs.iter_mut() {
                 let lane = &mut run.lane;
                 lane.chip_start_time[chip] = lane.chip_ready[chip];
-                for g in chip * self.trace.cores_per_chip..(chip + 1) * self.trace.cores_per_chip {
+                for g in chip * layout.cores_per_chip..(chip + 1) * layout.cores_per_chip {
                     lane.now[g] = lane.chip_ready[chip];
                 }
             }
         }
     }
 
-    /// Mirror of the interpreter's per-stage streamed hand-off. `ends`
+    /// Streams every not-yet-dispatched transfer produced by local stage
+    /// `ordinal` of `chip`, whose execution window just closed. `ends`
     /// holds each lane's barrier-release time, aligned with `runs`.
     fn stream_stage_transfers(
-        &self,
+        &mut self,
         ctl: &mut ReplayCtl,
         runs: &mut [LaneRun],
-        energy: &EnergyModel,
         chip: usize,
         ordinal: usize,
         ends: &[u64],
     ) {
-        let trace = self.trace;
-        if trace.chip_count == 1 {
+        let layout = self.layout;
+        if layout.chip_count == 1 {
             return;
         }
-        for k in 0..trace.chip_transfers[chip].len() {
-            let tindex = trace.chip_transfers[chip][k];
-            if ctl.transfer_dispatched[tindex] || trace.transfers[tindex].stage != Some(ordinal) {
+        for &tindex in &layout.chip_transfers[chip] {
+            if ctl.transfer_dispatched[tindex] || layout.transfers[tindex].stage != Some(ordinal) {
                 continue;
             }
             ctl.transfer_dispatched[tindex] = true;
-            let to = trace.transfers[tindex].to_chip as usize;
             for (run, &end) in runs.iter_mut().zip(ends) {
-                let lane = &mut run.lane;
-                let window_start = lane.barrier_release[chip]
-                    .get(&((ordinal * 2) as u16))
-                    .copied()
-                    .unwrap_or(lane.chip_start_time[chip])
-                    .min(end);
-                Self::dispatch_streamed(lane, energy, tindex, self.trace, window_start, end);
+                let start = run.lane.stage_start(chip, ordinal, end);
+                self.dispatch_streamed(&mut run.lane, tindex, start, end);
             }
-            ctl.incoming_remaining[to] -= 1;
+            ctl.incoming_remaining[layout.transfers[tindex].to_chip as usize] -= 1;
         }
         self.start_ready_chips(ctl, runs);
     }
 
-    /// Mirror of the interpreter's tile-granular dispatch (pure lane-local
-    /// arithmetic — the caller owns the shared dispatch bookkeeping).
-    fn dispatch_streamed(
-        lane: &mut ReplayLane,
-        energy: &EnergyModel,
-        tindex: usize,
-        trace: &SimTrace,
-        start: u64,
-        end: u64,
-    ) {
-        let transfer = trace.transfers[tindex];
+    /// Ships one cut activation as tiles spread across the producing
+    /// stage's `[start, end]` window: the producer emits its output
+    /// pixels incrementally, so tile `i` enters the fabric once its share
+    /// of the stage has executed. The consumer's hand-off gate opens at
+    /// the first landed tile; the remaining tiles occupy its memory port
+    /// (and are tracked for the stall/overlap metrics). Pure lane-local
+    /// arithmetic — the caller owns the shared dispatch bookkeeping.
+    fn dispatch_streamed(&self, lane: &mut ReplayLane, tindex: usize, start: u64, end: u64) {
+        let transfer = self.layout.transfers[tindex];
         let to = transfer.to_chip as usize;
         let tile = STREAM_TILE_BYTES.max(transfer.bytes.div_ceil(MAX_STREAM_TILES));
         let tiles = transfer.bytes.div_ceil(tile).max(1);
@@ -770,8 +989,19 @@ impl<'a> ReplayEngine<'a> {
             let landed = port_start + lane.arch.chip().global_memory.transfer_cycles(size);
             lane.global_port_free[to] = landed;
             lane.landing_windows[to].push((port_start, landed));
-            lane.system_energy.interchip_pj += energy.interchip.transfer_pj(size, outcome.hops);
-            lane.system_energy.global_memory_pj += energy.sram.global_pj(size);
+            if let Some(profile) = self.profile {
+                profile.fabric_transfer(
+                    transfer.from_chip,
+                    transfer.to_chip,
+                    size,
+                    available,
+                    outcome.arrival,
+                );
+                profile.port_landing(to, port_start, landed, size);
+            }
+            lane.system_energy.interchip_pj +=
+                self.energy.interchip.transfer_pj(size, outcome.hops);
+            lane.system_energy.global_memory_pj += self.energy.sram.global_pj(size);
             if i == 0 {
                 first_landed = landed;
             }
@@ -781,35 +1011,27 @@ impl<'a> ReplayEngine<'a> {
         lane.last_input_landed[to] = lane.last_input_landed[to].max(last_landed);
     }
 
-    /// Mirror of the interpreter's barrier-release sweep.
-    fn release_barriers(
-        &self,
-        ctl: &mut ReplayCtl,
-        runs: &mut [LaneRun],
-        energy: &EnergyModel,
-        options: SimOptions,
-    ) -> bool {
+    /// Tries to release the lowest pending barrier of every started chip.
+    /// Returns whether any core was released.
+    fn release_barriers(&mut self, ctl: &mut ReplayCtl, runs: &mut [LaneRun]) -> bool {
         let mut released = false;
-        for chip in 0..self.trace.chip_count {
+        for chip in 0..self.layout.chip_count {
             if ctl.chip_started[chip] {
-                released |= self.release_barrier(ctl, runs, energy, options, chip);
+                released |= self.release_barrier(ctl, runs, chip);
             }
         }
         released
     }
 
-    /// Mirror of the interpreter's per-chip barrier release. Membership
-    /// and release order are shared control state; the release *times*
-    /// are per lane.
-    fn release_barrier(
-        &self,
-        ctl: &mut ReplayCtl,
-        runs: &mut [LaneRun],
-        energy: &EnergyModel,
-        options: SimOptions,
-        chip: usize,
-    ) -> bool {
-        let cores = chip * self.trace.cores_per_chip..(chip + 1) * self.trace.cores_per_chip;
+    /// Releases the set of cores of `chip` waiting at its lowest pending
+    /// barrier if every non-halted core of the chip has reached a barrier
+    /// (barriers are chip-local: the code generator emits them per chip).
+    /// Membership and release order are shared control state; the
+    /// release *times* are per lane. Returns whether any core was
+    /// released.
+    fn release_barrier(&mut self, ctl: &mut ReplayCtl, runs: &mut [LaneRun], chip: usize) -> bool {
+        let cores_per_chip = self.layout.cores_per_chip;
+        let cores = chip * cores_per_chip..(chip + 1) * cores_per_chip;
         let mut waiting: Vec<(usize, u16)> = Vec::new();
         for i in cores.clone() {
             match ctl.block[i] {
@@ -824,8 +1046,13 @@ impl<'a> ReplayEngine<'a> {
         let min_id = waiting.iter().map(|(_, id)| *id).min().expect("non-empty");
         let members: Vec<usize> =
             waiting.iter().filter(|(_, id)| *id == min_id).map(|(i, _)| *i).collect();
+        // A barrier only opens once every participant has arrived; with
+        // the codegen emitting every barrier on every core of the chip
+        // this means all its non-halted cores share the minimum id.
         let halted = cores.filter(|i| ctl.block[*i] == BlockReason::Halted).count();
-        if members.len() + halted != self.trace.cores_per_chip {
+        if members.len() + halted != cores_per_chip {
+            // Some core waits at a later barrier — structurally impossible
+            // with the current code generator; treat as deadlock.
             return false;
         }
         let releases: Vec<u64> = runs
@@ -841,16 +1068,25 @@ impl<'a> ReplayEngine<'a> {
         for &i in &members {
             ctl.block[i] = BlockReason::None;
         }
+        // An odd barrier id closes local stage (id - 1) / 2; under tile
+        // streaming its cut activations enter the fabric now, backdated
+        // across the stage window they were produced in.
         if min_id % 2 == 1 {
             let ordinal = (min_id as usize - 1) / 2;
-            if options.handoff == HandoffMode::TileStreaming {
-                self.stream_stage_transfers(ctl, runs, energy, chip, ordinal, &releases);
+            if let Some(profile) = self.profile {
+                for (run, &release) in runs.iter().zip(&releases) {
+                    let start = run.lane.stage_start(chip, ordinal, release);
+                    profile.stage(chip, ordinal, start, release, cores_per_chip);
+                }
+            }
+            if self.handoff == HandoffMode::TileStreaming {
+                self.stream_stage_transfers(ctl, runs, chip, ordinal, &releases);
             }
         }
         true
     }
 
-    fn deadlock(&self, ctl: &ReplayCtl) -> SimError {
+    fn deadlock(ctl: &ReplayCtl) -> SimError {
         let mut recv = Vec::new();
         let mut barrier = Vec::new();
         for (i, block) in ctl.block.iter().enumerate() {
@@ -862,117 +1098,13 @@ impl<'a> ReplayEngine<'a> {
         }
         SimError::Deadlock { blocked_on_recv: recv, blocked_on_barrier: barrier }
     }
-
-    /// Mirror of the interpreter's report assembly, substituting the
-    /// recorded invariants where timing cannot reach. Called once per
-    /// *point* with the point's own arch — lanes deduplicate frequency,
-    /// so this is where frequency-dependent terms (static energy, the
-    /// cycle↔time conversion constants) split back out.
-    fn finish(&self, ctl: &ReplayCtl, lane: &ReplayLane, arch: &ArchConfig) -> SimReport {
-        let trace = self.trace;
-        let energy_model = EnergyModel::calibrated_28nm();
-        let total_cycles = lane
-            .now
-            .iter()
-            .copied()
-            .chain(lane.last_input_landed.iter().copied())
-            .chain(lane.chip_finish_time.iter().copied())
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let mut energy = EnergyBreakdown::new();
-        for (i, inv) in trace.core_invariants.iter().enumerate() {
-            let core_energy = EnergyBreakdown {
-                compute_pj: inv.compute_pj,
-                local_memory_pj: inv.local_memory_pj,
-                noc_pj: lane.noc_pj[i],
-                global_memory_pj: inv.global_memory_pj,
-                control_pj: inv.control_pj,
-                ..EnergyBreakdown::new()
-            };
-            energy.accumulate(&core_energy);
-        }
-        energy.accumulate(&lane.system_energy);
-        energy.accumulate(&energy_model.static_energy(arch, total_cycles));
-
-        let mg_per_core = arch.core.cim_unit.macro_groups.max(1) as f64;
-        let core_utilization: Vec<f64> = trace
-            .core_invariants
-            .iter()
-            .map(|inv| (inv.mg_busy_cycles as f64 / mg_per_core / total_cycles as f64).min(1.0))
-            .collect();
-        let cim_busy: u64 = trace.core_invariants.iter().map(|inv| inv.mg_busy_cycles).sum();
-        let vector_busy: u64 = trace.core_invariants.iter().map(|inv| inv.vector_busy_cycles).sum();
-
-        let chip_finish: Vec<u64> = (0..trace.chip_count)
-            .map(|chip| {
-                if ctl.chip_dispatched[chip] {
-                    lane.chip_finish_time[chip]
-                } else {
-                    (chip * trace.cores_per_chip..(chip + 1) * trace.cores_per_chip)
-                        .map(|g| lane.now[g])
-                        .max()
-                        .unwrap_or(0)
-                        .max(lane.last_input_landed[chip])
-                }
-            })
-            .collect();
-        let chip_cycles: Vec<u64> = chip_finish
-            .iter()
-            .zip(&lane.chip_start_time)
-            .map(|(finish, start)| finish.saturating_sub(*start))
-            .collect();
-        let chip_stall_cycles: Vec<u64> = (0..trace.chip_count)
-            .map(|chip| {
-                let (start, finish) = (lane.chip_start_time[chip], chip_finish[chip]);
-                lane.landing_windows[chip]
-                    .iter()
-                    .map(|(from, to)| to.min(&finish).saturating_sub(*from.max(&start)))
-                    .sum()
-            })
-            .collect();
-        let chip_overlap_cycles: Vec<u64> = (0..trace.chip_count)
-            .map(|chip| {
-                lane.last_input_landed[chip]
-                    .min(chip_finish[chip])
-                    .saturating_sub(lane.chip_start_time[chip])
-            })
-            .collect();
-
-        let mut noc = NocStats::default();
-        for mesh in &lane.meshes {
-            noc.merge(mesh.stats());
-        }
-
-        let mut report = SimReport {
-            total_cycles,
-            energy,
-            dynamic_instructions: trace.dynamic_instructions.clone(),
-            cim_activity: UnitActivity { busy_cycles: cim_busy, operations: trace.cim_ops },
-            vector_activity: UnitActivity {
-                busy_cycles: vector_busy,
-                operations: trace.vector_ops,
-            },
-            noc,
-            interchip: lane.fabric.stats().clone(),
-            core_utilization,
-            chip_cycles,
-            chip_stall_cycles,
-            chip_overlap_cycles,
-            total_macs: trace.total_macs,
-            frequency_mhz: 0,
-            chip_count: 0,
-        };
-        report.attach_arch(arch);
-        report
-    }
 }
 
 /// Shared control state of one lockstep walk: everything whose evolution
 /// is provably identical across lanes as long as their core picks agree —
 /// op positions, block states, chip/transfer dispatch flags, channel
 /// queue *lengths*, the slice budget. Cloned (cheaply — flat vectors of
-/// primitives) when a divergent lane peels off mid-trace.
+/// primitives) when a divergent lane peels off mid-stream.
 #[derive(Debug, Clone)]
 struct ReplayCtl {
     /// Per core: next op in its stream.
@@ -981,15 +1113,11 @@ struct ReplayCtl {
     advance_done: Vec<u32>,
     /// Per core: scheduler block state.
     block: Vec<BlockReason>,
-    /// Per core: flat channel id of the blocking `Recv` (valid only while
-    /// `block` is [`BlockReason::Recv`]) — the pick scan probes channel
-    /// occupancy without hashing.
-    recv_wait: Vec<u32>,
     /// Non-halted cores, ascending (the pick scan's tie-break order).
     live: Vec<usize>,
-    /// Per channel: queue length (the arrival *values* are lane-local).
+    /// Per channel: queue length (the messages themselves are lane-local).
     channel_len: Vec<usize>,
-    /// Per chip: hand-off bookkeeping (mirrors the interpreter's).
+    /// Per chip: hand-off bookkeeping.
     chip_started: Vec<bool>,
     chip_dispatched: Vec<bool>,
     chip_halted: Vec<usize>,
@@ -999,11 +1127,11 @@ struct ReplayCtl {
 }
 
 impl ReplayCtl {
-    fn new(trace: &SimTrace, channel_count: usize) -> Self {
-        let cores = trace.ops.len();
-        let chips = trace.chip_count;
+    fn new(layout: &Layout) -> Self {
+        let cores = layout.cores();
+        let chips = layout.chip_count;
         let mut incoming_remaining = vec![0usize; chips];
-        for transfer in &trace.transfers {
+        for transfer in &layout.transfers {
             incoming_remaining[transfer.to_chip as usize] += 1;
         }
         let chip_started: Vec<bool> =
@@ -1012,15 +1140,25 @@ impl ReplayCtl {
             op_idx: vec![0; cores],
             advance_done: vec![0; cores],
             block: vec![BlockReason::None; cores],
-            recv_wait: vec![NO_CHANNEL; cores],
             live: (0..cores).collect(),
-            channel_len: vec![0; channel_count],
+            channel_len: Vec::new(),
             chip_started,
             chip_dispatched: vec![false; chips],
             chip_halted: vec![0; chips],
             incoming_remaining,
-            transfer_dispatched: vec![false; trace.transfers.len()],
+            transfer_dispatched: vec![false; layout.transfers.len()],
             executed: 0,
+        }
+    }
+
+    /// Makes room for `channel` in the shared lengths and every lane's
+    /// queues (channel ids are dense, assigned in decode order).
+    fn open_channel(&mut self, runs: &mut [LaneRun], channel: usize) {
+        if channel >= self.channel_len.len() {
+            self.channel_len.resize(channel + 1, 0);
+            for run in runs {
+                run.lane.channels.resize_with(channel + 1, VecDeque::new);
+            }
         }
     }
 }
@@ -1028,9 +1166,9 @@ impl ReplayCtl {
 /// Per-lane timing state: the clocks, scoreboards, port cursors, meshes,
 /// fabric and energy accumulators of one cycle-distinct design point.
 /// The structure-of-arrays layout across lanes is a `Vec` of these —
-/// each op updates every lane's block while the decode happens once.
+/// each op updates every lane's block while the fetch happens once.
 #[derive(Debug)]
-struct ReplayLane {
+pub(crate) struct ReplayLane {
     /// The lane's (frequency-normalized) architecture — every
     /// cycle-domain constant the walk reads comes from here.
     arch: ArchConfig,
@@ -1053,20 +1191,26 @@ struct ReplayLane {
     /// Per chip: the shared global-memory port's free time (used both by
     /// `GlobalCpy` ops and by landing cut activations — one port).
     global_port_free: Vec<u64>,
+    /// Per chip: release time of each barrier id, recorded as barriers
+    /// open (stage `k` runs between barriers `2k` and `2k + 1`).
     barrier_release: Vec<HashMap<u16, u64>>,
+    /// Per chip: the [port_start, landed) windows its incoming tiles
+    /// occupied on the global-memory port (input-stall accounting).
     landing_windows: Vec<Vec<(u64, u64)>>,
-    /// Per channel: in-flight arrival cycles (lengths are shared; byte
-    /// counts are invariant and pre-resolved into the receiving op).
-    channels: Vec<VecDeque<u64>>,
+    /// Per channel: in-flight messages as (arrival cycle, bytes) — the
+    /// lengths are shared on the ctl.
+    channels: Vec<VecDeque<(u64, u64)>>,
     meshes: Vec<Mesh>,
     fabric: InterChipFabric,
+    /// System-level energy not attributable to one core (inter-chip
+    /// links, the landing writes into consumer global memories).
     system_energy: EnergyBreakdown,
 }
 
 impl ReplayLane {
-    fn new(trace: &SimTrace, arch: &ArchConfig, channel_count: usize) -> Self {
-        let cores = trace.ops.len();
-        let chips = trace.chip_count;
+    fn new(layout: &Layout, arch: &ArchConfig) -> Self {
+        let cores = layout.cores();
+        let chips = layout.chip_count;
         let noc_config = NocConfig {
             width: arch.chip().mesh.width,
             height: arch.chip().mesh.height,
@@ -1080,8 +1224,8 @@ impl ReplayLane {
             now: vec![0; cores],
             vector_busy_until: vec![0; cores],
             noc_pj: vec![0.0; cores],
-            mg_busy_until: vec![0; cores * trace.macro_groups],
-            mg_acc_ready: vec![0; cores * trace.macro_groups],
+            mg_busy_until: vec![0; cores * layout.macro_groups],
+            mg_acc_ready: vec![0; cores * layout.macro_groups],
             chip_ready: vec![0; chips],
             chip_start_time: vec![0; chips],
             chip_finish_time: vec![0; chips],
@@ -1089,16 +1233,27 @@ impl ReplayLane {
             global_port_free: vec![0; chips],
             barrier_release: vec![HashMap::new(); chips],
             landing_windows: vec![Vec::new(); chips],
-            channels: vec![VecDeque::new(); channel_count],
-            meshes: (0..chips).map(|_| Mesh::new(noc_config)).collect(),
-            fabric: InterChipFabric::new(cimflow_noc::InterChipConfig {
+            channels: Vec::new(),
+            meshes: vec![Mesh::new(noc_config); chips],
+            fabric: InterChipFabric::new(InterChipConfig {
                 chips: chips as u32,
                 link_bytes: link.link_bytes_per_cycle,
                 link_latency: link.link_latency_cycles,
-                ring: link.topology == cimflow_arch::InterChipTopology::Ring,
+                ring: link.topology == InterChipTopology::Ring,
             }),
             system_energy: EnergyBreakdown::new(),
         }
+    }
+
+    /// Start of local stage `ordinal`'s execution window on `chip`: the
+    /// release of its opening barrier `2 * ordinal` (the chip's start
+    /// when that barrier never released), clamped to the window's `end`.
+    fn stage_start(&self, chip: usize, ordinal: usize, end: u64) -> u64 {
+        self.barrier_release[chip]
+            .get(&((ordinal * 2) as u16))
+            .copied()
+            .unwrap_or(self.chip_start_time[chip])
+            .min(end)
     }
 }
 
@@ -1106,6 +1261,7 @@ impl ReplayLane {
 mod tests {
     use super::*;
     use crate::engine::Simulator;
+    use crate::trace::{CoreInvariants, TracePasses};
     use cimflow_compiler::{compile, Strategy};
     use cimflow_nn::models;
 
@@ -1122,47 +1278,6 @@ mod tests {
             (trace.op_count() as u64) < trace.instruction_count(),
             "the trace is denser than the dynamic stream"
         );
-    }
-
-    #[test]
-    fn replay_of_the_recording_point_is_bit_exact() {
-        let arch = ArchConfig::paper_default();
-        let compiled = compile(&models::resnet18(32), &arch, Strategy::DpOptimized).unwrap();
-        let (trace, baseline) = Simulator::record(&compiled).unwrap();
-        let replayed = ReplayEngine::new(&trace).replay(&arch, SimOptions::default()).unwrap();
-        assert_eq!(baseline, replayed);
-    }
-
-    #[test]
-    fn replay_retimes_timing_only_points_bit_exactly() {
-        let base = ArchConfig::paper_default();
-        let model = models::mobilenet_v2(32);
-        let compiled = compile(&model, &base, Strategy::DpOptimized).unwrap();
-        let (trace, _) = Simulator::record(&compiled).unwrap();
-        let engine = ReplayEngine::new(&trace);
-        for point in [base.with_frequency_mhz(500), base.with_memory_port(27)] {
-            // The ground truth: a fresh compile + interpretation at the
-            // point's own configuration.
-            let recompiled = compile(&model, &point, Strategy::DpOptimized).unwrap();
-            let interpreted = Simulator::new(&recompiled).run().unwrap();
-            let replayed = engine.replay(&point, SimOptions::default()).unwrap();
-            assert_eq!(interpreted, replayed);
-        }
-    }
-
-    #[test]
-    fn multichip_replay_matches_in_both_handoff_modes() {
-        let arch = ArchConfig::paper_default().with_chip_count(2);
-        let model = models::vgg19(32);
-        let compiled = compile(&model, &arch, Strategy::DpOptimized).unwrap();
-        let (trace, _) = Simulator::record(&compiled).unwrap();
-        let engine = ReplayEngine::new(&trace);
-        for handoff in [HandoffMode::TileStreaming, HandoffMode::AtRetirement] {
-            let options = SimOptions { handoff, ..SimOptions::default() };
-            let interpreted = Simulator::with_options(&compiled, options).run().unwrap();
-            let replayed = engine.replay(&arch, options).unwrap();
-            assert_eq!(interpreted, replayed, "handoff {handoff:?}");
-        }
     }
 
     #[test]
@@ -1246,63 +1361,62 @@ mod tests {
     /// A hand-built trace whose `pick_core` argmin genuinely flips with
     /// the NoC hop latency. Core 0 materializes a clock from a message
     /// that crossed the whole mesh (arrival scales with the per-hop
-    /// latency: ~78 cycles at latency 1, ~512 at latency 32); core 1
-    /// holds a fixed 200-cycle clock sized between the two. Both then
-    /// block on core 5, whose own recv chain (through core 7's 900-cycle
-    /// copy) keeps it from producing until both consumers are waiting, so
-    /// the next pick compares 78-vs-200 in one lane and 512-vs-200 in the
-    /// other. Real model traces never reach this state (their dependency
-    /// chains and the serializing global port pin the pick order), so the
-    /// peel path gets its own trace.
+    /// latency: under 100 cycles at latency 1, over 500 at latency 32);
+    /// core 1 holds a fixed 200-cycle clock sized between the two. Both
+    /// then block on core 5, whose own recv chain keeps it from producing
+    /// until both consumers are waiting, so the next pick compares the
+    /// two clocks the other way round in each lane. Real model traces
+    /// never reach this state (their dependency chains and the
+    /// serializing global port pin the pick order), so the peel path gets
+    /// its own trace.
     #[test]
     fn divergent_pick_orders_peel_into_scalar_lanes_bit_exactly() {
-        use std::collections::BTreeMap;
-
-        use crate::trace::{CoreInvariants, TracePasses};
-
         let arch = ArchConfig::paper_default();
         let cores = arch.chip().core_count as usize;
         let mut ops: Vec<Vec<TraceOp>> =
             (0..cores).map(|_| vec![TraceOp::Halt { counted: false }]).collect();
+        // Channels: 63→0 is 0, 0→5 is 1, 5→0 is 2, 5→1 is 3.
         ops[0] = vec![
             // Clock becomes the arrival of core 63's full-mesh crossing,
             // then core 0 itself releases the producer and waits on it —
             // so the producer cannot run before the clock materializes.
-            TraceOp::Recv { src: 63, local_cycles: 0 },
-            TraceOp::Send { dst: 5, bytes: 64, push: true },
-            TraceOp::Recv { src: 5, local_cycles: 4 },
+            TraceOp::Recv { src: 63, channel: 0 },
+            TraceOp::Send { dst: 5, bytes: 64, channel: 1 },
+            TraceOp::Recv { src: 5, channel: 2 },
             TraceOp::Advance { insts: 32, penalty: false },
             TraceOp::Halt { counted: true },
         ];
         ops[1] = vec![
             TraceOp::LocalCpy { cycles: 200 },
-            TraceOp::Recv { src: 5, local_cycles: 4 },
+            TraceOp::Recv { src: 5, channel: 3 },
             TraceOp::Advance { insts: 16, penalty: false },
             TraceOp::Halt { counted: true },
         ];
         ops[5] = vec![
-            TraceOp::Recv { src: 0, local_cycles: 0 },
-            TraceOp::Send { dst: 0, bytes: 64, push: true },
-            TraceOp::Send { dst: 1, bytes: 64, push: true },
+            TraceOp::Recv { src: 0, channel: 1 },
+            TraceOp::Send { dst: 0, bytes: 64, channel: 2 },
+            TraceOp::Send { dst: 1, bytes: 64, channel: 3 },
             TraceOp::Halt { counted: true },
         ];
         ops[63] =
-            vec![TraceOp::Send { dst: 0, bytes: 512, push: true }, TraceOp::Halt { counted: true }];
-        let trace = SimTrace {
-            arch,
-            fingerprint: arch.compile_fingerprint(),
+            vec![TraceOp::Send { dst: 0, bytes: 512, channel: 0 }, TraceOp::Halt { counted: true }];
+        let layout = Layout {
             cores_per_chip: cores,
             chip_count: 1,
             macro_groups: 1,
-            ops,
             transfers: Vec::new(),
             chip_transfers: vec![Vec::new()],
-            dynamic_instructions: BTreeMap::new(),
-            cim_ops: 0,
-            vector_ops: 0,
-            total_macs: 0,
-            executed: 69,
-            core_invariants: vec![CoreInvariants::default(); cores],
+        };
+        let trace = SimTrace {
+            arch,
+            fingerprint: arch.compile_fingerprint(),
+            layout,
+            ops,
+            totals: RunTotals {
+                executed: 69,
+                cores: vec![CoreInvariants::default(); cores],
+                ..RunTotals::default()
+            },
             passes: TracePasses::default(),
         };
         let engine = ReplayEngine::new(&trace);

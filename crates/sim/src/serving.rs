@@ -2,14 +2,13 @@
 //!
 //! [`Simulator::serve`] drives the `cimflow-traffic` request queue +
 //! dynamic batcher with timing taken from the cycle engine itself:
-//! each served model is either interpreted and recorded once
-//! ([`Simulator::record`]) or — when the caller already holds a
-//! recorded [`SimTrace`] whose key matches — re-timed through the
-//! [`ReplayEngine`]. Either way the engine runs **once per model, not
-//! once per request**: the replayed report is bit-exact for every
-//! batch of the same model on the same architecture (that is the PR 7
-//! replay guarantee), so steady-state serving reuses it instead of
-//! re-interpreting the program per dispatch.
+//! each served model is either simulated once ([`Simulator::run`]) or —
+//! when the caller already holds a recorded [`SimTrace`] whose key
+//! matches — re-timed through the [`ReplayEngine`]. Either way the
+//! engine runs **once per model, not once per request**: the report is
+//! bit-exact for every batch of the same model on the same
+//! architecture, so steady-state serving reuses it instead of
+//! re-simulating the program per dispatch.
 //!
 //! Consequences worth spelling out:
 //!
@@ -42,7 +41,7 @@ const TIMELINE_CAP: usize = 256;
 /// Where a served model's program comes from.
 #[derive(Debug)]
 pub enum ServeSource<'a> {
-    /// A compiled program: interpreted + recorded once by the driver.
+    /// A compiled program, simulated once by the driver.
     Compiled(&'a CompiledProgram),
     /// An already-recorded trace, re-timed for `arch` (which must share
     /// the recording's
@@ -229,7 +228,7 @@ impl std::fmt::Display for ServingReport {
     }
 }
 
-impl Simulator {
+impl Simulator<'_> {
     /// Serves an open-loop workload over one (multi-chip) system
     /// time-shared by `models`, at `offered_qps` requests per second.
     ///
@@ -296,9 +295,9 @@ impl Simulator {
             .collect())
     }
 
-    /// One engine run per model — recorded or replayed, never per
-    /// request. The replayed report is bit-exact for every batch of
-    /// the model (same trace key, same arch), so it is computed once
+    /// One engine run per model — simulated or replayed, never per
+    /// request. The report is bit-exact for every batch of the model
+    /// (same program or trace key, same arch), so it is computed once
     /// and reused across all of them (and, via [`Simulator::serve_ladder`],
     /// across every rung of a rate ladder).
     fn resolve_singles(
@@ -312,13 +311,7 @@ impl Simulator {
         for model in models {
             let report = match &model.source {
                 ServeSource::Compiled(compiled) => {
-                    let (trace, recorded) = Simulator::record_with_options(compiled, options)?;
-                    let replayed = ReplayEngine::new(&trace).replay(&compiled.arch, options)?;
-                    debug_assert_eq!(
-                        recorded.total_cycles, replayed.total_cycles,
-                        "replay must be bit-exact on the recording arch"
-                    );
-                    replayed
+                    Simulator::with_options(compiled, options).run()?
                 }
                 ServeSource::Trace { trace, arch } => {
                     ReplayEngine::new(trace).replay(arch, options)?

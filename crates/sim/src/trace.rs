@@ -1,66 +1,72 @@
-//! The simulation trace IR: one recording run of the interpreter lowered
-//! into flat, typed per-core op streams that a [`ReplayEngine`](crate::ReplayEngine) can
-//! re-time for many design points without re-interpreting (or even
-//! re-compiling) the program.
+//! The simulation trace IR: the typed per-core op streams the functional
+//! front end hands the timing back end, and [`SimTrace`], a recording of
+//! those streams that a [`ReplayEngine`](crate::ReplayEngine) re-times
+//! for many design points without re-running (or even re-compiling) the
+//! program.
 //!
-//! # Why a trace is re-timable at all
+//! # Why an op stream is re-timable at all
 //!
-//! The interpreter's per-core dynamic instruction stream is fully
-//! determined by the program and the register file: no instruction ever
-//! writes a register from *timing* (cycle counts) or from message
-//! *content*. Branch directions, row/length operands, addresses and
-//! send/recv peers all come from registers, so two simulations of the
-//! same [`CompiledProgram`](cimflow_compiler::CompiledProgram) execute
-//! byte-identical per-core op sequences regardless of mesh latencies,
-//! memory-port placement, clock frequency or hand-off mode — only the
-//! *times* at which the ops happen differ. A [`SimTrace`] is that
-//! invariant sequence with every register-derived operand resolved
-//! (rows → issue/latency cycles, lengths → byte counts), so replay needs
-//! neither a register file nor instruction decode.
+//! A core's dynamic instruction stream is fully determined by its program
+//! and its register file: no instruction ever writes a register from
+//! *timing* (cycle counts) or from message *content*. Branch directions,
+//! row/length operands, addresses and send/recv peers all come from
+//! registers, so every simulation of the same
+//! [`CompiledProgram`] produces byte-identical per-core op streams
+//! regardless of mesh latencies, memory-port placement, clock frequency
+//! or hand-off mode — only the *times* at which the ops happen differ. A
+//! [`TraceOp`] is one step of that invariant stream with every
+//! register-derived operand resolved (rows → issue/latency cycles,
+//! lengths → byte counts, peers → dense channel ids), so the back end
+//! needs neither a register file nor instruction decode.
+//!
+//! The timing back end (`replay.rs`) consumes these ops from one of two
+//! sources. [`Simulator::run`](crate::Simulator::run) walks the live
+//! front end (`engine.rs`), which decodes each core's next op only when
+//! the back end asks for it; [`Simulator::record`](crate::Simulator::record)
+//! walks it too and keeps what it hands out as a [`SimTrace`]; the
+//! [`ReplayEngine`](crate::ReplayEngine) walks a recorded trace.
 //!
 //! Which [`ArchConfig`] fields may vary across the points replaying one
 //! trace is exactly the contract of
 //! [`ArchConfig::compile_fingerprint`]: two configurations replay the
-//! same trace iff their fingerprints are equal. [`ReplayEngine::replay`](crate::ReplayEngine::replay)
-//! enforces this and refuses mismatching points instead of approximating.
+//! same trace iff their fingerprints are equal.
+//! [`ReplayEngine::replay`](crate::ReplayEngine::replay) enforces this
+//! and refuses mismatching points instead of approximating.
 //!
-//! # What is recorded vs recomputed
+//! # What the front end sums vs what the back end computes
 //!
 //! Per-core energy that only depends on the op stream (compute, local
-//! and global memory, control) is accumulated in program order during
-//! recording and stored as final `f64` values — replay reuses them
-//! bitwise. NoC energy depends on routing distance (the memory-port
-//! node is timing-only), so replay re-accumulates it per point from its
-//! own mesh outcomes, in the same program order the interpreter would.
-//! Everything that is genuinely timing-dependent — clocks, port queues,
-//! barrier releases, inter-chip landings, mesh/fabric statistics — is
-//! recomputed per point by the replay engine with the interpreter's
-//! exact rules.
+//! and global memory, control) is summed by the front end in program
+//! order and a trace stores the final `f64` values, which replay reuses
+//! bitwise. The one exception is a receive's local write, whose size
+//! travels with the message: the back end reports each delivery to its
+//! source, which charges it in program order. NoC energy depends on
+//! routing distance (the memory-port node is timing-only), so the back
+//! end accumulates it per point from its own mesh outcomes. Everything
+//! genuinely timing-dependent — clocks, port queues, barrier releases,
+//! inter-chip landings, mesh/fabric statistics — is the back end's.
 //!
-//! # Trace passes
+//! # Advance fusion
 //!
-//! Recording itself performs *advance fusion*: runs of single-cycle
-//! instructions (scalar ALU ops, nops, not-taken branches), optionally
-//! terminated by one taken branch, collapse into one splittable
-//! [`TraceOp::Advance`] — the bulk of the op-count reduction, since
-//! control and scalar instructions dominate the dynamic mix. A
-//! post-pass elides dead channel pushes (a `Send` whose message no
-//! `Recv` ever pops keeps its mesh transfer but skips the queue push).
-//! Two passes named in the design were evaluated and rejected as **not
+//! The front end fuses runs of single-cycle instructions (scalar ALU ops,
+//! nops, not-taken branches), optionally terminated by one taken branch,
+//! into one splittable [`TraceOp::Advance`], so the address and loop
+//! arithmetic between two timing ops costs the back end one step. Two
+//! further passes were evaluated and rejected as **not
 //! timing-neutral**: coalescing adjacent inter-chip tiles would change
 //! the fabric's packet count and per-packet head latencies, and folding
 //! back-to-back barriers would drop a synchronization point that costs
-//! one cycle and a release re-alignment — either would break bit-exact
-//! equality with the interpreter, which this IR never trades away.
+//! one cycle and a release re-alignment.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cimflow_arch::ArchConfig;
+use cimflow_compiler::CompiledProgram;
 
-/// One timing-relevant operation of a core's recorded stream.
+/// One timing-relevant operation of a core's op stream.
 ///
-/// Operand values that the interpreter read from registers arrive here
-/// pre-resolved into cycle costs or byte counts using the
+/// Operand values the front end read from registers arrive here
+/// pre-resolved into cycle costs, byte counts or channel ids using the
 /// compile-affecting (hence trace-invariant) architecture parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOp {
@@ -68,9 +74,9 @@ pub enum TraceOp {
     /// not-taken branches). With `penalty`, the final instruction is a
     /// taken branch or jump and costs the 2-cycle squash on top of its
     /// issue cycle. The run is splittable at instruction granularity so
-    /// replay can honor the interpreter's scheduling-slice boundaries
-    /// exactly: consuming `m < insts` instructions costs `m` cycles, and
-    /// the penalty lands only with the last instruction.
+    /// the back end can honor its scheduling-slice boundaries exactly:
+    /// consuming `m < insts` instructions costs `m` cycles, and the
+    /// penalty lands only with the last instruction.
     Advance {
         /// Number of fused instructions.
         insts: u32,
@@ -123,19 +129,18 @@ pub enum TraceOp {
     Send {
         /// Chip-local destination core.
         dst: u32,
-        /// Message bytes (the mesh packet size).
+        /// Message bytes (the mesh packet size, carried to the receiver).
         bytes: u64,
-        /// Whether the message is ever received; dead pushes are elided
-        /// by the trace pass (the mesh transfer itself always happens).
-        push: bool,
+        /// Dense id of the (sender, receiver) channel.
+        channel: u32,
     },
-    /// A *successful* message receive (blocked attempts are a scheduler
-    /// condition, not an op; replay re-evaluates them per point).
+    /// A message receive: blocks until the channel holds a message, then
+    /// copies it into local memory.
     Recv {
         /// Chip-local source core.
         src: u32,
-        /// Cycles to copy the message into local memory.
-        local_cycles: u64,
+        /// Dense id of the (sender, receiver) channel.
+        channel: u32,
     },
     /// A barrier arrival.
     Barrier {
@@ -143,9 +148,9 @@ pub enum TraceOp {
         id: u16,
     },
     /// End of the core's stream. `counted` distinguishes an explicit
-    /// `Halt` instruction (which the interpreter counts and charges
-    /// issue energy for) from running past the end of the program
-    /// (which it does not); both are timing-identical.
+    /// `Halt` instruction (which counts as an executed instruction and
+    /// pays issue energy) from running past the end of the program
+    /// (which does not); both are timing-identical.
     Halt {
         /// Whether the halt was a counted instruction.
         counted: bool,
@@ -154,7 +159,6 @@ pub enum TraceOp {
 
 /// The timing-invariant final state of one core: unit busy totals and
 /// the energy components whose accumulation never depends on timing.
-/// Recorded once, reused bitwise by every replayed point.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CoreInvariants {
     /// Summed macro-group busy cycles (utilization numerator).
@@ -171,8 +175,26 @@ pub(crate) struct CoreInvariants {
     pub control_pj: f64,
 }
 
-/// One inter-chip cut transfer of the system plan, as the replay engine
-/// needs it.
+/// The timing-invariant totals of one run, read by the back end's report
+/// assembly.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunTotals {
+    /// Dynamic instructions per operation class name.
+    pub dynamic_instructions: BTreeMap<String, u64>,
+    /// Total CIM operations.
+    pub cim_ops: u64,
+    /// Total vector elements processed.
+    pub vector_ops: u64,
+    /// Workload MACs.
+    pub total_macs: u64,
+    /// Total counted dynamic instructions.
+    pub executed: u64,
+    /// Per-core invariant totals, chip-major.
+    pub cores: Vec<CoreInvariants>,
+}
+
+/// One inter-chip cut transfer of the system plan, as the back end needs
+/// it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TraceTransfer {
     /// Producing chip.
@@ -185,13 +207,81 @@ pub(crate) struct TraceTransfer {
     pub stage: Option<usize>,
 }
 
-/// Statistics of the recording-time trace passes.
+/// The shape of the simulated system the back end walks, shared by both
+/// op sources.
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
+    /// Cores per chip.
+    pub cores_per_chip: usize,
+    /// Chips in the system.
+    pub chip_count: usize,
+    /// Macro groups per core (scoreboard sizing).
+    pub macro_groups: usize,
+    /// The system plan's inter-chip transfers.
+    pub transfers: Vec<TraceTransfer>,
+    /// Per producing chip: indices into `transfers`, ascending.
+    pub chip_transfers: Vec<Vec<usize>>,
+}
+
+impl Layout {
+    /// The layout of a compiled program.
+    pub(crate) fn of(compiled: &CompiledProgram) -> Self {
+        let arch = &compiled.arch;
+        let chip_count = compiled.system.chip_count.max(1) as usize;
+        // Chip-local stage ordinal of every placed group: the merged plan
+        // lists each chip's stages contiguously, and the per-chip code
+        // generator emitted barrier pair (2k, 2k + 1) around its local
+        // stage k — that pairing is what lets the streaming hand-off tie
+        // a cut activation to the execution window producing it.
+        let mut group_stage: HashMap<usize, usize> = HashMap::new();
+        let mut stages_seen = vec![0usize; chip_count];
+        for stage in &compiled.plan.stages {
+            let Some(first) = stage.placements.first() else { continue };
+            let chip = compiled.system.assignment.get(first.group).copied().unwrap_or(0) as usize;
+            let ordinal = stages_seen[chip.min(chip_count - 1)];
+            stages_seen[chip.min(chip_count - 1)] += 1;
+            for placement in &stage.placements {
+                group_stage.insert(placement.group, ordinal);
+            }
+        }
+        let transfers: Vec<TraceTransfer> = compiled
+            .system
+            .transfers
+            .iter()
+            .map(|t| TraceTransfer {
+                from_chip: t.from_chip,
+                to_chip: t.to_chip,
+                bytes: t.bytes,
+                stage: group_stage.get(&t.producer).copied(),
+            })
+            .collect();
+        let mut chip_transfers: Vec<Vec<usize>> = vec![Vec::new(); chip_count];
+        for (index, transfer) in transfers.iter().enumerate() {
+            let from = transfer.from_chip as usize;
+            if from < chip_count {
+                chip_transfers[from].push(index);
+            }
+        }
+        Layout {
+            cores_per_chip: arch.chip().core_count as usize,
+            chip_count,
+            macro_groups: arch.core.cim_unit.macro_groups.max(1) as usize,
+            transfers,
+            chip_transfers,
+        }
+    }
+
+    /// Total cores across all chips.
+    pub(crate) fn cores(&self) -> usize {
+        self.chip_count * self.cores_per_chip
+    }
+}
+
+/// Statistics of the front end's stream shaping.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TracePasses {
     /// Dynamic instructions fused into [`TraceOp::Advance`] runs.
     pub fused_instructions: u64,
-    /// `Send` ops whose channel push was elided as dead (never popped).
-    pub elided_sends: u64,
 }
 
 /// A recorded simulation trace: the flat, typed per-core op streams of
@@ -201,7 +291,7 @@ pub struct TracePasses {
 /// [`ReplayEngine`](crate::ReplayEngine).
 ///
 /// A trace is valid for any [`SimOptions`](crate::SimOptions): the op
-/// streams do not depend on the hand-off mode (only the engine-side
+/// streams do not depend on the hand-off mode (only the back end's
 /// dispatch logic, which replay re-runs per point, does) and profiling
 /// never affects timing.
 #[derive(Debug, Clone)]
@@ -211,31 +301,13 @@ pub struct SimTrace {
     pub(crate) arch: ArchConfig,
     /// `arch.compile_fingerprint()` — the share/compatibility key.
     pub(crate) fingerprint: u64,
-    /// Cores per chip.
-    pub(crate) cores_per_chip: usize,
-    /// Chips in the system.
-    pub(crate) chip_count: usize,
-    /// Macro groups per core (for scoreboard sizing / index resolution).
-    pub(crate) macro_groups: usize,
-    /// Per-core op streams, chip-major like the interpreter's cores.
+    /// The simulated system's shape.
+    pub(crate) layout: Layout,
+    /// Per-core op streams, chip-major.
     pub(crate) ops: Vec<Vec<TraceOp>>,
-    /// The system plan's inter-chip transfers.
-    pub(crate) transfers: Vec<TraceTransfer>,
-    /// Per producing chip: indices into `transfers`, ascending.
-    pub(crate) chip_transfers: Vec<Vec<usize>>,
     /// Timing-invariant report material.
-    pub(crate) dynamic_instructions: BTreeMap<String, u64>,
-    /// Total CIM operations.
-    pub(crate) cim_ops: u64,
-    /// Total vector elements processed.
-    pub(crate) vector_ops: u64,
-    /// Workload MACs.
-    pub(crate) total_macs: u64,
-    /// Total counted dynamic instructions.
-    pub(crate) executed: u64,
-    /// Per-core invariant totals.
-    pub(crate) core_invariants: Vec<CoreInvariants>,
-    /// Pass statistics.
+    pub(crate) totals: RunTotals,
+    /// Stream-shaping statistics.
     pub(crate) passes: TracePasses,
 }
 
@@ -248,7 +320,7 @@ impl SimTrace {
 
     /// Number of chips the trace spans.
     pub fn chip_count(&self) -> usize {
-        self.chip_count
+        self.layout.chip_count
     }
 
     /// Total trace ops across all cores (after fusion).
@@ -256,14 +328,13 @@ impl SimTrace {
         self.ops.iter().map(Vec::len).sum()
     }
 
-    /// Dynamic instructions the recording run executed — the work one
-    /// interpreter pass performs that each replay pass avoids
-    /// re-decoding.
+    /// Dynamic instructions the recording run executed — the decode work
+    /// each replay pass avoids.
     pub fn instruction_count(&self) -> u64 {
-        self.executed
+        self.totals.executed
     }
 
-    /// Statistics of the recording-time trace passes.
+    /// Statistics of the front end's stream shaping.
     pub fn passes(&self) -> TracePasses {
         self.passes
     }
@@ -278,142 +349,5 @@ impl SimTrace {
     /// The configuration the trace was recorded under.
     pub fn recorded_arch(&self) -> &ArchConfig {
         &self.arch
-    }
-}
-
-/// The recording hook the interpreter drives: builds per-core op
-/// streams with advance fusion as instructions execute.
-#[derive(Debug)]
-pub(crate) struct TraceRecorder {
-    /// Per-core op streams under construction.
-    pub(crate) ops: Vec<Vec<TraceOp>>,
-    /// Per core: single-cycle instructions awaiting fusion.
-    pending: Vec<u32>,
-    /// Instructions fused into `Advance` runs so far.
-    fused: u64,
-}
-
-impl TraceRecorder {
-    pub(crate) fn new(cores: usize) -> Self {
-        TraceRecorder { ops: vec![Vec::new(); cores], pending: vec![0; cores], fused: 0 }
-    }
-
-    /// Records one single-cycle instruction (fused lazily).
-    pub(crate) fn advance(&mut self, core: usize) {
-        self.pending[core] += 1;
-    }
-
-    /// Records a taken branch / jump: one instruction plus the 2-cycle
-    /// penalty, terminating the current fused run.
-    pub(crate) fn advance_penalty(&mut self, core: usize) {
-        self.pending[core] += 1;
-        let insts = std::mem::take(&mut self.pending[core]);
-        self.fused += u64::from(insts);
-        self.ops[core].push(TraceOp::Advance { insts, penalty: true });
-    }
-
-    /// Records a non-fusible op, flushing any pending fused run first.
-    pub(crate) fn push(&mut self, core: usize, op: TraceOp) {
-        self.flush(core);
-        self.ops[core].push(op);
-    }
-
-    /// Flushes the pending fused run of one core.
-    pub(crate) fn flush(&mut self, core: usize) {
-        let insts = std::mem::take(&mut self.pending[core]);
-        if insts > 0 {
-            self.fused += u64::from(insts);
-            self.ops[core].push(TraceOp::Advance { insts, penalty: false });
-        }
-    }
-
-    /// Finalizes the streams: flushes every core and runs the
-    /// dead-channel-push elision pass. Returns the streams and the pass
-    /// statistics.
-    pub(crate) fn finish(mut self, cores_per_chip: usize) -> (Vec<Vec<TraceOp>>, TracePasses) {
-        for core in 0..self.ops.len() {
-            self.flush(core);
-        }
-        let elided = elide_dead_pushes(&mut self.ops, cores_per_chip);
-        (self.ops, TracePasses { fused_instructions: self.fused, elided_sends: elided })
-    }
-}
-
-/// Marks `push: false` on every `Send` whose message is never popped by
-/// a matching `Recv`. Channels are single-writer single-reader FIFOs
-/// keyed by (global sender, global receiver): the k-th pop always takes
-/// the k-th push regardless of arrival times, so any push past the
-/// reader's total pop count is dead for every replayed point. The mesh
-/// transfer (timing + energy) is kept — only the queue push goes.
-fn elide_dead_pushes(ops: &mut [Vec<TraceOp>], cores_per_chip: usize) -> u64 {
-    let mut recvs: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    for (receiver, stream) in ops.iter().enumerate() {
-        let chip_base = (receiver / cores_per_chip * cores_per_chip) as u32;
-        for op in stream {
-            if let TraceOp::Recv { src, .. } = op {
-                *recvs.entry((chip_base + src, receiver as u32)).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut elided = 0;
-    for (sender, stream) in ops.iter_mut().enumerate() {
-        let chip_base = (sender / cores_per_chip * cores_per_chip) as u32;
-        let mut sent: BTreeMap<u32, u64> = BTreeMap::new();
-        for op in stream {
-            if let TraceOp::Send { dst, push, .. } = op {
-                let key = (sender as u32, chip_base + *dst);
-                let seq = sent.entry(*dst).or_insert(0);
-                *seq += 1;
-                if *seq > recvs.get(&key).copied().unwrap_or(0) {
-                    *push = false;
-                    elided += 1;
-                }
-            }
-        }
-    }
-    elided
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn advance_fusion_splits_on_non_fusible_ops_and_penalties() {
-        let mut rec = TraceRecorder::new(1);
-        rec.advance(0);
-        rec.advance(0);
-        rec.advance_penalty(0);
-        rec.advance(0);
-        rec.push(0, TraceOp::Barrier { id: 3 });
-        rec.push(0, TraceOp::Halt { counted: true });
-        let (ops, passes) = rec.finish(1);
-        assert_eq!(
-            ops[0],
-            vec![
-                TraceOp::Advance { insts: 3, penalty: true },
-                TraceOp::Advance { insts: 1, penalty: false },
-                TraceOp::Barrier { id: 3 },
-                TraceOp::Halt { counted: true },
-            ]
-        );
-        assert_eq!(passes.fused_instructions, 4);
-    }
-
-    #[test]
-    fn dead_sends_lose_their_push_but_stay_in_the_stream() {
-        // Core 0 sends twice to core 1, which receives only once: the
-        // second push is dead; the op (and its mesh transfer) remains.
-        let mut ops = vec![
-            vec![
-                TraceOp::Send { dst: 1, bytes: 64, push: true },
-                TraceOp::Send { dst: 1, bytes: 64, push: true },
-            ],
-            vec![TraceOp::Recv { src: 0, local_cycles: 2 }],
-        ];
-        let elided = elide_dead_pushes(&mut ops, 2);
-        assert_eq!(elided, 1);
-        assert_eq!(ops[0][0], TraceOp::Send { dst: 1, bytes: 64, push: true });
-        assert_eq!(ops[0][1], TraceOp::Send { dst: 1, bytes: 64, push: false });
     }
 }

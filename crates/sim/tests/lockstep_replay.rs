@@ -1,12 +1,15 @@
-//! Integration suite for the lockstep multi-lane replay fast path.
+//! Integration suite for the lockstep multi-lane walk of the timing back
+//! end.
 //!
-//! The contract under test: for every point a scalar
-//! [`ReplayEngine::replay`] accepts, the batched lockstep walk must
-//! produce the **same** [`SimReport`](cimflow_sim::SimReport) bit for
-//! bit — across the full seed-model × chip-count × handoff-mode grid,
-//! with invalid points isolated from their batch, and with the
-//! divergence fallback (lane peeling) exercised rather than averaged
-//! away.
+//! The back end walks a recorded trace for one lane (a scalar
+//! [`ReplayEngine::replay`]) or for up to [`LOCKSTEP_LANES`] at once. The
+//! contract under test: for every point a scalar replay accepts, the
+//! batched walk must produce the **same**
+//! [`SimReport`](cimflow_sim::SimReport) bit for bit — across the full
+//! seed-model × chip-count × handoff-mode grid, with invalid points
+//! isolated from their batch, and with the divergence fallback (lane
+//! peeling) exercised rather than averaged away. The scalar walk itself
+//! is pinned by the golden corpus (`golden_reports.rs`).
 
 use std::collections::HashSet;
 

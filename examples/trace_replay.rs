@@ -1,7 +1,7 @@
 //! Trace-recorded timing replay: compile + record a design point once,
 //! then re-time whole families of timing-only variants (frequency,
 //! memory-port placement) by replaying the recorded trace — bit-exact
-//! against the full interpreter, at a fraction of its cost.
+//! against a full compile + simulate, at a fraction of its cost.
 //!
 //! Two surfaces are shown:
 //!
@@ -72,7 +72,7 @@ fn main() -> Result<(), cimflow_dse::DseError> {
     let replayed = reports[7].as_ref().expect("replayed");
     assert_eq!(replayed, &fresh, "replay must be bit-exact, never an approximation");
     println!(
-        "bit-exact: replay of {} MHz / port {} matches the interpreter ({} cycles, {:.3} mJ)",
+        "bit-exact: replay of {} MHz / port {} matches compile + simulate ({} cycles, {:.3} mJ)",
         retimed.chip().frequency_mhz,
         retimed.chip().memory_port,
         fresh.total_cycles,

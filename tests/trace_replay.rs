@@ -1,10 +1,13 @@
-//! Cross-crate acceptance tests of the simulation trace IR and the
-//! batched lockstep replay engine: replay must be **bit-exact** against
-//! the full interpreter — same cycles, same energy, same per-unit
-//! activity — for every seed model, chip count, hand-off mode and
-//! timing-only re-timing. Replay is a performance path, never an
-//! approximation: any case it cannot re-time exactly must fall back to
-//! the interpreter, so an inexact report here is a correctness bug.
+//! Cross-crate acceptance tests of the simulation trace IR. The timing
+//! back end walks ops from two sources: the live front end
+//! (`Simulator::run`) and a recorded trace (`ReplayEngine`). A recording
+//! replayed at any timing-only point must be **bit-exact** against a
+//! fresh compile + run of that point — same cycles, same energy, same
+//! per-unit activity — for every seed model, chip count, hand-off mode
+//! and re-timing, and compile-affecting changes must be refused. The
+//! committed golden corpus (`crates/sim/tests/golden_reports.rs`) pins
+//! the reports themselves; these tests pin the agreement of the two
+//! sources on a wider grid (8 chips, random re-timings).
 
 use cimflow::compiler::compile;
 use cimflow::sim::{HandoffMode, ReplayEngine, SimOptions, Simulator};
@@ -15,8 +18,8 @@ const BOTH_HANDOFFS: [HandoffMode; 2] = [HandoffMode::AtRetirement, HandoffMode:
 
 /// The full seed matrix: every benchmark model at 1/2/4/8 chips, both
 /// hand-off modes. One recording per (model, chip count) — the trace is
-/// option-independent — replayed against a fresh interpreter run of the
-/// same options.
+/// option-independent — replayed against a fresh run of the same
+/// options.
 #[test]
 fn replay_is_bit_exact_for_all_seed_models_chip_counts_and_handoff_modes() {
     for model in models::benchmark_suite(32) {
