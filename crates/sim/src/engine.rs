@@ -267,7 +267,8 @@ struct FrontEnd<'a> {
     /// Dense channel id of every (global sender, chip-local receiver)
     /// pair, assigned the first time either end decodes.
     channel_ids: Vec<u32>,
-    channels: u32,
+    /// The id the next new channel gets.
+    next_channel: u32,
     /// Dynamic instructions per [`OpcodeClass`] discriminant.
     dynamic: [u64; OpcodeClass::ALL.len()],
     cim_ops: u64,
@@ -295,7 +296,7 @@ impl<'a> FrontEnd<'a> {
             energy: EnergyModel::calibrated_28nm(),
             address_map: arch.address_map(),
             channel_ids: vec![NO_CHANNEL; cores * cores_per_chip],
-            channels: 0,
+            next_channel: 0,
             dynamic: [0; OpcodeClass::ALL.len()],
             cim_ops: 0,
             vector_ops: 0,
@@ -336,8 +337,8 @@ impl<'a> FrontEnd<'a> {
         let mut channel_of = |sender: usize, receiver: u32| {
             let slot = &mut self.channel_ids[sender * cores_per_chip + receiver as usize];
             if *slot == NO_CHANNEL {
-                *slot = self.channels;
-                self.channels += 1;
+                *slot = self.next_channel;
+                self.next_channel += 1;
             }
             *slot
         };
