@@ -201,13 +201,13 @@ impl LinkWalk {
     }
 
     /// Completes the transfer of `bytes`, accounting it into `stats`. A
-    /// walk that crossed no link, or a zero-flit packet, completes
-    /// immediately (the packet is still counted).
+    /// walk that crossed no link (a local or zero-flit packet) completes
+    /// immediately; the packet is still counted.
     fn finish(self, bytes: u64, stats: &mut NocStats) -> TransferOutcome {
         stats.packets += 1;
         stats.bytes += bytes;
         stats.flits += self.flits;
-        if self.hops == 0 || self.flits == 0 {
+        if self.hops == 0 {
             let now = self.now;
             return TransferOutcome {
                 departure: now,

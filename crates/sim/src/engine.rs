@@ -212,7 +212,7 @@ impl<'a> Simulator<'a> {
     /// exhausted.
     pub fn run(self) -> Result<SimReport, SimError> {
         let layout = Layout::of(self.compiled);
-        let mut front = FrontEnd::new(self.compiled, false);
+        let mut front = FrontEnd::new(self.compiled, &layout, false);
         let arch = &self.compiled.arch;
         let profile = self.profile.as_ref();
         let walked = walk_one(&layout, &mut front, arch, self.options.handoff, profile)?;
@@ -234,7 +234,7 @@ impl<'a> Simulator<'a> {
     /// Exactly the errors of [`Simulator::run`].
     pub fn record(compiled: &CompiledProgram) -> Result<(SimTrace, SimReport), SimError> {
         let layout = Layout::of(compiled);
-        let mut front = FrontEnd::new(compiled, true);
+        let mut front = FrontEnd::new(compiled, &layout, true);
         let arch = &compiled.arch;
         let walked = walk_one(&layout, &mut front, arch, SimOptions::default().handoff, None)?;
         let totals = front.totals();
@@ -282,17 +282,15 @@ struct FrontEnd<'a> {
 }
 
 impl<'a> FrontEnd<'a> {
-    fn new(compiled: &'a CompiledProgram, keep: bool) -> Self {
+    fn new(compiled: &'a CompiledProgram, layout: &Layout, keep: bool) -> Self {
         let arch = compiled.arch;
-        let chips = compiled.system.chip_count.max(1) as usize;
-        let cores_per_chip = arch.chip().core_count as usize;
-        let cores = chips * cores_per_chip;
+        let (cores, cores_per_chip) = (layout.cores(), layout.cores_per_chip);
         FrontEnd {
             programs: &compiled.per_core,
             arch,
             cores: (0..cores).map(|g| CoreState::new((g % cores_per_chip) as u32)).collect(),
             cores_per_chip,
-            macro_groups: arch.core.cim_unit.macro_groups.max(1) as usize,
+            macro_groups: layout.macro_groups,
             energy: EnergyModel::calibrated_28nm(),
             address_map: arch.address_map(),
             channel_ids: vec![NO_CHANNEL; cores * cores_per_chip],
