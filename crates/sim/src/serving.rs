@@ -41,7 +41,7 @@ const TIMELINE_CAP: usize = 256;
 /// Where a served model's program comes from.
 #[derive(Debug)]
 pub enum ServeSource<'a> {
-    /// A compiled program, simulated once by the driver.
+    /// A compiled program, simulated once per serving run.
     Compiled(&'a CompiledProgram),
     /// An already-recorded trace, re-timed for `arch` (which must share
     /// the recording's
