@@ -714,7 +714,19 @@ fn unknown(what: &str, id: u64) -> Response {
 pub fn serve_connection(
     service: &EvalService,
     reader: impl BufRead,
+    writer: impl Write,
+) -> std::io::Result<bool> {
+    serve_lines(service, reader, writer, || {})
+}
+
+/// [`serve_connection`], calling `on_shutdown` as soon as a request asks
+/// for shutdown and before its acknowledgement is written, so a client
+/// holding the acknowledgement always observes the state it reports.
+fn serve_lines(
+    service: &EvalService,
+    reader: impl BufRead,
     mut writer: impl Write,
+    on_shutdown: impl Fn(),
 ) -> std::io::Result<bool> {
     let mut connection = Connection::new(service);
     for line in reader.lines() {
@@ -723,6 +735,9 @@ pub fn serve_connection(
             continue;
         }
         let (response, shutdown) = connection.handle_line(&line);
+        if shutdown {
+            on_shutdown();
+        }
         let response =
             serde_json::to_string(&response).expect("response serialization cannot fail");
         writer.write_all(response.as_bytes())?;
@@ -822,9 +837,7 @@ impl TcpServer {
                                     Ok(clone) => BufReader::new(clone),
                                     Err(_) => return,
                                 };
-                                if let Ok(true) = serve_connection(&service, reader, &stream) {
-                                    stop.set();
-                                }
+                                let _ = serve_lines(&service, reader, &stream, || stop.set());
                             });
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
