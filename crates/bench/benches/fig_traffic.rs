@@ -5,16 +5,18 @@
 //!
 //! Every line is derived from one fixed-seed Poisson workload, so the
 //! whole **stdout** table is bit-reproducible run to run — the CI gate
-//! runs this bench twice and diffs the two outputs. Host-dependent
-//! wall-clock numbers (the trajectory metric: simulated requests per
-//! host second) go to **stderr**, deliberately outside the diff.
+//! runs this bench twice and diffs the two outputs. Each model is
+//! simulated once, up front; every rate is then pure queueing over the
+//! two single-inference reports. Host-dependent wall-clock numbers (the
+//! trajectory metric: simulated requests per host second, timing the
+//! queueing alone) go to **stderr**, deliberately outside the diff.
 //!
 //! Run with `cargo bench -p cimflow-bench --bench fig_traffic`.
 
 use std::time::Instant;
 
 use cimflow::compiler::compile;
-use cimflow::sim::{SimOptions, Simulator};
+use cimflow::sim::Simulator;
 use cimflow::{models, ArchConfig, ServeModel, Strategy, WorkloadSpec};
 use cimflow_bench::resolution;
 
@@ -25,13 +27,16 @@ const RATES: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
 fn main() {
     let resolution = resolution();
     let arch = ArchConfig::paper_default().with_chip_count(CHIPS);
-    let mobilenet = compile(&models::mobilenet_v2(resolution), &arch, Strategy::DpOptimized)
-        .expect("mobilenetv2 compiles");
-    let resnet = compile(&models::resnet18(resolution), &arch, Strategy::DpOptimized)
-        .expect("resnet18 compiles");
+    let single = |model| {
+        let compiled = compile(&model, &arch, Strategy::DpOptimized).expect("the model compiles");
+        Simulator::new(&compiled).run().expect("the model simulates")
+    };
     let served = [
-        ServeModel::compiled("mobilenetv2", &mobilenet),
-        ServeModel::compiled("resnet18", &resnet),
+        ServeModel {
+            name: "mobilenetv2".to_owned(),
+            single: single(models::mobilenet_v2(resolution)),
+        },
+        ServeModel { name: "resnet18".to_owned(), single: single(models::resnet18(resolution)) },
     ];
     let workload = WorkloadSpec { requests: REQUESTS, ..WorkloadSpec::default() };
 
@@ -48,8 +53,8 @@ fn main() {
     let started = Instant::now();
     for offered_qps in RATES {
         let rate_start = Instant::now();
-        let report = Simulator::serve(&served, &workload, offered_qps, SimOptions::default())
-            .expect("the workload serves");
+        let report =
+            Simulator::serve(&served, &workload, offered_qps).expect("the workload serves");
         let host = rate_start.elapsed().as_secs_f64();
         total_requests += report.requests;
         println!(

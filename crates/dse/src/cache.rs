@@ -296,6 +296,19 @@ impl EvalCache {
         self.inner.entries.lock().expect("cache poisoned").insert(key, evaluation);
     }
 
+    /// Stores an evaluation computed after a counted miss, without
+    /// counting another lookup. The first writer wins: returns the stored
+    /// evaluation and whether another writer had published it first.
+    pub(crate) fn publish(&self, key: CacheKey, evaluation: Evaluation) -> (Evaluation, bool) {
+        let mut entries = self.inner.entries.lock().expect("cache poisoned");
+        match entries.entry(key) {
+            std::collections::hash_map::Entry::Occupied(slot) => (slot.get().clone(), true),
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                (slot.insert(evaluation).clone(), false)
+            }
+        }
+    }
+
     /// Looks up, or evaluates-and-stores on a miss.
     ///
     /// Concurrent callers with the same key are deduplicated: the first

@@ -1,28 +1,37 @@
-//! The single-point evaluation primitive: `model + architecture +
-//! strategy → compile → simulate → Evaluation`.
+//! The evaluation primitives: `model + architecture + strategy →
+//! compile → simulate → Evaluation`.
 //!
 //! This is the unit of work the evaluation service fans out and the value
 //! the evaluation cache stores. The [`Evaluation`] record used to live in
 //! the `cimflow` facade crate; it moved here so that both the facade's
 //! `CimFlow` workflow object and the batch engine share one definition
 //! (the facade re-exports it).
+//!
+//! The service reaches a point's report in one of two ways. A point in
+//! no trace group compiles and simulates on its own
+//! ([`evaluate_with_search`]). The members of a trace group — points
+//! that share a [`TraceKey`], such as the frequencies, memory ports or
+//! offered rates of one compiled design — get or build their trace once
+//! and replay it for everyone else (`evaluate_group`). Under a serving
+//! workload, serving is queueing arithmetic over one single-inference
+//! report per co-located model ([`Simulator::serve`]): the point's own
+//! report for its own model, and for any other model the trace store
+//! (in a group) or a fresh compile + run (ungrouped).
 
 use std::fmt;
 use std::sync::Arc;
 
 use cimflow_arch::ArchConfig;
-use cimflow_compiler::{
-    compile_with_options, CompileOptions, CompileReport, CompiledProgram, SearchMode, Strategy,
-};
+use cimflow_compiler::{compile_with_options, CompileOptions, CompileReport, SearchMode, Strategy};
 use cimflow_nn::Model;
 use cimflow_sim::{
-    ReplayEngine, ServeModel, ServingReport, SimError, SimOptions, SimReport, Simulator,
+    LockstepStats, ReplayEngine, ServeModel, ServingReport, SimOptions, SimReport, Simulator,
 };
 use cimflow_traffic::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::trace_store::{TraceEntry, TraceKey, TraceStore};
-use crate::DseError;
+use crate::{DseError, Job};
 
 /// How a design point's simulation report was produced: by a full
 /// compile and simulation of the point, or by replaying a recorded trace
@@ -98,8 +107,8 @@ pub struct TrafficJob {
     pub colocated: Vec<(String, Arc<Model>)>,
 }
 
-/// Wire name of a served model (matches the `model` label of `traffic.*`
-/// metrics and the per-model entries of a serving report).
+/// Wire name of a served model (the `model` of the per-model entries of
+/// a serving report).
 pub(crate) fn served_model_name(name: &str, resolution: u32) -> String {
     format!("{name}@{resolution}")
 }
@@ -255,35 +264,133 @@ pub fn evaluate_with_search(
     })
 }
 
-/// [`evaluate_with_search`] through a shared [`TraceStore`]: the first
-/// point of a trace group compiles and *records* (its report comes from
-/// the recording run — [`EvalPath::Interpreted`]); every
-/// later point with the same [`TraceKey`] skips compilation entirely and
-/// replays the recorded trace ([`EvalPath::Replayed`]), which is
-/// bit-exact by construction.
-///
-/// If the replay engine refuses the point (it never approximates — see
-/// [`cimflow_sim::SimError::TraceMismatch`]), the point transparently
-/// falls back to the full `compile → simulate` pipeline.
+/// Evaluates one point that belongs to no trace group: the full
+/// `compile → simulate` pipeline, then, under a serving workload, a
+/// fresh compile + run of every other co-located model on the point's
+/// architecture.
 ///
 /// # Errors
 ///
-/// See [`evaluate_with_search`].
-pub(crate) fn evaluate_traced(
+/// See [`evaluate_with_search`]; under load also any co-located model's
+/// failure and [`SimError::Traffic`](cimflow_sim::SimError::Traffic) (as
+/// [`DseError::Simulation`]) for unusable workloads.
+pub(crate) fn evaluate_point(job: &Job, model: &Model) -> Result<Evaluation, DseError> {
+    let (strategy, search) = (job.spec.strategy, job.spec.search);
+    let mut evaluation = evaluate_with_search(&job.arch, model, strategy, search)?;
+    evaluation.serving = serve_point(job, &evaluation.simulation, |other| {
+        let options = CompileOptions { strategy, search, ..CompileOptions::default() };
+        let compiled = compile_with_options(other, &job.arch, options)?;
+        Ok(Simulator::new(&compiled).run()?)
+    })?;
+    Ok(evaluation)
+}
+
+/// Evaluates the members of one trace group, every one of which has
+/// `key` as its [`TraceKey`], through the shared [`TraceStore`].
+///
+/// Each member's architecture is validated first: an invalid one fails
+/// alone, with the error a solo evaluation gives. The trace is then
+/// fetched, or compiled and recorded at the first valid member's
+/// architecture; that member keeps the recording's own report
+/// ([`EvalPath::Interpreted`]). Every other valid member is re-timed by
+/// one lockstep [`ReplayEngine::replay_batch_stats`] call
+/// ([`EvalPath::Replayed`]), which is bit-exact by construction. Under a
+/// serving workload every other co-located model's single-inference
+/// report comes from the store too.
+///
+/// Returns one result per member plus the lockstep counters.
+pub(crate) fn evaluate_group(
+    jobs: &[&Job],
+    key: TraceKey,
+    traces: &TraceStore,
+) -> (Vec<Result<Evaluation, DseError>>, LockstepStats) {
+    let mut results: Vec<Option<Result<Evaluation, DseError>>> =
+        jobs.iter().map(|job| job.arch.validate().err().map(|e| Err(e.into()))).collect();
+    let valid: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();
+    let mut stats = LockstepStats::default();
+    if let Some(&first) = valid.first() {
+        let lead = jobs[first];
+        let model = lead.model.as_ref().expect("grouped jobs have resolved models");
+        match get_or_record(traces, key, &lead.arch, model, lead.spec.strategy, lead.spec.search) {
+            Err(e) => {
+                for &i in &valid {
+                    results[i] = Some(Err(e.clone()));
+                }
+            }
+            Ok((entry, recorded)) => {
+                let build = |job: &Job, simulation, eval_path| Evaluation {
+                    model: model.name.clone(),
+                    strategy: job.spec.strategy,
+                    search: job.spec.search,
+                    arch: job.arch,
+                    compilation: entry.compilation.clone(),
+                    stages: entry.stages,
+                    mean_duplication: entry.mean_duplication,
+                    simulation,
+                    eval_path,
+                    serving: None,
+                };
+                // The lookup of a stored trace counted one reuse already.
+                let (replayed, counted) = match recorded {
+                    Some(report) => {
+                        results[first] = Some(Ok(build(lead, report, EvalPath::Interpreted)));
+                        (&valid[1..], 0)
+                    }
+                    None => (&valid[..], 1),
+                };
+                let points: Vec<(ArchConfig, SimOptions)> =
+                    replayed.iter().map(|&i| (jobs[i].arch, SimOptions::default())).collect();
+                let (reports, lockstep) =
+                    ReplayEngine::new(&entry.trace).replay_batch_stats(&points);
+                stats = lockstep;
+                traces.note_reuse(replayed.len() as u64 - counted);
+                for (&i, report) in replayed.iter().zip(reports) {
+                    results[i] = Some(
+                        report
+                            .map(|simulation| build(jobs[i], simulation, EvalPath::Replayed))
+                            .map_err(DseError::from),
+                    );
+                }
+            }
+        }
+    }
+    let results =
+        jobs.iter()
+            .zip(results)
+            .map(|(job, result)| {
+                let mut evaluation = result.expect("every member is answered")?;
+                let (strategy, search) = (job.spec.strategy, job.spec.search);
+                evaluation.serving = serve_point(job, &evaluation.simulation, |other| {
+                    let key = TraceKey::of(&job.arch, other, strategy, search);
+                    match get_or_record(traces, key, &job.arch, other, strategy, search)? {
+                        (_, Some(report)) => Ok(report),
+                        (entry, None) => Ok(ReplayEngine::new(&entry.trace)
+                            .replay(&job.arch, SimOptions::default())?),
+                    }
+                })?;
+                Ok(evaluation)
+            })
+            .collect();
+    (results, stats)
+}
+
+/// Gets `key`'s trace from the store, or compiles `model` for `arch` and
+/// records it. A recording keeps its own report (the report of `arch`):
+/// it comes back as `Some` when this call recorded.
+fn get_or_record(
+    traces: &TraceStore,
+    key: TraceKey,
     arch: &ArchConfig,
     model: &Model,
     strategy: Strategy,
     search: SearchMode,
-    traces: &TraceStore,
-) -> Result<Evaluation, DseError> {
-    arch.validate()?;
-    let key = TraceKey::of(arch, model, strategy, search);
-    let mut recorded_report = None;
-    let (entry, recorded_here) = traces.get_or_record_with(key, || {
+) -> Result<(Arc<TraceEntry>, Option<SimReport>), DseError> {
+    let mut recorded = None;
+    let (entry, _) = traces.get_or_record_with(key, || {
         let options = CompileOptions { strategy, search, ..CompileOptions::default() };
         let compiled = compile_with_options(model, arch, options)?;
         let (trace, report) = Simulator::record(&compiled)?;
-        recorded_report = Some(report);
+        recorded = Some(report);
         Ok(TraceEntry {
             trace,
             compilation: compiled.report.clone(),
@@ -291,241 +398,36 @@ pub(crate) fn evaluate_traced(
             mean_duplication: compiled.plan.mean_duplication(),
         })
     })?;
-    let build = |simulation: SimReport, eval_path: EvalPath| Evaluation {
-        model: model.name.clone(),
-        strategy,
-        search,
-        arch: *arch,
-        compilation: entry.compilation.clone(),
-        stages: entry.stages,
-        mean_duplication: entry.mean_duplication,
-        simulation,
-        eval_path,
-        serving: None,
-    };
-    if recorded_here {
-        let report = recorded_report.expect("recording produced a report");
-        return Ok(build(report, EvalPath::Interpreted));
-    }
-    match ReplayEngine::new(&entry.trace).replay(arch, SimOptions::default()) {
-        Ok(report) => Ok(build(report, EvalPath::Replayed)),
-        // The replay engine never approximates: any refusal (or runtime
-        // fault) sends the point through the full pipeline instead.
-        Err(_) => evaluate_with_search(arch, model, strategy, search),
-    }
+    Ok((entry, recorded))
 }
 
-/// Re-times one recorded trace for a whole group of timing-only points
-/// with a single lockstep [`ReplayEngine::replay_batch_stats`] call —
-/// the service's trace-group fast path. Every member must share the
-/// entry's [`TraceKey`]; compile-side facts are cloned from the entry
-/// exactly as [`evaluate_traced`] does. Each member gets its own result
-/// (a refused or failed member errs individually so the caller can fall
-/// back to the full pipeline for just that point), plus the batch's
-/// lockstep counters.
-pub(crate) fn evaluate_replay_group(
-    entry: &TraceEntry,
-    model: &Model,
-    strategy: Strategy,
-    search: SearchMode,
-    arches: &[ArchConfig],
-) -> (Vec<Result<Evaluation, SimError>>, cimflow_sim::LockstepStats) {
-    let engine = ReplayEngine::new(&entry.trace);
-    let points: Vec<(ArchConfig, SimOptions)> =
-        arches.iter().map(|arch| (*arch, SimOptions::default())).collect();
-    let (reports, stats) = engine.replay_batch_stats(&points);
-    let evaluations = arches
-        .iter()
-        .zip(reports)
-        .map(|(arch, report)| {
-            report.map(|simulation| Evaluation {
-                model: model.name.clone(),
-                strategy,
-                search,
-                arch: *arch,
-                compilation: entry.compilation.clone(),
-                stages: entry.stages,
-                mean_duplication: entry.mean_duplication,
-                simulation,
-                eval_path: EvalPath::Replayed,
-                serving: None,
-            })
-        })
-        .collect();
-    (evaluations, stats)
-}
-
-/// Runs the serving-mode simulator for one design point: every
-/// co-located model of `traffic` is sourced from the shared
-/// [`TraceStore`] when one is available (the first point of a trace
-/// group records, every later point — and every other offered rate of
-/// the same design — replays the recorded trace), falling back to a
-/// fresh compile per model otherwise.
-///
-/// `own` is the point's own model spec; its per-model latency quantiles
-/// become the summary's SLO numbers.
-///
-/// # Errors
-///
-/// Compilation/simulation failures of any co-located model, or
-/// [`SimError::Traffic`] (as [`DseError::Simulation`]) for unusable
-/// workloads.
-pub(crate) fn serve_point(
-    arch: &ArchConfig,
-    strategy: Strategy,
-    search: SearchMode,
-    traffic: &TrafficJob,
-    offered_qps: u64,
-    own: &crate::ModelSpec,
-    traces: Option<&TraceStore>,
-) -> Result<ServingSummary, DseError> {
-    let held = hold_sources(arch, strategy, search, traffic, traces)?;
-    let serve = |held: &[(String, Held)]| {
-        Simulator::serve(
-            &serve_models(held, arch),
-            &traffic.workload,
-            offered_qps,
-            SimOptions::default(),
-        )
-    };
-    let report = match serve(&held) {
-        Ok(report) => report,
-        // The replay engine never approximates: a refused trace sends
-        // every model through a fresh compile instead.
-        Err(SimError::TraceMismatch { .. }) => {
-            serve(&recompile_sources(arch, strategy, search, traffic)?)?
-        }
-        Err(e) => return Err(e.into()),
-    };
-    Ok(ServingSummary::of(&report, &served_model_name(&own.name, own.resolution)))
-}
-
-/// [`serve_point`] for a whole co-located rate ladder: the program
-/// sources are pinned **once** and every rung reuses the same
-/// single-inference reports through [`Simulator::serve_ladder`] — the
-/// service's ladder-group fast path. Rung-level failures (e.g. a
-/// zero-QPS rung) err individually.
-///
-/// # Errors
-///
-/// Same conditions as [`serve_point`], for failures that sink the whole
-/// ladder (unresolvable sources, refused traces even after recompiling).
-pub(crate) fn serve_ladder_points(
-    arch: &ArchConfig,
-    strategy: Strategy,
-    search: SearchMode,
-    traffic: &TrafficJob,
-    rates: &[u64],
-    own: &crate::ModelSpec,
-    traces: Option<&TraceStore>,
-) -> Result<Vec<Result<ServingSummary, DseError>>, DseError> {
-    let held = hold_sources(arch, strategy, search, traffic, traces)?;
-    let ladder = |held: &[(String, Held)]| {
-        Simulator::serve_ladder(
-            &serve_models(held, arch),
-            &traffic.workload,
-            rates,
-            SimOptions::default(),
-        )
-    };
-    let reports = match ladder(&held) {
-        Ok(reports) => reports,
-        Err(SimError::TraceMismatch { .. }) => {
-            ladder(&recompile_sources(arch, strategy, search, traffic)?)?
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let own_name = served_model_name(&own.name, own.resolution);
-    Ok(reports
-        .into_iter()
-        .map(|rung| {
-            rung.map(|report| ServingSummary::of(&report, &own_name)).map_err(DseError::from)
-        })
-        .collect())
-}
-
-/// An owned program source pinned for serving, so the borrow phase can
-/// take trace/program references with one lifetime.
-enum Held {
-    Trace(Arc<TraceEntry>),
-    Compiled(Box<CompiledProgram>),
-}
-
-/// Pins every co-located model's program source: from the shared
-/// [`TraceStore`] when one is available (recording on first touch),
-/// freshly compiled otherwise.
-fn hold_sources(
-    arch: &ArchConfig,
-    strategy: Strategy,
-    search: SearchMode,
-    traffic: &TrafficJob,
-    traces: Option<&TraceStore>,
-) -> Result<Vec<(String, Held)>, DseError> {
-    let mut held: Vec<(String, Held)> = Vec::with_capacity(traffic.colocated.len());
-    for (name, model) in &traffic.colocated {
-        let source = match traces {
-            Some(traces) => {
-                let key = TraceKey::of(arch, model, strategy, search);
-                let (entry, _) = traces.get_or_record_with(key, || {
-                    let compiled = compile_for(arch, strategy, search, model)?;
-                    let (trace, _) = Simulator::record(&compiled)?;
-                    Ok(TraceEntry {
-                        trace,
-                        compilation: compiled.report.clone(),
-                        stages: compiled.plan.stages.len(),
-                        mean_duplication: compiled.plan.mean_duplication(),
-                    })
-                })?;
-                Held::Trace(entry)
-            }
-            None => Held::Compiled(Box::new(compile_for(arch, strategy, search, model)?)),
-        };
-        held.push((name.clone(), source));
-    }
-    Ok(held)
-}
-
-/// Fresh compiles for every co-located model (the trace-refusal path).
-fn recompile_sources(
-    arch: &ArchConfig,
-    strategy: Strategy,
-    search: SearchMode,
-    traffic: &TrafficJob,
-) -> Result<Vec<(String, Held)>, DseError> {
-    traffic
+/// Serves `job`'s workload, if it offers load: queueing over one
+/// single-inference report per co-located model — `own` for the point's
+/// own model, `single` for any other. Latency quantiles come from the
+/// point's own model.
+fn serve_point(
+    job: &Job,
+    own: &SimReport,
+    mut single: impl FnMut(&Model) -> Result<SimReport, DseError>,
+) -> Result<Option<ServingSummary>, DseError> {
+    let Some(traffic) = job.active_traffic() else { return Ok(None) };
+    let own_name = served_model_name(&job.spec.model.name, job.spec.model.resolution);
+    let models = traffic
         .colocated
         .iter()
         .map(|(name, model)| {
-            Ok((
-                name.clone(),
-                Held::Compiled(Box::new(compile_for(arch, strategy, search, model)?)),
-            ))
+            let single = if *name == own_name { own.clone() } else { single(model)? };
+            Ok(ServeModel { name: name.clone(), single })
         })
-        .collect()
-}
-
-fn compile_for(
-    arch: &ArchConfig,
-    strategy: Strategy,
-    search: SearchMode,
-    model: &Model,
-) -> Result<CompiledProgram, DseError> {
-    let options = CompileOptions { strategy, search, ..CompileOptions::default() };
-    Ok(compile_with_options(model, arch, options)?)
-}
-
-fn serve_models<'a>(held: &'a [(String, Held)], arch: &ArchConfig) -> Vec<ServeModel<'a>> {
-    held.iter()
-        .map(|(name, source)| match source {
-            Held::Trace(entry) => ServeModel::traced(name.clone(), &entry.trace, *arch),
-            Held::Compiled(program) => ServeModel::compiled(name.clone(), program),
-        })
-        .collect()
+        .collect::<Result<Vec<_>, DseError>>()?;
+    let report = Simulator::serve(&models, &traffic.workload, job.spec.offered_qps)?;
+    Ok(Some(ServingSummary::of(&report, &own_name)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_store::TraceStoreStats;
     use cimflow_nn::models;
 
     #[test]
@@ -571,68 +473,68 @@ mod tests {
         assert_eq!(back.eval_path, EvalPath::Interpreted);
     }
 
-    #[test]
-    fn traced_evaluation_replays_timing_only_points_bit_exactly() {
-        let store = TraceStore::new();
-        let base = ArchConfig::paper_default();
-        let model = models::mobilenet_v2(32);
-        let first =
-            evaluate_traced(&base, &model, Strategy::DpOptimized, SearchMode::Sequential, &store)
-                .unwrap();
-        assert_eq!(first.eval_path, EvalPath::Interpreted);
-        // Also matches the plain pipeline at the recording point itself.
-        let plain =
-            evaluate_with_search(&base, &model, Strategy::DpOptimized, SearchMode::Sequential)
-                .unwrap();
-        assert_eq!(first.simulation, plain.simulation);
+    fn job(arch: ArchConfig) -> Job {
+        crate::EvalRequest::new("mobilenetv2", 32, Strategy::DpOptimized).with_base(arch).to_job()
+    }
 
-        let retimed = base.with_frequency_mhz(500).with_memory_port(27);
-        let replayed = evaluate_traced(
-            &retimed,
-            &model,
-            Strategy::DpOptimized,
-            SearchMode::Sequential,
-            &store,
-        )
-        .unwrap();
-        assert_eq!(replayed.eval_path, EvalPath::Replayed);
-        let reference =
-            evaluate_with_search(&retimed, &model, Strategy::DpOptimized, SearchMode::Sequential)
-                .unwrap();
-        assert_eq!(replayed.simulation, reference.simulation, "replay must be bit-exact");
-        assert_eq!(replayed.compilation, reference.compilation);
-        assert_eq!(replayed.stages, reference.stages);
-        assert_eq!(replayed.arch, retimed);
-
-        // A compile-affecting change records a second trace.
-        let widened = evaluate_traced(
-            &base.with_flit_bytes(16),
-            &model,
-            Strategy::DpOptimized,
-            SearchMode::Sequential,
-            &store,
-        )
-        .unwrap();
-        assert_eq!(widened.eval_path, EvalPath::Interpreted);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.stats().reused, 1);
+    fn key(job: &Job) -> TraceKey {
+        let model = job.model.as_ref().unwrap();
+        TraceKey::of(&job.arch, model, job.spec.strategy, job.spec.search)
     }
 
     #[test]
-    fn traced_evaluation_rejects_invalid_points_before_touching_the_store() {
+    fn trace_groups_record_once_and_replay_bit_exactly() {
         let store = TraceStore::new();
-        let model = models::mobilenet_v2(32);
-        let invalid = ArchConfig::paper_default().with_macros_per_group(0);
-        assert!(matches!(
-            evaluate_traced(
-                &invalid,
-                &model,
-                Strategy::GenericMapping,
+        let base = job(ArchConfig::paper_default());
+        let retimed = job(ArchConfig::paper_default().with_frequency_mhz(500).with_memory_port(27));
+        assert_eq!(key(&base), key(&retimed), "timing-only points share a trace");
+        let (results, _) = evaluate_group(&[&base, &retimed], key(&base), &store);
+        let [first, second] = [&results[0], &results[1]].map(|r| r.as_ref().unwrap());
+        // The recorder keeps the recording's own report.
+        assert_eq!(first.eval_path, EvalPath::Interpreted);
+        assert_eq!(second.eval_path, EvalPath::Replayed);
+        assert_eq!(second.arch, retimed.arch);
+        for (job, evaluation) in [(&base, first), (&retimed, second)] {
+            let model = job.model.as_ref().unwrap();
+            let fresh = evaluate_with_search(
+                &job.arch,
+                model,
+                Strategy::DpOptimized,
                 SearchMode::Sequential,
-                &store
-            ),
-            Err(DseError::Arch(_))
-        ));
-        assert!(store.is_empty());
+            )
+            .unwrap();
+            assert_eq!(evaluation.simulation, fresh.simulation, "bit-exact against a fresh run");
+            assert_eq!(evaluation.compilation, fresh.compilation);
+            assert_eq!(evaluation.stages, fresh.stages);
+        }
+        assert_eq!(store.stats(), TraceStoreStats { recorded: 1, reused: 1, evicted: 0 });
+
+        // With the trace stored, every member replays.
+        let (results, stats) = evaluate_group(&[&retimed, &base], key(&base), &store);
+        assert!(results.iter().all(|r| r.as_ref().unwrap().eval_path == EvalPath::Replayed));
+        assert_eq!(stats.batches, 1, "one lockstep walk for the whole group");
+        assert_eq!(store.stats(), TraceStoreStats { recorded: 1, reused: 3, evicted: 0 });
+    }
+
+    #[test]
+    fn invalid_members_fail_alone_and_never_record() {
+        let store = TraceStore::new();
+        let invalid = job(ArchConfig::paper_default().with_frequency_mhz(0));
+        let valid = job(ArchConfig::paper_default());
+        let (results, _) = evaluate_group(&[&invalid, &invalid], key(&valid), &store);
+        assert!(results.iter().all(|r| matches!(r, Err(DseError::Arch(_)))));
+        assert!(store.is_empty(), "a group without valid members records nothing");
+
+        let (results, _) = evaluate_group(&[&invalid, &valid], key(&valid), &store);
+        let solo = evaluate_with_search(
+            &invalid.arch,
+            invalid.model.as_ref().unwrap(),
+            Strategy::DpOptimized,
+            SearchMode::Sequential,
+        )
+        .unwrap_err();
+        assert_eq!(results[0].as_ref().unwrap_err().to_string(), solo.to_string());
+        assert_eq!(results[1].as_ref().unwrap().eval_path, EvalPath::Interpreted);
+        assert_eq!(store.stats().recorded, 1);
     }
 }

@@ -30,6 +30,18 @@
 //! compile → simulate run: the second request blocks inside the cache
 //! until the first finishes and then takes the result as a hit.
 //!
+//! # Trace groups
+//!
+//! The points of a batch that share a [`TraceKey`] — timing-only
+//! variants of one compiled design, including the offered rates of a
+//! serving ladder — form a trace group. The worker that claims one
+//! member drains the rest of the group and answers the whole claim with
+//! one cache lookup per member, one get-or-record of the trace in the
+//! shared [`TraceStore`] and one lockstep replay for every member that
+//! did not record. Each point counts one cache lookup; a grouped result
+//! is published first-writer-wins, so a member another worker finished
+//! first reads `cached: true`.
+//!
 //! # Example
 //!
 //! ```
@@ -65,8 +77,8 @@ use serde::{Deserialize, Serialize};
 use crate::journal::SweepJournal;
 use crate::trace_store::{TraceKey, TraceStore};
 use crate::{
-    traffic_fingerprint, CacheKey, DseError, DseOutcome, EvalCache, EvalPath, Job, ModelSpec,
-    PointSpec, Progress, SweepSpec,
+    CacheKey, DseError, DseOutcome, EvalCache, Evaluation, Job, ModelSpec, PointSpec, Progress,
+    SweepSpec,
 };
 
 /// Tenant name used when a request does not set one.
@@ -583,22 +595,6 @@ impl BatchState {
     }
 }
 
-/// Identity of a multi-point fast-path group within the queue: members
-/// that one worker claims together and answers with a single batched
-/// engine call instead of per-point jobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum GroupKey {
-    /// Timing-only points sharing one recorded trace — answered by one
-    /// lockstep [`replay_batch`](cimflow_sim::ReplayEngine::replay_batch)
-    /// call.
-    Trace(TraceKey),
-    /// Rate rungs of one design point under one serving workload —
-    /// answered by one [`serve_ladder`](cimflow_sim::Simulator::serve_ladder)
-    /// call that resolves the co-located singles once. The fields are the
-    /// rate-free cache key plus the rate-free traffic fingerprint.
-    Ladder(CacheKey, u64),
-}
-
 /// Most queued entries one claim drains into a single group run. Bounds
 /// worst-case latency skew (a drained member waits on the whole group)
 /// and keeps huge sweeps spread across the worker pool.
@@ -609,11 +605,11 @@ struct Entry {
     job: Job,
     tenant: String,
     priority: Priority,
-    /// The fast-path group this entry belongs to, set only for points
-    /// whose group has at least two live members. Grouped points evaluate
+    /// The trace group this entry belongs to, set only for points whose
+    /// group has at least two live members. Grouped points evaluate
     /// through the shared [`TraceStore`]; singletons never pay the
     /// recording overhead.
-    group: Option<GroupKey>,
+    group: Option<TraceKey>,
     /// Admission time, the basis of the queue-wait histogram.
     submitted_at: Instant,
     status: JobStatus,
@@ -740,63 +736,37 @@ struct Shared {
 
 const STATE_POISONED: &str = "service state poisoned";
 
-/// Runs one job through the shared pipeline (cache lookup or full
-/// compile → simulate). When `traces` is set the evaluation goes through
-/// [`evaluate_traced`](crate::eval::evaluate_traced) — the first point of a
-/// trace group records, the rest replay bit-exactly. Panics inside the
-/// evaluator are converted into per-point errors so a bad point cannot
-/// kill a long-lived worker.
-pub(crate) fn run_point(job: &Job, cache: &EvalCache, traces: Option<&TraceStore>) -> DseOutcome {
+/// Runs one job that belongs to no trace group through the shared
+/// pipeline: a cache lookup, or the full compile → simulate run of
+/// [`evaluate_point`](crate::eval::evaluate_point) on a miss. Panics
+/// inside the evaluator are converted into per-point errors so a bad
+/// point cannot kill a long-lived worker.
+pub(crate) fn run_point(job: &Job, cache: &EvalCache) -> DseOutcome {
     let (result, cached) = match &job.model {
         Err(e) => (Err(e.clone()), false),
         Ok(model) => {
+            let key = job.cache_key().expect("a resolved model always has a cache key");
             let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let key = job.cache_key().expect("a resolved model always has a cache key");
-                cache.get_or_insert_with(key, || {
-                    let mut evaluation = match traces {
-                        Some(traces) => crate::eval::evaluate_traced(
-                            &job.arch,
-                            model,
-                            job.spec.strategy,
-                            job.spec.search,
-                            traces,
-                        ),
-                        None => crate::evaluate_with_search(
-                            &job.arch,
-                            model,
-                            job.spec.strategy,
-                            job.spec.search,
-                        ),
-                    }?;
-                    if let Some(traffic) = job.active_traffic() {
-                        evaluation.serving = Some(crate::eval::serve_point(
-                            &job.arch,
-                            job.spec.strategy,
-                            job.spec.search,
-                            traffic,
-                            job.spec.offered_qps,
-                            &job.spec.model,
-                            traces,
-                        )?);
-                    }
-                    Ok(evaluation)
-                })
+                cache.get_or_insert_with(key, || crate::eval::evaluate_point(job, model))
             }));
             match evaluated {
                 Ok(Ok((evaluation, was_hit))) => (Ok(evaluation), was_hit),
                 Ok(Err(e)) => (Err(e), false),
-                Err(panic) => {
-                    let text = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    (Err(DseError::io(format!("evaluation panicked: {text}"))), false)
-                }
+                Err(panic) => (Err(panicked(panic.as_ref())), false),
             }
         }
     };
     DseOutcome { point: job.spec.clone(), result, cached }
+}
+
+/// The per-point error of an evaluation that panicked.
+fn panicked(payload: &(dyn std::any::Any + Send)) -> DseError {
+    let text = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned());
+    DseError::io(format!("evaluation panicked: {text}"))
 }
 
 /// Marks `id` terminal, updates quota/stat accounting, streams batch
@@ -875,13 +845,13 @@ struct ClaimedMember {
     queue_wait: Duration,
 }
 
-/// One worker's claim: the leader entry plus any drained members of its
-/// fast-path group (see [`GroupKey`]); solo claims carry one member.
+/// One worker's claim: the claimed entry plus any drained members of its
+/// trace group; solo claims carry one member and no group.
 struct Claim {
     members: Vec<ClaimedMember>,
     tenant: String,
     priority: Priority,
-    group: Option<GroupKey>,
+    group: Option<TraceKey>,
 }
 
 /// Marks a queued entry Running and extracts the processing payload.
@@ -897,189 +867,54 @@ fn claim_entry(st: &mut State, id: u64) -> ClaimedMember {
     }
 }
 
-/// Answers a drained trace group: the leader runs the standard traced
-/// pipeline (recording the trace on a store miss), then every remaining
-/// member is re-timed through **one** lockstep
-/// [`replay_batch`](cimflow_sim::ReplayEngine::replay_batch) call instead
-/// of per-point replays. Members the batch call refuses, and groups whose
-/// trace is unavailable, fall back to the solo path — the fast path never
-/// changes results, only how many passes over the trace they cost.
+/// Answers a claim that carries a trace key, of any size: one cache
+/// lookup per member, then one
+/// [`evaluate_group`](crate::eval::evaluate_group) call for the members
+/// the cache missed (arch check per member, one get-or-record of the
+/// trace, one lockstep replay for every member that did not record).
+/// A panic inside the evaluation fails every evaluated member. Results
+/// are published without counting a lookup, first writer wins: a member
+/// that another worker published first reads `cached: true`.
 fn run_trace_group(shared: &Shared, members: &[ClaimedMember], key: TraceKey) -> Vec<DseOutcome> {
-    let mut outcomes: Vec<Option<DseOutcome>> = members.iter().map(|_| None).collect();
-    // The leader seeds the trace store (or replays an existing trace).
-    outcomes[0] = Some(run_point(&members[0].job, &shared.cache, Some(&shared.traces)));
-    // Cache pre-check: members answered by earlier submissions are hits.
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, member) in members.iter().enumerate().skip(1) {
-        let cache_key = member.job.cache_key().expect("grouped jobs have resolved models");
-        match shared.cache.get(&cache_key) {
-            Some(evaluation) => {
-                outcomes[i] = Some(DseOutcome {
-                    point: member.job.spec.clone(),
-                    result: Ok(evaluation),
-                    cached: true,
-                });
-            }
-            None => pending.push(i),
-        }
-    }
+    let keys: Vec<CacheKey> = members
+        .iter()
+        .map(|member| member.job.cache_key().expect("grouped jobs have resolved models"))
+        .collect();
+    let mut results: Vec<Option<(Result<Evaluation, DseError>, bool)>> =
+        keys.iter().map(|key| shared.cache.get(key).map(|hit| (Ok(hit), true))).collect();
+    let pending: Vec<usize> = (0..members.len()).filter(|&i| results[i].is_none()).collect();
     if !pending.is_empty() {
-        let replayed = shared.traces.get(&key).and_then(|entry| {
-            let job = &members[pending[0]].job;
-            let model = job.model.as_ref().ok()?;
-            let arches: Vec<ArchConfig> = pending.iter().map(|&i| members[i].job.arch).collect();
-            // One batched walk for every pending member. A panic inside
-            // the engine downgrades the group to solo runs (which carry
-            // their own panic containment).
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::eval::evaluate_replay_group(
-                    &entry,
-                    model,
-                    job.spec.strategy,
-                    job.spec.search,
-                    &arches,
-                )
-            }))
-            .ok()
-        });
-        match replayed {
-            Some((evaluations, stats)) => {
+        let jobs: Vec<&Job> = pending.iter().map(|&i| &members[i].job).collect();
+        let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::eval::evaluate_group(&jobs, key, &shared.traces)
+        }));
+        let evaluations = match evaluated {
+            Ok((evaluations, stats)) => {
                 shared.obs.lockstep_batches.add(stats.batches);
                 shared.obs.lockstep_lanes.add(stats.lanes);
                 shared.obs.lockstep_fallbacks.add(stats.fallback_lanes);
-                let served = evaluations.iter().filter(|e| e.is_ok()).count() as u64;
-                shared.traces.note_reuse(served);
-                for (&i, evaluation) in pending.iter().zip(evaluations) {
-                    let member = &members[i];
-                    outcomes[i] = match evaluation {
-                        Ok(evaluation) => {
-                            let cache_key = member.job.cache_key().expect("grouped jobs have keys");
-                            match shared.cache.get_or_insert_with(cache_key, || Ok(evaluation)) {
-                                Ok((evaluation, was_hit)) => Some(DseOutcome {
-                                    point: member.job.spec.clone(),
-                                    result: Ok(evaluation),
-                                    cached: was_hit,
-                                }),
-                                Err(e) => Some(DseOutcome {
-                                    point: member.job.spec.clone(),
-                                    result: Err(e),
-                                    cached: false,
-                                }),
-                            }
-                        }
-                        // The engine refused this lane (it never
-                        // approximates): the standard per-point path
-                        // decides what to do with the point.
-                        Err(_) => Some(run_point(&member.job, &shared.cache, Some(&shared.traces))),
-                    };
-                }
+                evaluations
             }
-            // No stored trace (evicted, or the leader failed before
-            // recording): every member runs the standard path.
-            None => {
-                for &i in &pending {
-                    outcomes[i] =
-                        Some(run_point(&members[i].job, &shared.cache, Some(&shared.traces)));
+            Err(panic) => vec![Err(panicked(panic.as_ref())); pending.len()],
+        };
+        for (&i, evaluation) in pending.iter().zip(evaluations) {
+            results[i] = Some(match evaluation {
+                Ok(evaluation) => {
+                    let (evaluation, cached) = shared.cache.publish(keys[i], evaluation);
+                    (Ok(evaluation), cached)
                 }
-            }
+                Err(e) => (Err(e), false),
+            });
         }
     }
-    outcomes.into_iter().map(|outcome| outcome.expect("every member answered")).collect()
-}
-
-/// Answers a drained rate-ladder group: one shared design evaluation plus
-/// one [`serve_ladder`](cimflow_sim::Simulator::serve_ladder) call that
-/// pins the co-located program sources and resolves their
-/// single-inference reports **once** for every rung of the ladder.
-/// Rung-level failures (and a failed ladder) fall back to the solo path.
-fn run_ladder_group(shared: &Shared, members: &[ClaimedMember]) -> Vec<DseOutcome> {
-    let mut outcomes: Vec<Option<DseOutcome>> = members.iter().map(|_| None).collect();
-    // Cache pre-check: rungs answered by earlier submissions are hits.
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, member) in members.iter().enumerate() {
-        let cache_key = member.job.cache_key().expect("grouped jobs have resolved models");
-        match shared.cache.get(&cache_key) {
-            Some(evaluation) => {
-                outcomes[i] = Some(DseOutcome {
-                    point: member.job.spec.clone(),
-                    result: Ok(evaluation),
-                    cached: true,
-                });
-            }
-            None => pending.push(i),
-        }
-    }
-    let solo = |i: usize| run_point(&members[i].job, &shared.cache, Some(&shared.traces));
-    if !pending.is_empty() {
-        let lead = &members[pending[0]].job;
-        let rates: Vec<u64> = pending.iter().map(|&i| members[i].job.spec.offered_qps).collect();
-        let group = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let model = lead.model.as_ref().ok()?;
-            let traffic = lead.active_traffic()?;
-            let evaluation = crate::eval::evaluate_traced(
-                &lead.arch,
-                model,
-                lead.spec.strategy,
-                lead.spec.search,
-                &shared.traces,
-            )
-            .ok()?;
-            let summaries = crate::eval::serve_ladder_points(
-                &lead.arch,
-                lead.spec.strategy,
-                lead.spec.search,
-                traffic,
-                &rates,
-                &lead.spec.model,
-                Some(&shared.traces),
-            )
-            .ok()?;
-            Some((evaluation, summaries))
-        }))
-        .ok()
-        .flatten();
-        match group {
-            Some((base, summaries)) => {
-                for (slot, (&i, summary)) in pending.iter().zip(summaries).enumerate() {
-                    let member = &members[i];
-                    outcomes[i] = match summary {
-                        Ok(summary) => {
-                            let mut evaluation = base.clone();
-                            // The first fresh rung carries the shared
-                            // evaluation's provenance (it may have
-                            // recorded); later rungs replay that work.
-                            if slot > 0 {
-                                evaluation.eval_path = EvalPath::Replayed;
-                            }
-                            evaluation.serving = Some(summary);
-                            let cache_key = member.job.cache_key().expect("grouped jobs have keys");
-                            match shared.cache.get_or_insert_with(cache_key, || Ok(evaluation)) {
-                                Ok((evaluation, was_hit)) => Some(DseOutcome {
-                                    point: member.job.spec.clone(),
-                                    result: Ok(evaluation),
-                                    cached: was_hit,
-                                }),
-                                Err(e) => Some(DseOutcome {
-                                    point: member.job.spec.clone(),
-                                    result: Err(e),
-                                    cached: false,
-                                }),
-                            }
-                        }
-                        // A failed rung (e.g. a zero rate) reproduces its
-                        // error through the standard per-point path.
-                        Err(_) => Some(solo(i)),
-                    };
-                }
-            }
-            None => {
-                for &i in &pending {
-                    outcomes[i] = Some(solo(i));
-                }
-            }
-        }
-    }
-    outcomes.into_iter().map(|outcome| outcome.expect("every member answered")).collect()
+    members
+        .iter()
+        .zip(results)
+        .map(|(member, result)| {
+            let (result, cached) = result.expect("every member is answered");
+            DseOutcome { point: member.job.spec.clone(), result, cached }
+        })
+        .collect()
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
@@ -1111,9 +946,9 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                         let entry = st.entries.get(&id).expect("claimed entry exists");
                         let tenant = entry.tenant.clone();
                         let priority = entry.priority;
-                        let group = entry.group.clone();
+                        let group = entry.group;
                         let mut members = vec![claim_entry(&mut st, id)];
-                        // Drain the rest of a fast-path group: every
+                        // Drain the rest of a trace group: every
                         // still-queued member with the same key is
                         // answered together by one batched engine call.
                         // (Their stale heap refs are skipped lazily by
@@ -1161,27 +996,18 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             queue_wait_hist.record_duration(member.queue_wait);
         }
         let eval_started = Instant::now();
-        let outcomes: Vec<DseOutcome> = if claim.members.len() >= 2 {
-            // Grouped claim: one batched engine call for the members,
+        let outcomes: Vec<DseOutcome> = if let Some(key) = claim.group {
+            // Trace-group claim: one batched engine call for the members,
             // under a replay-phase span.
-            let key = claim.group.as_ref().expect("multi-member claims carry a group key");
-            let kind = match key {
-                GroupKey::Trace(_) => "trace",
-                GroupKey::Ladder(..) => "ladder",
-            };
             let mut span = shared.obs.tracer.as_ref().map(|tracer| {
                 let mut span = tracer.thread_span("replay", "service");
-                span.attr("kind", kind)
-                    .attr("points", claim.members.len() as u64)
+                span.attr("points", claim.members.len() as u64)
                     .attr("label", claim.members[0].job.spec.label())
                     .attr("tenant", claim.tenant.as_str())
                     .attr("priority", claim.priority.name());
                 span
             });
-            let outcomes = match key {
-                GroupKey::Trace(trace_key) => run_trace_group(&shared, &claim.members, *trace_key),
-                GroupKey::Ladder(..) => run_ladder_group(&shared, &claim.members),
-            };
+            let outcomes = run_trace_group(&shared, &claim.members, key);
             if let Some(span) = span.as_mut() {
                 span.attr("ok", outcomes.iter().all(|o| o.result.is_ok()));
             }
@@ -1199,8 +1025,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                     );
                 span
             });
-            let traces = claim.group.is_some().then_some(&shared.traces);
-            let outcome = run_point(&member.job, &shared.cache, traces);
+            let outcome = run_point(&member.job, &shared.cache);
             if let Some(span) = span.as_mut() {
                 span.attr("ok", outcome.result.is_ok()).attr("cached", outcome.cached);
             }
@@ -1641,7 +1466,7 @@ impl EvalService {
                     job,
                     tenant: tenant.clone(),
                     priority,
-                    group: groups[index].clone(),
+                    group: groups[index],
                     submitted_at: Instant::now(),
                     status,
                     outcome: resumed,
@@ -1691,67 +1516,50 @@ impl EvalService {
         Err(rejection)
     }
 
-    /// Plans the queue-insertion order and the fast-path groups of a
-    /// batch. Live points without a serving workload are grouped by
-    /// [`TraceKey`] (compile fingerprint + model + strategy + search);
-    /// points *with* one are grouped by ladder identity (design point +
-    /// rate-free workload — the rungs of one `--objective p99` ladder).
-    /// Groups of at least two points carry a [`GroupKey`]: they share one
-    /// compile → record run and replay the rest, and the worker claiming
-    /// one member drains the whole group into a single lockstep replay
-    /// (or single rate-ladder serve) instead of per-point jobs. The
-    /// insertion order interleaves the groups round-robin so every
-    /// group's recording starts early instead of the recordings
-    /// serializing group after group. Singleton groups stay untraced and
-    /// pay zero recording overhead. Outcome slots keep grid order
-    /// regardless (the handle's ids are indexed by grid position).
+    /// Plans the queue-insertion order and the trace groups of a batch.
+    /// Live points are grouped by [`TraceKey`] (compile fingerprint +
+    /// model + strategy + search), whether or not they carry a serving
+    /// workload: the rungs of one rate ladder share a key like any other
+    /// timing-only variants. Groups of at least two points carry their
+    /// key: they share one compile → record run and replay the rest, and
+    /// the worker claiming one member drains the whole group into a
+    /// single lockstep replay instead of per-point jobs. The insertion
+    /// order interleaves the groups round-robin so every group's
+    /// recording starts early instead of the recordings serializing
+    /// group after group. Singleton groups stay untraced and pay zero
+    /// recording overhead. Outcome slots keep grid order regardless (the
+    /// handle's ids are indexed by grid position).
     fn trace_plan(
         jobs: &[Job],
         resumed: &[Option<DseOutcome>],
         live: usize,
-    ) -> (Vec<usize>, Vec<Option<GroupKey>>) {
+    ) -> (Vec<usize>, Vec<Option<TraceKey>>) {
         // A group needs two live points. With fewer, skip hashing trace
         // keys: a single submit hashes its model once, for the cache key.
         if live < 2 {
             return ((0..jobs.len()).collect(), vec![None; jobs.len()]);
         }
-        let mut groups: Vec<(Option<GroupKey>, Vec<usize>)> = Vec::new();
+        let mut groups: Vec<(Option<TraceKey>, Vec<usize>)> = Vec::new();
         let mut by_key: HashMap<TraceKey, usize> = HashMap::new();
-        let mut by_ladder: HashMap<(CacheKey, u64), usize> = HashMap::new();
         for (index, job) in jobs.iter().enumerate() {
             match &job.model {
-                Ok(model) if resumed[index].is_none() => match job.active_traffic() {
-                    Some(traffic) => {
-                        let key =
-                            CacheKey::of(&job.arch, model, job.spec.strategy, job.spec.search);
-                        // Rate-free fingerprint: rungs differ only in QPS.
-                        let workload =
-                            traffic_fingerprint(0, &traffic.workload, &traffic.colocated);
-                        let slot = *by_ladder.entry((key, workload)).or_insert_with(|| {
-                            groups.push((Some(GroupKey::Ladder(key, workload)), Vec::new()));
-                            groups.len() - 1
-                        });
-                        groups[slot].1.push(index);
-                    }
-                    None => {
-                        let key =
-                            TraceKey::of(&job.arch, model, job.spec.strategy, job.spec.search);
-                        let slot = *by_key.entry(key).or_insert_with(|| {
-                            groups.push((Some(GroupKey::Trace(key)), Vec::new()));
-                            groups.len() - 1
-                        });
-                        groups[slot].1.push(index);
-                    }
-                },
+                Ok(model) if resumed[index].is_none() => {
+                    let key = TraceKey::of(&job.arch, model, job.spec.strategy, job.spec.search);
+                    let slot = *by_key.entry(key).or_insert_with(|| {
+                        groups.push((Some(key), Vec::new()));
+                        groups.len() - 1
+                    });
+                    groups[slot].1.push(index);
+                }
                 // Unknown-model and journal-resumed points are untraced
                 // singletons.
                 _ => groups.push((None, vec![index])),
             }
         }
-        let mut group_keys: Vec<Option<GroupKey>> = vec![None; jobs.len()];
+        let mut group_keys: Vec<Option<TraceKey>> = vec![None; jobs.len()];
         for (key, members) in groups.iter().filter(|(_, members)| members.len() >= 2) {
             for &index in members {
-                group_keys[index] = key.clone();
+                group_keys[index] = *key;
             }
         }
         let mut order = Vec::with_capacity(jobs.len());
@@ -2017,7 +1825,76 @@ mod tests {
     }
 
     #[test]
-    fn rate_ladder_claims_share_one_serving_resolution() {
+    fn a_fresh_timing_only_sweep_counts_one_miss_per_point() {
+        let spec = SweepSpec::new()
+            .with_model("mobilenetv2", 32)
+            .with_strategies(&[Strategy::GenericMapping])
+            .with_frequencies_mhz(&[500, 1000])
+            .with_memory_ports(&[0, 27]);
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let outcomes = service.submit_sweep(&spec).expect("admitted").wait();
+        assert!(outcomes.iter().all(|o| o.result.is_ok() && !o.cached));
+        let stats = service.cache().stats();
+        assert_eq!((stats.misses, stats.hits), (4, 0), "one lookup per point");
+    }
+
+    #[test]
+    fn invalid_group_members_fail_alone_with_the_solo_error() {
+        let spec = SweepSpec::new()
+            .with_model("mobilenetv2", 32)
+            .with_strategies(&[Strategy::GenericMapping])
+            .with_frequencies_mhz(&[0, 500, 1000])
+            .with_memory_ports(&[0, 64]);
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let outcomes = service.submit_sweep(&spec).expect("admitted").wait();
+        assert_eq!(outcomes.len(), 6);
+        let solo = EvalService::new(ServiceConfig::new().with_workers(1));
+        let mut paths = Vec::new();
+        for outcome in &outcomes {
+            match &outcome.result {
+                Ok(evaluation) => paths.push(evaluation.eval_path),
+                Err(error) => {
+                    let base = ArchConfig::paper_default()
+                        .with_frequency_mhz(outcome.point.frequency_mhz as u32)
+                        .with_memory_port(outcome.point.memory_port as u32);
+                    let alone = solo
+                        .submit(request("mobilenetv2", Strategy::GenericMapping).with_base(base))
+                        .expect("admitted")
+                        .wait();
+                    let alone = alone.result.expect_err("the point is invalid on its own too");
+                    assert!(error.to_string().starts_with("architecture error"), "{error}");
+                    assert_eq!(error.to_string(), alone.to_string());
+                }
+            }
+        }
+        assert_eq!(paths, [crate::EvalPath::Interpreted, crate::EvalPath::Replayed]);
+        assert_eq!(service.trace_store().stats().recorded, 1);
+        assert_eq!(service.cache().stats().misses, 6, "one lookup per point");
+    }
+
+    #[test]
+    fn a_group_whose_first_member_is_cached_records_once() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let warm = service.submit(request("mobilenetv2", Strategy::GenericMapping)).unwrap().wait();
+        assert!(warm.result.is_ok());
+        let spec = SweepSpec::new()
+            .with_model("mobilenetv2", 32)
+            .with_strategies(&[Strategy::GenericMapping])
+            .with_frequencies_mhz(&[1000, 500, 250]);
+        let outcomes = service.submit_sweep(&spec).expect("admitted").wait();
+        assert_eq!(outcomes.iter().map(|o| o.cached).collect::<Vec<_>>(), [true, false, false]);
+        let paths: Vec<_> = outcomes[1..]
+            .iter()
+            .map(|o| o.result.as_ref().expect("timing-only point succeeds").eval_path)
+            .collect();
+        assert_eq!(paths, [crate::EvalPath::Interpreted, crate::EvalPath::Replayed]);
+        assert_eq!(service.trace_store().stats().recorded, 1);
+        let stats = service.cache().stats();
+        assert_eq!((stats.misses, stats.hits), (3, 1));
+    }
+
+    #[test]
+    fn rate_ladder_rungs_form_one_trace_group() {
         let rates = [200, 400, 800];
         let spec = SweepSpec::new()
             .with_model("mobilenetv2", 32)
@@ -2026,14 +1903,19 @@ mod tests {
         let service = EvalService::new(ServiceConfig::new().with_workers(1));
         let outcomes = service.submit_sweep(&spec).expect("admitted").wait();
         assert_eq!(outcomes.len(), rates.len());
-        // Every rung of the drained ladder carries a serving summary for
-        // its own rate, resolved from one shared `serve_ladder` call.
+        // The rungs share one trace: the first records, the rest replay,
+        // and every rung carries a serving summary for its own rate.
+        let paths: Vec<_> =
+            outcomes.iter().map(|o| o.result.as_ref().expect("rung succeeds").eval_path).collect();
+        assert_eq!(paths[0], crate::EvalPath::Interpreted);
+        assert!(paths[1..].iter().all(|p| p.is_replayed()));
+        assert_eq!(service.trace_store().stats().recorded, 1);
         for outcome in &outcomes {
             let evaluation = outcome.result.as_ref().expect("rung succeeds");
             let serving = evaluation.serving.as_ref().expect("rung has serving summary");
             assert_eq!(serving.offered_qps, outcome.point.offered_qps);
         }
-        // The shared resolution matches per-point solo serving exactly.
+        // Grouped serving matches per-point solo serving exactly.
         let solo = EvalService::new(ServiceConfig::new().with_workers(1));
         for outcome in &outcomes {
             let rung = solo

@@ -4,15 +4,17 @@
 //! one compile → record run and replay the rest.
 //!
 //! The store is the DSE-side counterpart of the simulator's
-//! [`SimTrace`]/[`ReplayEngine`](cimflow_sim::ReplayEngine) pair: the
-//! first worker to reach a trace key pays the full
-//! `compile + record` cost and publishes the trace (plus the
-//! frequency-independent compile-side facts an [`Evaluation`]
-//! (crate::Evaluation) needs); every later point with the same key
-//! replays the trace in a fraction of the time. Concurrent recorders of
-//! one key are deduplicated with the same in-flight-marker protocol as
-//! the [`EvalCache`](crate::EvalCache), so a sweep fanning 16 workers
-//! into one trace group performs exactly one recording.
+//! [`SimTrace`]/[`ReplayEngine`](cimflow_sim::ReplayEngine) pair. A
+//! trace group — the points of a batch that share a [`TraceKey`] —
+//! gets or builds its trace, then replays: the first point to reach a
+//! key pays the full `compile + record` cost, keeps the recording's own
+//! report and publishes the trace (plus the frequency-independent
+//! compile-side facts an [`Evaluation`](crate::Evaluation) needs); every
+//! other point with the same key is re-timed from the trace in a
+//! fraction of the time, one lockstep walk per claimed group. Concurrent
+//! recorders of one key are deduplicated with the same in-flight-marker
+//! protocol as the [`EvalCache`](crate::EvalCache), so a sweep fanning
+//! 16 workers into one trace group performs exactly one recording.
 //!
 //! The key hashes the architecture through
 //! [`ArchConfig::compile_fingerprint`], which canonicalizes the
@@ -184,9 +186,11 @@ impl TraceStore {
     }
 
     /// Counts `count` additional reuses. [`TraceStore::get`] deliberately
-    /// does not count (probes are not reuses); batch consumers — e.g. a
+    /// does not count (probes are not reuses), and a lookup through
+    /// [`Self::get_or_record_with`] counts one; batch consumers — e.g. a
     /// lockstep replay group re-timing many points from one lookup —
-    /// report how many points an entry actually served.
+    /// report the further points the entry served, so that `reused`
+    /// counts replayed points.
     pub fn note_reuse(&self, count: u64) {
         self.inner.reused.fetch_add(count, Ordering::Relaxed);
     }

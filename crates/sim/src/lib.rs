@@ -72,5 +72,5 @@ pub use engine::{HandoffMode, SimOptions, Simulator};
 pub use error::SimError;
 pub use replay::{LockstepStats, ReplayEngine, LOCKSTEP_LANES};
 pub use report::{SimReport, UnitActivity};
-pub use serving::{LatencyStats, ModelServing, ServeModel, ServeSource, ServingReport};
+pub use serving::{LatencyStats, ModelServing, ServeModel, ServingReport};
 pub use trace::{SimTrace, TraceOp, TracePasses};

@@ -1,14 +1,16 @@
-//! Serving mode: online inference traffic over the cycle engine.
+//! Serving mode: online inference traffic as queueing arithmetic over
+//! single-inference reports.
 //!
 //! [`Simulator::serve`] drives the `cimflow-traffic` request queue +
-//! dynamic batcher with timing taken from the cycle engine itself:
-//! each served model is either simulated once ([`Simulator::run`]) or —
-//! when the caller already holds a recorded [`SimTrace`] whose key
-//! matches — re-timed through the [`ReplayEngine`]. Either way the
-//! engine runs **once per model, not once per request**: the report is
-//! bit-exact for every batch of the same model on the same
-//! architecture, so steady-state serving reuses it instead of
-//! re-simulating the program per dispatch.
+//! dynamic batcher with timing taken from one single-inference
+//! [`SimReport`] per served model. The caller produces each report once
+//! — a [`Simulator::run`], a [`Simulator::record`] or a bit-exact
+//! [`ReplayEngine`](crate::ReplayEngine) re-timing of the model's program
+//! on the served design point — and serving never runs the cycle engine
+//! itself: the report is bit-exact for every batch of the same model on
+//! the same architecture, so steady-state serving reuses it instead of
+//! re-simulating the program per dispatch, and a rate ladder reuses it
+//! across every rung.
 //!
 //! Consequences worth spelling out:
 //!
@@ -23,56 +25,24 @@
 //! * Model switches drain the chip pipeline; the dynamic batcher
 //!   exists to amortize exactly that cost under co-location.
 
-use cimflow_arch::ArchConfig;
-use cimflow_compiler::CompiledProgram;
-use cimflow_obs::{HistogramSnapshot, MetricsRegistry};
+use cimflow_obs::HistogramSnapshot;
 use cimflow_traffic::{run_queue, ModelTiming, WorkloadSpec};
 
-use crate::engine::{SimOptions, Simulator};
+use crate::engine::Simulator;
 use crate::error::SimError;
-use crate::replay::ReplayEngine;
 use crate::report::SimReport;
-use crate::trace::SimTrace;
 
 /// Longest queue-depth timeline kept on a [`ServingReport`] (older
 /// samples are decimated, never dropped from one end).
 const TIMELINE_CAP: usize = 256;
 
-/// Where a served model's program comes from.
-#[derive(Debug)]
-pub enum ServeSource<'a> {
-    /// A compiled program, simulated once per serving run.
-    Compiled(&'a CompiledProgram),
-    /// An already-recorded trace, re-timed for `arch` (which must share
-    /// the recording's
-    /// [`compile_fingerprint`](ArchConfig::compile_fingerprint)).
-    Trace {
-        /// The recorded trace.
-        trace: &'a SimTrace,
-        /// The architecture to re-time it for.
-        arch: ArchConfig,
-    },
-}
-
 /// One model taking part in a serving run.
-#[derive(Debug)]
-pub struct ServeModel<'a> {
-    /// Display name (also the `model` label of serving metrics).
+#[derive(Debug, Clone)]
+pub struct ServeModel {
+    /// Display name (the `model` of the per-model serving results).
     pub name: String,
-    /// The program source.
-    pub source: ServeSource<'a>,
-}
-
-impl<'a> ServeModel<'a> {
-    /// A served model from a compiled program.
-    pub fn compiled(name: impl Into<String>, program: &'a CompiledProgram) -> Self {
-        ServeModel { name: name.into(), source: ServeSource::Compiled(program) }
-    }
-
-    /// A served model from a recorded trace re-timed for `arch`.
-    pub fn traced(name: impl Into<String>, trace: &'a SimTrace, arch: ArchConfig) -> Self {
-        ServeModel { name: name.into(), source: ServeSource::Trace { trace, arch } }
-    }
+    /// The model's single-inference report on the served design point.
+    pub single: SimReport,
 }
 
 /// Exact latency statistics in cycles (computed from the full sorted
@@ -127,8 +97,8 @@ pub struct ModelServing {
     /// The same latencies (in µs) through a `cimflow-obs` histogram —
     /// the serving counterpart of the wire metrics surface.
     pub histogram: HistogramSnapshot,
-    /// The model's single-inference report on this design point
-    /// (recorded or bit-exactly replayed — never approximated).
+    /// The model's single-inference report on this design point, as the
+    /// caller passed it in.
     pub single: SimReport,
     /// Dynamic energy under load: requests × single-inference energy,
     /// in millijoules.
@@ -233,106 +203,25 @@ impl Simulator<'_> {
     /// time-shared by `models`, at `offered_qps` requests per second.
     ///
     /// See the `serving` module docs for the execution model. The run is
-    /// deterministic: one `(models, workload, qps, options)` tuple, one
-    /// report.
+    /// pure integer-tick queueing over the models' single-inference
+    /// reports and deterministic: one `(models, workload, qps)` tuple,
+    /// one report.
     ///
     /// # Errors
     ///
-    /// [`SimError::Traffic`] for invalid workloads (zero rate, bad mix,
-    /// unusable trace file, mismatched frequencies across models);
-    /// [`SimError::TraceMismatch`] when a supplied trace cannot replay
-    /// on its architecture; plus any error of the underlying engine
-    /// runs.
+    /// [`SimError::Traffic`] for invalid workloads: no models, zero
+    /// rate, bad mix, unusable trace file, or mismatched frequencies
+    /// across models.
     pub fn serve(
-        models: &[ServeModel<'_>],
+        models: &[ServeModel],
         workload: &WorkloadSpec,
         offered_qps: u64,
-        options: SimOptions,
     ) -> Result<ServingReport, SimError> {
-        Self::serve_observed(models, workload, offered_qps, options, None)
-    }
-
-    /// [`Simulator::serve`] recording `traffic.*` metrics (request and
-    /// batch counters, per-model latency and queue-wait histograms in
-    /// µs, the peak queue depth gauge) into `metrics`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::serve`].
-    pub fn serve_observed(
-        models: &[ServeModel<'_>],
-        workload: &WorkloadSpec,
-        offered_qps: u64,
-        options: SimOptions,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<ServingReport, SimError> {
-        let singles = Self::resolve_singles(models, options)?;
-        Self::serve_from_singles(models, singles, workload, offered_qps, metrics)
-    }
-
-    /// Serves the same co-located mix at every rate of a ladder, running
-    /// the cycle engine **once per model for the whole ladder** — the
-    /// single-inference reports are resolved up front and reused across
-    /// every rate, so an N-rung `--objective p99` ladder costs one replay
-    /// per model instead of N. Each rung gets its own result (e.g. a
-    /// zero-QPS rung errors individually without failing the ladder).
-    ///
-    /// # Errors
-    ///
-    /// Fails as a whole only when the singles cannot be resolved (see
-    /// [`Simulator::serve`] for the conditions); per-rate failures land
-    /// in the corresponding slot of the returned vector.
-    pub fn serve_ladder(
-        models: &[ServeModel<'_>],
-        workload: &WorkloadSpec,
-        rates: &[u64],
-        options: SimOptions,
-    ) -> Result<Vec<Result<ServingReport, SimError>>, SimError> {
-        let singles = Self::resolve_singles(models, options)?;
-        Ok(rates
-            .iter()
-            .map(|&qps| Self::serve_from_singles(models, singles.clone(), workload, qps, None))
-            .collect())
-    }
-
-    /// One engine run per model — simulated or replayed, never per
-    /// request. The report is bit-exact for every batch of the model
-    /// (same program or trace key, same arch), so it is computed once
-    /// and reused across all of them (and, via [`Simulator::serve_ladder`],
-    /// across every rung of a rate ladder).
-    fn resolve_singles(
-        models: &[ServeModel<'_>],
-        options: SimOptions,
-    ) -> Result<Vec<SimReport>, SimError> {
         if models.is_empty() {
             return Err(SimError::Traffic { detail: "no models to serve".to_owned() });
         }
-        let mut singles = Vec::with_capacity(models.len());
-        for model in models {
-            let report = match &model.source {
-                ServeSource::Compiled(compiled) => {
-                    Simulator::with_options(compiled, options).run()?
-                }
-                ServeSource::Trace { trace, arch } => {
-                    ReplayEngine::new(trace).replay(arch, options)?
-                }
-            };
-            singles.push(report);
-        }
-        Ok(singles)
-    }
-
-    /// Queueing + report assembly from already-resolved single-inference
-    /// reports (pure integer-tick arithmetic; no engine runs).
-    fn serve_from_singles(
-        models: &[ServeModel<'_>],
-        singles: Vec<SimReport>,
-        workload: &WorkloadSpec,
-        offered_qps: u64,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<ServingReport, SimError> {
-        let frequency_mhz = singles[0].frequency_mhz;
-        if singles.iter().any(|r| r.frequency_mhz != frequency_mhz) {
+        let frequency_mhz = models[0].single.frequency_mhz;
+        if models.iter().any(|m| m.single.frequency_mhz != frequency_mhz) {
             return Err(SimError::Traffic {
                 detail: "co-located models must share one clock frequency".to_owned(),
             });
@@ -342,11 +231,11 @@ impl Simulator<'_> {
         let requests = workload
             .generate(models.len(), offered_qps, ticks_per_second)
             .map_err(|e| SimError::Traffic { detail: e.to_string() })?;
-        let timings: Vec<ModelTiming> = singles
+        let timings: Vec<ModelTiming> = models
             .iter()
-            .map(|r| ModelTiming {
-                latency: r.total_cycles,
-                interval: r.pipeline_interval_cycles(),
+            .map(|m| ModelTiming {
+                latency: m.single.total_cycles,
+                interval: m.single.pipeline_interval_cycles(),
             })
             .collect();
         let outcome = run_queue(
@@ -370,7 +259,7 @@ impl Simulator<'_> {
 
         let cycles_to_us = |cycles: u64| cycles as f64 / f64::from(frequency_mhz);
         let mut per_model = Vec::with_capacity(models.len());
-        for (index, (model, single)) in models.iter().zip(singles).enumerate() {
+        for (index, model) in models.iter().enumerate() {
             let mut latencies: Vec<u64> = outcome
                 .completions
                 .iter()
@@ -395,8 +284,8 @@ impl Simulator<'_> {
                 },
                 latency: LatencyStats::from_sorted(&latencies),
                 histogram: histogram.snapshot(),
-                energy_mj: single.energy_mj() * requests_served as f64,
-                single,
+                energy_mj: model.single.energy_mj() * requests_served as f64,
+                single: model.single.clone(),
             });
         }
         let mut all: Vec<u64> = outcome.completions.iter().map(|c| c.latency()).collect();
@@ -411,21 +300,6 @@ impl Simulator<'_> {
         let stride = outcome.depth_timeline.len().div_ceil(TIMELINE_CAP).max(1);
         let queue_depth_timeline: Vec<(u64, u64)> =
             outcome.depth_timeline.iter().step_by(stride).copied().collect();
-
-        if let Some(registry) = metrics {
-            registry.counter("traffic.requests").add(total);
-            registry.counter("traffic.batches").add(outcome.batches.len() as u64);
-            registry.gauge("traffic.queue_depth_peak").set(outcome.peak_depth as i64);
-            let queue_wait = registry.histogram("traffic.queue_wait_us");
-            let latency_by_model: Vec<cimflow_obs::Histogram> = models
-                .iter()
-                .map(|m| registry.histogram_with("traffic.latency_us", &[("model", &m.name)]))
-                .collect();
-            for c in &outcome.completions {
-                latency_by_model[c.model].record(cycles_to_us(c.latency()).round() as u64);
-                queue_wait.record(cycles_to_us(c.dispatched - c.arrival).round() as u64);
-            }
-        }
 
         Ok(ServingReport {
             offered_qps,
@@ -447,21 +321,20 @@ impl Simulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cimflow_arch::ArchConfig;
     use cimflow_compiler::{compile, Strategy};
     use cimflow_nn::models;
 
-    fn serve_once(qps: u64) -> ServingReport {
+    fn mobilenet_single() -> SimReport {
         let arch = ArchConfig::paper_default();
-        let model = models::mobilenet_v2(32);
-        let compiled = compile(&model, &arch, Strategy::GenericMapping).unwrap();
+        let compiled = compile(&models::mobilenet_v2(32), &arch, Strategy::GenericMapping).unwrap();
+        Simulator::new(&compiled).run().unwrap()
+    }
+
+    fn serve_once(qps: u64) -> ServingReport {
         let workload = WorkloadSpec { requests: 64, ..WorkloadSpec::default() };
-        Simulator::serve(
-            &[ServeModel::compiled("mobilenetv2", &compiled)],
-            &workload,
-            qps,
-            SimOptions::default(),
-        )
-        .unwrap()
+        let served = [ServeModel { name: "mobilenetv2".to_owned(), single: mobilenet_single() }];
+        Simulator::serve(&served, &workload, qps).unwrap()
     }
 
     #[test]
@@ -490,73 +363,22 @@ mod tests {
     }
 
     #[test]
-    fn traced_and_compiled_sources_agree() {
-        let arch = ArchConfig::paper_default();
-        let model = models::mobilenet_v2(32);
-        let compiled = compile(&model, &arch, Strategy::GenericMapping).unwrap();
-        let (trace, _) = Simulator::record(&compiled).unwrap();
-        let workload = WorkloadSpec { requests: 32, ..WorkloadSpec::default() };
-        let from_compiled = Simulator::serve(
-            &[ServeModel::compiled("m", &compiled)],
-            &workload,
-            100,
-            SimOptions::default(),
-        )
-        .unwrap();
-        let from_trace = Simulator::serve(
-            &[ServeModel::traced("m", &trace, arch)],
-            &workload,
-            100,
-            SimOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(from_compiled.latency, from_trace.latency);
-        assert_eq!(from_compiled.makespan_cycles, from_trace.makespan_cycles);
-        assert_eq!(
-            from_compiled.per_model[0].single.total_cycles,
-            from_trace.per_model[0].single.total_cycles
-        );
-    }
-
-    #[test]
-    fn rate_ladders_match_individually_served_rungs() {
-        let arch = ArchConfig::paper_default();
-        let compiled = compile(&models::mobilenet_v2(32), &arch, Strategy::GenericMapping).unwrap();
-        let (trace, _) = Simulator::record(&compiled).unwrap();
-        let workload = WorkloadSpec { requests: 32, ..WorkloadSpec::default() };
-        let served = [ServeModel::traced("m", &trace, arch)];
-        let rates = [50u64, 500, 0, 2000];
-        let ladder =
-            Simulator::serve_ladder(&served, &workload, &rates, SimOptions::default()).unwrap();
-        assert_eq!(ladder.len(), rates.len());
-        for (&qps, rung) in rates.iter().zip(&ladder) {
-            let solo = Simulator::serve(&served, &workload, qps, SimOptions::default());
-            match (rung, solo) {
-                (Ok(rung), Ok(solo)) => {
-                    assert_eq!(rung.latency, solo.latency, "qps {qps}");
-                    assert_eq!(rung.makespan_cycles, solo.makespan_cycles, "qps {qps}");
-                }
-                (Err(rung), Err(solo)) => assert_eq!(rung.to_string(), solo.to_string()),
-                (rung, solo) => panic!("qps {qps}: ladder {rung:?} vs solo {solo:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn empty_model_lists_and_bad_workloads_are_rejected() {
         let workload = WorkloadSpec::default();
-        let err = Simulator::serve(&[], &workload, 100, SimOptions::default()).unwrap_err();
+        let err = Simulator::serve(&[], &workload, 100).unwrap_err();
         assert!(matches!(err, SimError::Traffic { .. }));
 
-        let arch = ArchConfig::paper_default();
-        let compiled = compile(&models::mobilenet_v2(32), &arch, Strategy::GenericMapping).unwrap();
-        let err = Simulator::serve(
-            &[ServeModel::compiled("m", &compiled)],
-            &workload,
-            0,
-            SimOptions::default(),
-        )
-        .unwrap_err();
+        let single = mobilenet_single();
+        let served = [ServeModel { name: "m".to_owned(), single: single.clone() }];
+        let err = Simulator::serve(&served, &workload, 0).unwrap_err();
         assert!(err.to_string().contains("QPS"), "{err}");
+
+        let slower = SimReport { frequency_mhz: single.frequency_mhz / 2, ..single.clone() };
+        let mixed = [
+            ServeModel { name: "a".to_owned(), single },
+            ServeModel { name: "b".to_owned(), single: slower },
+        ];
+        let err = Simulator::serve(&mixed, &workload, 100).unwrap_err();
+        assert!(err.to_string().contains("frequency"), "{err}");
     }
 }

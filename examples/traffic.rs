@@ -15,19 +15,21 @@
 
 use cimflow::compiler::compile;
 use cimflow::dse::{analysis, EvalService, ServiceConfig, SweepSpec, TrafficSpec};
-use cimflow::sim::{SimOptions, Simulator};
+use cimflow::sim::Simulator;
 use cimflow::{models, ArchConfig, ServeModel, Strategy, WorkloadSpec};
 
 fn main() -> Result<(), cimflow_dse::DseError> {
     // --- 1. The raw serving mode -----------------------------------------
+    // Each model is simulated once; serving is queueing arithmetic over
+    // the two single-inference reports.
     let arch = ArchConfig::paper_default().with_chip_count(4);
-    let mobilenet = compile(&models::mobilenet_v2(32), &arch, Strategy::DpOptimized)
-        .expect("mobilenetv2 compiles on 4 chips");
-    let resnet = compile(&models::resnet18(32), &arch, Strategy::DpOptimized)
-        .expect("resnet18 compiles on 4 chips");
+    let single = |model| {
+        let compiled = compile(&model, &arch, Strategy::DpOptimized).expect("compiles on 4 chips");
+        Simulator::new(&compiled).run().expect("simulates on 4 chips")
+    };
     let served = [
-        ServeModel::compiled("mobilenetv2@32", &mobilenet),
-        ServeModel::compiled("resnet18@32", &resnet),
+        ServeModel { name: "mobilenetv2@32".to_owned(), single: single(models::mobilenet_v2(32)) },
+        ServeModel { name: "resnet18@32".to_owned(), single: single(models::resnet18(32)) },
     ];
     // One seeded Poisson stream, replayed identically at every rate:
     // the rate axis compresses the same arrival pattern, so the ladder
@@ -40,8 +42,8 @@ fn main() -> Result<(), cimflow_dse::DseError> {
         "offered qps", "p50 us", "p99 us", "goodput qps", "mean batch", "backlog"
     );
     for offered_qps in [100u64, 1_000, 10_000, 100_000, 1_000_000] {
-        let report = Simulator::serve(&served, &workload, offered_qps, SimOptions::default())
-            .expect("the workload serves");
+        let report =
+            Simulator::serve(&served, &workload, offered_qps).expect("the workload serves");
         println!(
             "{:>12} {:>12.1} {:>12.1} {:>12.1} {:>10.2} {:>8}",
             offered_qps,

@@ -13,22 +13,22 @@ use cimflow::compiler::compile;
 use cimflow::dse::{
     analysis, export, EvalCache, EvalService, ServiceConfig, SweepSpec, TrafficSpec,
 };
-use cimflow::sim::{ServingReport, SimOptions, Simulator};
-use cimflow::{models, ArchConfig, ServeModel, Strategy, WorkloadSpec};
+use cimflow::sim::{ServingReport, Simulator};
+use cimflow::{models, ArchConfig, ServeModel, SimReport, Strategy, WorkloadSpec};
 
-/// Serves the default Poisson workload for one compiled model at the
-/// given offered rate.
-fn serve_at(offered_qps: u64, requests: u64) -> ServingReport {
+/// The single-inference report of mobilenetv2@32 on the paper default.
+fn single() -> SimReport {
     let arch = ArchConfig::paper_default();
     let compiled = compile(&models::mobilenet_v2(32), &arch, Strategy::GenericMapping).unwrap();
+    Simulator::new(&compiled).run().unwrap()
+}
+
+/// Serves the default Poisson workload for the model of `single` at the
+/// given offered rate.
+fn serve_at(single: &SimReport, offered_qps: u64, requests: u64) -> ServingReport {
     let workload = WorkloadSpec { requests, ..WorkloadSpec::default() };
-    Simulator::serve(
-        &[ServeModel::compiled("mobilenetv2@32", &compiled)],
-        &workload,
-        offered_qps,
-        SimOptions::default(),
-    )
-    .unwrap()
+    let served = [ServeModel { name: "mobilenetv2@32".to_owned(), single: single.clone() }];
+    Simulator::serve(&served, &workload, offered_qps).unwrap()
 }
 
 /// Acceptance: at a trickle of traffic every request finds the system
@@ -36,10 +36,8 @@ fn serve_at(offered_qps: u64, requests: u64) -> ServingReport {
 /// single-inference `SimReport` — not approximately, exactly.
 #[test]
 fn idle_serving_latency_is_bit_consistent_with_the_single_inference_report() {
-    let arch = ArchConfig::paper_default();
-    let compiled = compile(&models::mobilenet_v2(32), &arch, Strategy::GenericMapping).unwrap();
-    let single = Simulator::new(&compiled).run().unwrap();
-    let report = serve_at(2, 16);
+    let single = single();
+    let report = serve_at(&single, 2, 16);
     assert_eq!(
         report.latency.min, single.total_cycles,
         "idle serving latency must equal the offline SimReport cycle count exactly"
@@ -57,7 +55,8 @@ fn idle_serving_latency_is_bit_consistent_with_the_single_inference_report() {
 #[test]
 fn p99_latency_is_monotone_in_the_offered_rate() {
     let rates = [50u64, 500, 5_000, 50_000, 500_000];
-    let p99s: Vec<u64> = rates.iter().map(|&qps| serve_at(qps, 64).latency.p99).collect();
+    let single = single();
+    let p99s: Vec<u64> = rates.iter().map(|&qps| serve_at(&single, qps, 64).latency.p99).collect();
     for pair in p99s.windows(2) {
         assert!(
             pair[0] <= pair[1],
@@ -74,7 +73,8 @@ fn p99_latency_is_monotone_in_the_offered_rate() {
 /// bottleneck — offering twice the traffic must not mint throughput.
 #[test]
 fn goodput_plateaus_at_the_pipeline_saturation_rate() {
-    let saturated = serve_at(5_000_000, 64);
+    let single = single();
+    let saturated = serve_at(&single, 5_000_000, 64);
     assert!(saturated.saturation_qps > 0.0);
     let error = (saturated.goodput_qps - saturated.saturation_qps).abs();
     assert!(
@@ -83,7 +83,7 @@ fn goodput_plateaus_at_the_pipeline_saturation_rate() {
         saturated.goodput_qps,
         saturated.saturation_qps
     );
-    let doubled = serve_at(10_000_000, 64);
+    let doubled = serve_at(&single, 10_000_000, 64);
     let drift = (doubled.goodput_qps - saturated.goodput_qps).abs();
     assert!(
         drift <= 0.10 * saturated.goodput_qps,
@@ -93,7 +93,7 @@ fn goodput_plateaus_at_the_pipeline_saturation_rate() {
     );
     // Below saturation the server keeps up and goodput is rate-bound,
     // pinned well under the plateau.
-    let light = serve_at(100, 64);
+    let light = serve_at(&single, 100, 64);
     assert!(light.goodput_qps < saturated.goodput_qps);
 }
 
