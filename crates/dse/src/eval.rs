@@ -311,7 +311,7 @@ pub(crate) fn evaluate_group(
     if let Some(&first) = valid.first() {
         let lead = jobs[first];
         let model = lead.model.as_ref().expect("grouped jobs have resolved models");
-        match get_or_record(traces, key, &lead.arch, model, lead.spec.strategy, lead.spec.search) {
+        match get_or_record(traces, key, lead, model) {
             Err(e) => {
                 for &i in &valid {
                     results[i] = Some(Err(e.clone()));
@@ -354,41 +354,51 @@ pub(crate) fn evaluate_group(
             }
         }
     }
-    let results =
-        jobs.iter()
-            .zip(results)
-            .map(|(job, result)| {
-                let mut evaluation = result.expect("every member is answered")?;
-                let (strategy, search) = (job.spec.strategy, job.spec.search);
-                evaluation.serving = serve_point(job, &evaluation.simulation, |other| {
-                    let key = TraceKey::of(&job.arch, other, strategy, search);
-                    match get_or_record(traces, key, &job.arch, other, strategy, search)? {
-                        (_, Some(report)) => Ok(report),
-                        (entry, None) => Ok(ReplayEngine::new(&entry.trace)
-                            .replay(&job.arch, SimOptions::default())?),
-                    }
-                })?;
-                Ok(evaluation)
-            })
-            .collect();
+    let results = jobs
+        .iter()
+        .zip(results)
+        .map(|(job, result)| {
+            let mut evaluation = result.expect("every member is answered")?;
+            evaluation.serving = serve_point(job, &evaluation.simulation, |other| {
+                traced_single(traces, job, other)
+            })?;
+            Ok(evaluation)
+        })
+        .collect();
     (results, stats)
 }
 
-/// Gets `key`'s trace from the store, or compiles `model` for `arch` and
-/// records it. A recording keeps its own report (the report of `arch`):
-/// it comes back as `Some` when this call recorded.
+/// `model`'s single-inference report on `job`'s point through the trace
+/// store: the recording's own report when this call records, a replay
+/// of the stored trace otherwise.
+fn traced_single(traces: &TraceStore, job: &Job, model: &Model) -> Result<SimReport, DseError> {
+    let key = TraceKey::of(&job.arch, model, job.spec.strategy, job.spec.search);
+    match get_or_record(traces, key, job, model)? {
+        (_, Some(report)) => Ok(report),
+        (entry, None) => {
+            Ok(ReplayEngine::new(&entry.trace).replay(&job.arch, SimOptions::default())?)
+        }
+    }
+}
+
+/// Gets `key`'s trace from the store, or compiles `model` for `job`'s
+/// point and records it. A recording keeps its own report (the report
+/// of `job`'s architecture): it comes back as `Some` when this call
+/// recorded.
 fn get_or_record(
     traces: &TraceStore,
     key: TraceKey,
-    arch: &ArchConfig,
+    job: &Job,
     model: &Model,
-    strategy: Strategy,
-    search: SearchMode,
 ) -> Result<(Arc<TraceEntry>, Option<SimReport>), DseError> {
     let mut recorded = None;
     let (entry, _) = traces.get_or_record_with(key, || {
-        let options = CompileOptions { strategy, search, ..CompileOptions::default() };
-        let compiled = compile_with_options(model, arch, options)?;
+        let options = CompileOptions {
+            strategy: job.spec.strategy,
+            search: job.spec.search,
+            ..CompileOptions::default()
+        };
+        let compiled = compile_with_options(model, &job.arch, options)?;
         let (trace, report) = Simulator::record(&compiled)?;
         recorded = Some(report);
         Ok(TraceEntry {
