@@ -20,7 +20,7 @@
 //! an existing cache file — delete it (or point `CIMFLOW_DSE_CACHE`
 //! elsewhere) after such changes, or bump [`CACHE_FORMAT_VERSION`].
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -302,10 +302,8 @@ impl EvalCache {
     pub(crate) fn publish(&self, key: CacheKey, evaluation: Evaluation) -> (Evaluation, bool) {
         let mut entries = self.inner.entries.lock().expect("cache poisoned");
         match entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(slot) => (slot.get().clone(), true),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                (slot.insert(evaluation).clone(), false)
-            }
+            Entry::Occupied(slot) => (slot.get().clone(), true),
+            Entry::Vacant(slot) => (slot.insert(evaluation).clone(), false),
         }
     }
 

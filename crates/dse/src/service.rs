@@ -1809,9 +1809,9 @@ mod tests {
         assert_eq!(outcomes.len(), 6);
         assert!(outcomes.iter().all(|o| o.result.is_ok()));
         // The single worker drains the whole trace group in one claim:
-        // the leader records, the five drained members re-time through
-        // one lockstep batch whose frequency-sharing lanes collapse onto
-        // the two distinct memory-port configurations.
+        // the first member records, the other five re-time through one
+        // lockstep batch whose frequency-sharing lanes collapse onto the
+        // two distinct memory-port configurations.
         let replayed = outcomes
             .iter()
             .filter(|o| o.result.as_ref().is_ok_and(|e| e.eval_path.is_replayed()))
