@@ -16,8 +16,10 @@
 //! workload, serving is queueing arithmetic over one single-inference
 //! report per co-located model ([`Simulator::serve`]): the point's own
 //! report for its own model, and for any other model the trace store
-//! (in a group) or a fresh compile + run (ungrouped).
+//! (in a group, resolved once for the whole group) or a fresh compile +
+//! run (ungrouped).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -277,7 +279,7 @@ pub fn evaluate_with_search(
 pub(crate) fn evaluate_point(job: &Job, model: &Model) -> Result<Evaluation, DseError> {
     let (strategy, search) = (job.spec.strategy, job.spec.search);
     let mut evaluation = evaluate_with_search(&job.arch, model, strategy, search)?;
-    evaluation.serving = serve_point(job, &evaluation.simulation, |other| {
+    evaluation.serving = serve_point(job, &evaluation.simulation, |_, other| {
         let options = CompileOptions { strategy, search, ..CompileOptions::default() };
         let compiled = compile_with_options(other, &job.arch, options)?;
         Ok(Simulator::new(&compiled).run()?)
@@ -289,14 +291,12 @@ pub(crate) fn evaluate_point(job: &Job, model: &Model) -> Result<Evaluation, Dse
 /// `key` as its [`TraceKey`], through the shared [`TraceStore`].
 ///
 /// Each member's architecture is validated first: an invalid one fails
-/// alone, with the error a solo evaluation gives. The trace is then
-/// fetched, or compiled and recorded at the first valid member's
-/// architecture; that member keeps the recording's own report
-/// ([`EvalPath::Interpreted`]). Every other valid member is re-timed by
-/// one lockstep [`ReplayEngine::replay_batch_stats`] call
-/// ([`EvalPath::Replayed`]), which is bit-exact by construction. Under a
-/// serving workload every other co-located model's single-inference
-/// report comes from the store too.
+/// alone, with the error a solo evaluation gives. [`retime`] answers the
+/// rest: the first keeps the recording's own report when it records
+/// ([`EvalPath::Interpreted`]), and one lockstep replay re-times every
+/// other ([`EvalPath::Replayed`]), bit-exact by construction. Under a
+/// serving workload every other co-located model is resolved once for
+/// the whole group the same way (`serve_group`).
 ///
 /// Returns one result per member plus the lockstep counters.
 pub(crate) fn evaluate_group(
@@ -309,96 +309,65 @@ pub(crate) fn evaluate_group(
     let valid: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();
     let mut stats = LockstepStats::default();
     if let Some(&first) = valid.first() {
-        let lead = jobs[first];
-        let model = lead.model.as_ref().expect("grouped jobs have resolved models");
-        match get_or_record(traces, key, lead, model) {
+        let model = jobs[first].model.as_ref().expect("grouped jobs have resolved models");
+        let valid_jobs: Vec<&Job> = valid.iter().map(|&i| jobs[i]).collect();
+        match retime(traces, key, &valid_jobs, model, &mut stats) {
             Err(e) => {
                 for &i in &valid {
                     results[i] = Some(Err(e.clone()));
                 }
             }
-            Ok((entry, recorded)) => {
-                let build = |job: &Job, simulation, eval_path| Evaluation {
-                    model: model.name.clone(),
-                    strategy: job.spec.strategy,
-                    search: job.spec.search,
-                    arch: job.arch,
-                    compilation: entry.compilation.clone(),
-                    stages: entry.stages,
-                    mean_duplication: entry.mean_duplication,
-                    simulation,
-                    eval_path,
-                    serving: None,
-                };
-                // The lookup of a stored trace counted one reuse already.
-                let (replayed, counted) = match recorded {
-                    Some(report) => {
-                        results[first] = Some(Ok(build(lead, report, EvalPath::Interpreted)));
-                        (&valid[1..], 0)
-                    }
-                    None => (&valid[..], 1),
-                };
-                let points: Vec<(ArchConfig, SimOptions)> =
-                    replayed.iter().map(|&i| (jobs[i].arch, SimOptions::default())).collect();
-                let (reports, lockstep) =
-                    ReplayEngine::new(&entry.trace).replay_batch_stats(&points);
-                stats = lockstep;
-                traces.note_reuse(replayed.len() as u64 - counted);
-                for (&i, report) in replayed.iter().zip(reports) {
-                    results[i] = Some(
-                        report
-                            .map(|simulation| build(jobs[i], simulation, EvalPath::Replayed))
-                            .map_err(DseError::from),
-                    );
+            Ok((entry, reports)) => {
+                for (&i, (report, eval_path)) in valid.iter().zip(reports) {
+                    let job = jobs[i];
+                    results[i] = Some(report.map(|simulation| Evaluation {
+                        model: model.name.clone(),
+                        strategy: job.spec.strategy,
+                        search: job.spec.search,
+                        arch: job.arch,
+                        compilation: entry.compilation.clone(),
+                        stages: entry.stages,
+                        mean_duplication: entry.mean_duplication,
+                        simulation,
+                        eval_path,
+                        serving: None,
+                    }));
                 }
             }
         }
     }
-    let results = jobs
-        .iter()
-        .zip(results)
-        .map(|(job, result)| {
-            let mut evaluation = result.expect("every member is answered")?;
-            evaluation.serving = serve_point(job, &evaluation.simulation, |other| {
-                traced_single(traces, job, other)
-            })?;
-            Ok(evaluation)
-        })
-        .collect();
+    let mut results: Vec<Result<Evaluation, DseError>> =
+        results.into_iter().map(|result| result.expect("every member is answered")).collect();
+    serve_group(jobs, &mut results, traces, &mut stats);
     (results, stats)
 }
 
-/// `model`'s single-inference report on `job`'s point through the trace
-/// store: the recording's own report when this call records, a replay
-/// of the stored trace otherwise.
-fn traced_single(traces: &TraceStore, job: &Job, model: &Model) -> Result<SimReport, DseError> {
-    let key = TraceKey::of(&job.arch, model, job.spec.strategy, job.spec.search);
-    match get_or_record(traces, key, job, model)? {
-        (_, Some(report)) => Ok(report),
-        (entry, None) => {
-            Ok(ReplayEngine::new(&entry.trace).replay(&job.arch, SimOptions::default())?)
-        }
-    }
-}
+/// One report per job of a [`retime`] call, with how it was produced.
+type Retimed = Vec<(Result<SimReport, DseError>, EvalPath)>;
 
-/// Gets `key`'s trace from the store, or compiles `model` for `job`'s
-/// point and records it. A recording keeps its own report (the report
-/// of `job`'s architecture): it comes back as `Some` when this call
-/// recorded.
-fn get_or_record(
+/// `model`'s single-inference report on each job's architecture; the
+/// jobs share `key`. The trace is fetched, or compiled and recorded at
+/// the first job's architecture, which then keeps the recording's own
+/// report ([`EvalPath::Interpreted`]). One lockstep
+/// [`ReplayEngine::replay_batch_stats`] call re-times the trace for
+/// every other job ([`EvalPath::Replayed`]); its counters add to
+/// `stats`.
+fn retime(
     traces: &TraceStore,
     key: TraceKey,
-    job: &Job,
+    jobs: &[&Job],
     model: &Model,
-) -> Result<(Arc<TraceEntry>, Option<SimReport>), DseError> {
+    stats: &mut LockstepStats,
+) -> Result<(Arc<TraceEntry>, Retimed), DseError> {
+    let lead = jobs[0];
     let mut recorded = None;
     let (entry, _) = traces.get_or_record_with(key, || {
         let options = CompileOptions {
-            strategy: job.spec.strategy,
-            search: job.spec.search,
+            strategy: lead.spec.strategy,
+            search: lead.spec.search,
             ..CompileOptions::default()
         };
-        let compiled = compile_with_options(model, &job.arch, options)?;
+        let compiled = compile_with_options(model, &lead.arch, options)?;
         let (trace, report) = Simulator::record(&compiled)?;
         recorded = Some(report);
         Ok(TraceEntry {
@@ -408,17 +377,81 @@ fn get_or_record(
             mean_duplication: compiled.plan.mean_duplication(),
         })
     })?;
-    Ok((entry, recorded))
+    // The lookup of a stored trace counted one reuse already.
+    let (mut reports, replayed, counted): (Retimed, _, _) = match recorded {
+        Some(report) => (vec![(Ok(report), EvalPath::Interpreted)], &jobs[1..], 0),
+        None => (Vec::new(), jobs, 1),
+    };
+    let points: Vec<(ArchConfig, SimOptions)> =
+        replayed.iter().map(|job| (job.arch, SimOptions::default())).collect();
+    let (replays, lockstep) = ReplayEngine::new(&entry.trace).replay_batch_stats(&points);
+    stats.batches += lockstep.batches;
+    stats.lanes += lockstep.lanes;
+    stats.fallback_lanes += lockstep.fallback_lanes;
+    traces.note_reuse(replayed.len() as u64 - counted);
+    reports.extend(replays.into_iter().map(|r| (r.map_err(DseError::from), EvalPath::Replayed)));
+    Ok((entry, reports))
+}
+
+/// Serves every member that evaluated and whose workload offers load.
+/// Each other co-located model is resolved once for the group: the
+/// members share one compile fingerprint, so one [`TraceKey`] and one
+/// [`retime`] call give its report on every serving member's
+/// architecture.
+fn serve_group(
+    jobs: &[&Job],
+    results: &mut [Result<Evaluation, DseError>],
+    traces: &TraceStore,
+    stats: &mut LockstepStats,
+) {
+    let serving: Vec<usize> = (0..jobs.len())
+        .filter(|&i| results[i].is_ok() && jobs[i].active_traffic().is_some())
+        .collect();
+    // Each other co-located model with the serving members that run it
+    // (members drained from different sweeps may co-locate differently).
+    let mut others: Vec<(&str, &Model, Vec<usize>)> = Vec::new();
+    for &i in &serving {
+        let job = jobs[i];
+        let own = served_model_name(&job.spec.model.name, job.spec.model.resolution);
+        let traffic = job.active_traffic().expect("serving members offer load");
+        for (name, model) in traffic.colocated.iter().filter(|(name, _)| *name != own) {
+            match others.iter_mut().find(|(other, ..)| *other == name.as_str()) {
+                Some((.., members)) => members.push(i),
+                None => others.push((name, model, vec![i])),
+            }
+        }
+    }
+    let mut singles: HashMap<(usize, &str), Result<SimReport, DseError>> = HashMap::new();
+    for (name, model, members) in others {
+        let member_jobs: Vec<&Job> = members.iter().map(|&i| jobs[i]).collect();
+        let lead = member_jobs[0];
+        let key = TraceKey::of(&lead.arch, model, lead.spec.strategy, lead.spec.search);
+        let reports = match retime(traces, key, &member_jobs, model, stats) {
+            Ok((_, reports)) => reports.into_iter().map(|(report, _)| report).collect(),
+            Err(e) => vec![Err(e); members.len()],
+        };
+        singles.extend(members.iter().map(|&i| (i, name)).zip(reports));
+    }
+    for i in serving {
+        let Ok(evaluation) = &mut results[i] else { continue };
+        let served = serve_point(jobs[i], &evaluation.simulation, |name, _| {
+            singles.remove(&(i, name)).expect("every other co-located model is resolved")
+        });
+        match served {
+            Ok(serving) => evaluation.serving = serving,
+            Err(e) => results[i] = Err(e),
+        }
+    }
 }
 
 /// Serves `job`'s workload, if it offers load: queueing over one
 /// single-inference report per co-located model — `own` for the point's
-/// own model, `single` for any other. Latency quantiles come from the
-/// point's own model.
-fn serve_point(
-    job: &Job,
+/// own model, `single(name, model)` for any other. Latency quantiles
+/// come from the point's own model.
+fn serve_point<'j>(
+    job: &'j Job,
     own: &SimReport,
-    mut single: impl FnMut(&Model) -> Result<SimReport, DseError>,
+    mut single: impl FnMut(&'j str, &'j Model) -> Result<SimReport, DseError>,
 ) -> Result<Option<ServingSummary>, DseError> {
     let Some(traffic) = job.active_traffic() else { return Ok(None) };
     let own_name = served_model_name(&job.spec.model.name, job.spec.model.resolution);
@@ -426,7 +459,7 @@ fn serve_point(
         .colocated
         .iter()
         .map(|(name, model)| {
-            let single = if *name == own_name { own.clone() } else { single(model)? };
+            let single = if *name == own_name { own.clone() } else { single(name, model)? };
             Ok(ServeModel { name: name.clone(), single })
         })
         .collect::<Result<Vec<_>, DseError>>()?;
@@ -524,6 +557,37 @@ mod tests {
         assert!(results.iter().all(|r| r.as_ref().unwrap().eval_path == EvalPath::Replayed));
         assert_eq!(stats.batches, 1, "one lockstep walk for the whole group");
         assert_eq!(store.stats(), TraceStoreStats { recorded: 1, reused: 3, evicted: 0 });
+    }
+
+    #[test]
+    fn colocated_models_are_re_timed_once_per_group() {
+        let spec = crate::SweepSpec::new()
+            .with_model("mobilenetv2", 32)
+            .with_model("resnet18", 32)
+            .with_strategies(&[Strategy::GenericMapping])
+            .with_memory_ports(&[0, 27])
+            .with_traffic(crate::TrafficSpec::new(&[200, 800]).colocated());
+        let jobs: Vec<Job> = crate::service::expand(&spec)
+            .unwrap()
+            .into_iter()
+            .filter(|job| job.spec.model.name == "mobilenetv2")
+            .collect();
+        assert_eq!(jobs.len(), 4, "two ports x two rates share one trace key");
+        let store = TraceStore::new();
+        let (results, stats) =
+            evaluate_group(&jobs.iter().collect::<Vec<_>>(), key(&jobs[0]), &store);
+        // One trace per model, the group's own and the co-located
+        // resnet18, each re-timed by one lockstep walk over the two
+        // memory-port lanes.
+        assert_eq!(store.stats().recorded, 2);
+        assert_eq!((stats.batches, stats.lanes), (2, 4));
+        for (job, result) in jobs.iter().zip(&results) {
+            let grouped = result.as_ref().unwrap();
+            let solo = evaluate_point(job, job.model.as_ref().unwrap()).unwrap();
+            assert!(grouped.serving.is_some());
+            assert_eq!(grouped.serving, solo.serving, "bit-exact against fresh compiles");
+            assert_eq!(grouped.simulation, solo.simulation);
+        }
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //! member drains the rest of the group and answers the whole claim with
 //! one cache lookup per member, one get-or-record of the trace in the
 //! shared [`TraceStore`] and one lockstep replay for every member that
-//! did not record. Each point counts one cache lookup; a grouped result
+//! did not record. Under load, every other co-located model is resolved
+//! once per claim the same way, so the rungs of a rate ladder share one
+//! report per model. Each point counts one cache lookup; a grouped result
 //! is published first-writer-wins, so a member another worker finished
 //! first reads `cached: true`.
 //!
@@ -996,41 +998,40 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             queue_wait_hist.record_duration(member.queue_wait);
         }
         let eval_started = Instant::now();
-        let outcomes: Vec<DseOutcome> = if let Some(key) = claim.group {
-            // Trace-group claim: one batched engine call for the members,
-            // under a replay-phase span.
-            let mut span = shared.obs.tracer.as_ref().map(|tracer| {
-                let mut span = tracer.thread_span("replay", "service");
-                span.attr("points", claim.members.len() as u64)
-                    .attr("label", claim.members[0].job.spec.label())
-                    .attr("tenant", claim.tenant.as_str())
-                    .attr("priority", claim.priority.name());
-                span
-            });
-            let outcomes = run_trace_group(&shared, &claim.members, key);
-            if let Some(span) = span.as_mut() {
-                span.attr("ok", outcomes.iter().all(|o| o.result.is_ok()));
-            }
-            outcomes
-        } else {
-            let member = &claim.members[0];
-            let mut span = shared.obs.tracer.as_ref().map(|tracer| {
-                let mut span = tracer.thread_span("eval", "service");
-                span.attr("label", member.job.spec.label())
-                    .attr("tenant", claim.tenant.as_str())
-                    .attr("priority", claim.priority.name())
-                    .attr(
-                        "queue_wait_us",
-                        u64::try_from(member.queue_wait.as_micros()).unwrap_or(u64::MAX),
-                    );
-                span
-            });
-            let outcome = run_point(&member.job, &shared.cache);
-            if let Some(span) = span.as_mut() {
-                span.attr("ok", outcome.result.is_ok()).attr("cached", outcome.cached);
-            }
-            vec![outcome]
+        // A one-member claim runs under an `eval` span carrying its queue
+        // wait; a drained trace group under one `replay` span over all its
+        // points.
+        let solo = match claim.members.as_slice() {
+            [member] => Some(member),
+            _ => None,
         };
+        let span = shared.obs.tracer.as_ref().map(|tracer| {
+            let mut span =
+                tracer.thread_span(if solo.is_some() { "eval" } else { "replay" }, "service");
+            if solo.is_none() {
+                span.attr("points", claim.members.len() as u64);
+            }
+            span.attr("label", claim.members[0].job.spec.label())
+                .attr("tenant", claim.tenant.as_str())
+                .attr("priority", claim.priority.name());
+            if let Some(member) = solo {
+                let wait = u64::try_from(member.queue_wait.as_micros()).unwrap_or(u64::MAX);
+                span.attr("queue_wait_us", wait);
+            }
+            span
+        });
+        let outcomes: Vec<DseOutcome> = match claim.group {
+            Some(key) => run_trace_group(&shared, &claim.members, key),
+            None => vec![run_point(&claim.members[0].job, &shared.cache)],
+        };
+        // End the span before the members are published, so a waiter
+        // that reads the tracer after `wait` sees it.
+        if let Some(mut span) = span {
+            span.attr("ok", outcomes.iter().all(|o| o.result.is_ok()));
+            if solo.is_some() {
+                span.attr("cached", outcomes[0].cached);
+            }
+        }
         let eval_elapsed = eval_started.elapsed();
         // Per-member accounting (a solo claim is the one-member case):
         // latency amortizes the claim across its members; the replay rate
@@ -1822,6 +1823,30 @@ mod tests {
         assert!(prom.contains("sim_lockstep_lanes 2"), "missing lane counter in:\n{prom}");
         assert!(prom.contains("sim_lockstep_fallbacks 0"), "missing fallback counter in:\n{prom}");
         assert!(prom.contains("sim_replay_points 5"), "missing replay counter in:\n{prom}");
+    }
+
+    #[test]
+    fn one_member_claims_run_under_an_eval_span_with_their_queue_wait() {
+        // One more timing-only point than a claim takes: the single
+        // worker claims the trace group as 32 points, then 1.
+        let frequencies: Vec<u32> = (0..=GROUP_CLAIM_MAX as u32).map(|i| 100 + 25 * i).collect();
+        let spec = SweepSpec::new()
+            .with_model("mobilenetv2", 32)
+            .with_strategies(&[Strategy::GenericMapping])
+            .with_frequencies_mhz(&frequencies);
+        let tracer = Tracer::new(4096);
+        let service =
+            EvalService::new(ServiceConfig::new().with_workers(1).with_tracer(tracer.clone()));
+        let outcomes = service.submit_sweep(&spec).expect("admitted").wait();
+        assert!(outcomes.iter().all(|o| o.result.is_ok()));
+        let spans: Vec<_> =
+            tracer.events().into_iter().filter(|e| e.category == "service").collect();
+        let names: Vec<&str> = spans.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["replay", "eval"]);
+        let has =
+            |span: &cimflow_obs::TraceEvent, key: &str| span.attrs.iter().any(|(k, _)| k == key);
+        assert!(has(&spans[0], "points") && !has(&spans[0], "queue_wait_us"));
+        assert!(has(&spans[1], "queue_wait_us") && has(&spans[1], "cached"));
     }
 
     #[test]
