@@ -10,6 +10,8 @@
 //! authoritative latency/energy numbers always come from the cycle-level
 //! simulator.
 
+use std::collections::BTreeSet;
+
 use cimflow_arch::{ArchConfig, InterChipTopology};
 use cimflow_energy::EnergyModel;
 
@@ -196,58 +198,95 @@ impl CostModel {
 
     /// Estimates the cost of one stage under a concrete mapping.
     pub fn stage_cost(&self, groups: &[&OpGroup], mapping: &[GroupMapping]) -> StageCost {
+        let boundary_bytes = stage_boundary_bytes(groups);
         let mut bottleneck = 0u64;
         let mut sum = 0u64;
         let mut energy = 0.0f64;
         let mut stage_weight_bytes = 0u64;
-        let member: std::collections::BTreeSet<usize> = groups.iter().map(|g| g.index).collect();
-        let mut boundary_bytes = 0u64;
         for (group, m) in groups.iter().zip(mapping) {
             let cycles = self.group_cycles(group, m.cores_per_replica, m.replicas);
             bottleneck = bottleneck.max(cycles);
             sum += cycles;
             energy += self.group_energy_pj(group, m.cores_per_replica, m.replicas);
             stage_weight_bytes += group.metrics.weight_bytes * u64::from(m.replicas);
-            // Activations arriving from outside the stage are filled from
-            // global memory — the other half of the stage-boundary penalty.
-            boundary_bytes += group
-                .preds
-                .iter()
-                .filter(|d| !member.contains(&d.group))
-                .map(|d| d.bytes)
-                .sum::<u64>();
-            if group.reads_graph_input {
-                boundary_bytes += group.metrics.input_bytes;
-            }
         }
-        let reload = self.weight_reload_cycles(stage_weight_bytes)
-            + self.arch.chip().global_memory.transfer_cycles(boundary_bytes);
         energy += self.energy.cim.weight_load_pj(stage_weight_bytes)
             + self.energy.global_memory_energy(stage_weight_bytes + boundary_bytes).total_pj();
-        // Pipelined stage latency: the bottleneck group dominates, the
-        // remaining groups contribute their pipeline-fill share.
-        let cycles = bottleneck + sum / 16 + reload;
-        StageCost { cycles, energy_pj: energy }
+        let fill = self.arch.chip().global_memory.transfer_cycles(boundary_bytes);
+        StageCost {
+            cycles: self.pipelined_cycles(bottleneck, sum, stage_weight_bytes, fill),
+            energy_pj: energy,
+        }
+    }
+
+    /// Pipelined stage latency: the bottleneck group dominates, the
+    /// remaining groups contribute their pipeline-fill share, and the
+    /// stage boundary pays the weight reload plus `fill_cycles` of
+    /// activation fill.
+    fn pipelined_cycles(
+        &self,
+        bottleneck: u64,
+        sum: u64,
+        stage_weight_bytes: u64,
+        fill_cycles: u64,
+    ) -> u64 {
+        bottleneck + sum / 16 + self.weight_reload_cycles(stage_weight_bytes) + fill_cycles
     }
 
     /// Chooses cores-per-replica and duplication factors for the groups of
-    /// a candidate stage — the paper's `OptimalMapping(stage, R)`.
+    /// a candidate stage — the paper's `OptimalMapping(stage, R)` — and
+    /// costs the result with [`Self::stage_cost`].
     ///
     /// Returns `None` when the stage cannot fit the chip even without
-    /// duplication. Otherwise the allocation starts from the
-    /// capacity-imposed minimum and spends the vacant cores on duplicating
-    /// the groups with the largest estimated execution time.
+    /// duplication. The mapping is [`Self::mapping_with_duplication`]'s
+    /// greedy with duplication on.
     pub fn optimal_mapping(&self, groups: &[&OpGroup]) -> Option<(StageCost, Vec<GroupMapping>)> {
         self.mapping_with_duplication(groups, true)
     }
 
-    /// Same as [`Self::optimal_mapping`] but optionally disabling
-    /// duplication (used by the generic-mapping baseline).
+    /// Maps a stage and costs it: every group starts at its capacity
+    /// minimum of cores with one replica, and with `duplicate` the vacant
+    /// cores go to replicas of the slowest groups, as
+    /// [`Self::duplicate_greedily`] decides. The generic-mapping baseline
+    /// passes `duplicate = false`; the duplication baseline and the DP
+    /// pass `true`.
+    ///
+    /// Returns `None` when the groups' minimum cores exceed the chip (or
+    /// `groups` is empty). Otherwise returns [`Self::stage_cost`] of the
+    /// chosen mapping, whose cycles equal the greedy's own price.
     pub fn mapping_with_duplication(
         &self,
         groups: &[&OpGroup],
         duplicate: bool,
     ) -> Option<(StageCost, Vec<GroupMapping>)> {
+        let boundary_bytes = stage_boundary_bytes(groups);
+        let (_, mapping) = self.duplicate_greedily(groups, boundary_bytes, duplicate)?;
+        Some((self.stage_cost(groups, &mapping), mapping))
+    }
+
+    /// The duplication greedy of `OptimalMapping`, priced in cycles only:
+    /// the one loop behind all three strategies and the DP's price of a
+    /// candidate stage.
+    ///
+    /// Every group starts at [`Self::min_cores`] with one replica. With
+    /// `duplicate`, the greedy then repeatedly adds a replica to the group
+    /// with the largest estimated time among those whose replica fits the
+    /// vacant cores (the earliest group wins a tie), keeps it while the
+    /// whole-stage estimate, including the extra weight reload, strictly
+    /// improves, and stops at the first step that does not. A step
+    /// re-prices only the changed group; the boundary fill is priced once
+    /// from `boundary_bytes` (see [`boundary_bytes`]). Every price is an
+    /// integer, so the returned cycles equal [`Self::stage_cost`] of the
+    /// returned mapping.
+    ///
+    /// Returns `None` when `groups` is empty or its minimum cores exceed
+    /// the chip.
+    pub(crate) fn duplicate_greedily(
+        &self,
+        groups: &[&OpGroup],
+        boundary_bytes: u64,
+        duplicate: bool,
+    ) -> Option<(u64, Vec<GroupMapping>)> {
         if groups.is_empty() {
             return None;
         }
@@ -264,42 +303,72 @@ impl CostModel {
         if used > total {
             return None;
         }
-        let mut cost = self.stage_cost(groups, &mapping);
-        if duplicate {
-            let mut remaining = total - used;
-            // Greedy refinement: repeatedly duplicate the group with the
-            // largest estimated time while vacant cores remain and the
-            // whole-stage estimate (including the extra weight reload the
-            // duplicate causes) keeps improving.
-            loop {
-                let mut best: Option<(usize, u64, u32)> = None;
-                for (i, m) in mapping.iter().enumerate() {
-                    let cost_now = self.group_cycles(groups[i], m.cores_per_replica, m.replicas);
-                    let extra = m.cores_per_replica;
-                    if extra <= remaining {
-                        match best {
-                            Some((_, best_cost, _)) if cost_now <= best_cost => {}
-                            _ => best = Some((i, cost_now, extra)),
-                        }
+        let mut cycles: Vec<u64> = groups
+            .iter()
+            .zip(&mapping)
+            .map(|(g, m)| self.group_cycles(g, m.cores_per_replica, m.replicas))
+            .collect();
+        let mut sum: u64 = cycles.iter().sum();
+        let mut weight_bytes: u64 = groups.iter().map(|g| g.metrics.weight_bytes).sum();
+        let fill = self.arch.chip().global_memory.transfer_cycles(boundary_bytes);
+        let bottleneck = cycles.iter().copied().max().unwrap_or(0);
+        let mut cost = self.pipelined_cycles(bottleneck, sum, weight_bytes, fill);
+        let mut remaining = total - used;
+        while duplicate && remaining > 0 {
+            let mut best: Option<usize> = None;
+            for (i, m) in mapping.iter().enumerate() {
+                if m.cores_per_replica <= remaining {
+                    match best {
+                        Some(b) if cycles[i] <= cycles[b] => {}
+                        _ => best = Some(i),
                     }
-                }
-                let Some((i, _, extra)) = best else { break };
-                mapping[i].replicas += 1;
-                let candidate = self.stage_cost(groups, &mapping);
-                if candidate.cycles < cost.cycles {
-                    cost = candidate;
-                    remaining -= extra;
-                    if remaining == 0 {
-                        break;
-                    }
-                } else {
-                    mapping[i].replicas -= 1;
-                    break;
                 }
             }
+            let Some(i) = best else { break };
+            let m = mapping[i];
+            let next = self.group_cycles(groups[i], m.cores_per_replica, m.replicas + 1);
+            let bottleneck = cycles
+                .iter()
+                .enumerate()
+                .map(|(j, &c)| if j == i { next } else { c })
+                .max()
+                .unwrap_or(0);
+            let next_sum = sum - cycles[i] + next;
+            let next_weight_bytes = weight_bytes + groups[i].metrics.weight_bytes;
+            let candidate = self.pipelined_cycles(bottleneck, next_sum, next_weight_bytes, fill);
+            if candidate >= cost {
+                break;
+            }
+            cost = candidate;
+            cycles[i] = next;
+            sum = next_sum;
+            weight_bytes = next_weight_bytes;
+            mapping[i].replicas += 1;
+            remaining -= m.cores_per_replica;
         }
         Some((cost, mapping))
     }
+}
+
+/// Activation bytes a stage fills from global memory at its boundary —
+/// the other half of the stage-boundary penalty: every edge whose
+/// producer lies outside the stage (`member` answers for a group index),
+/// plus the graph input for groups that read it.
+pub(crate) fn boundary_bytes(groups: &[&OpGroup], member: impl Fn(usize) -> bool) -> u64 {
+    groups
+        .iter()
+        .map(|group| {
+            let outside: u64 =
+                group.preds.iter().filter(|d| !member(d.group)).map(|d| d.bytes).sum();
+            outside + if group.reads_graph_input { group.metrics.input_bytes } else { 0 }
+        })
+        .sum()
+}
+
+/// [`boundary_bytes`] of a stage given as a list of groups.
+fn stage_boundary_bytes(groups: &[&OpGroup]) -> u64 {
+    let member: BTreeSet<usize> = groups.iter().map(|g| g.index).collect();
+    boundary_bytes(groups, |g| member.contains(&g))
 }
 
 #[cfg(test)]
@@ -348,6 +417,44 @@ mod tests {
         let (without, _) = model.mapping_with_duplication(&groups, false).unwrap();
         let (with, _) = model.optimal_mapping(&groups).unwrap();
         assert!(with.cycles <= without.cycles);
+    }
+
+    #[test]
+    fn incremental_prices_equal_full_stage_costs() {
+        // Every candidate stage the DP visits: the difference of each pair
+        // of nested dependency closures.
+        let model = CostModel::new(&cimflow_arch::ArchConfig::paper_default());
+        for net in [models::resnet18(32), models::mobilenet_v2(32)] {
+            let graph = CondensedGraph::from_graph(&net.graph).unwrap();
+            let closures = crate::partition::dependency_closures(&graph);
+            let mut priced = 0;
+            for (i, closure) in closures.iter().enumerate() {
+                for candidate in closures[..i].iter().filter(|c| c.is_subset_of(closure)) {
+                    let stage = closure.difference(candidate);
+                    let groups: Vec<&OpGroup> = stage.iter().map(|g| &graph.groups()[g]).collect();
+                    let boundary = boundary_bytes(&groups, |g| stage.contains(g));
+                    for duplicate in [false, true] {
+                        let greedy = model.duplicate_greedily(&groups, boundary, duplicate);
+                        let full = if duplicate {
+                            model.optimal_mapping(&groups)
+                        } else {
+                            model.mapping_with_duplication(&groups, false)
+                        };
+                        let (Some((cycles, _)), Some((_, mapping))) = (greedy, full) else {
+                            panic!("{}: stage {stage} fits the chip", net.name);
+                        };
+                        assert_eq!(
+                            cycles,
+                            model.stage_cost(&groups, &mapping).cycles,
+                            "{}: stage {stage}, duplicate {duplicate}",
+                            net.name
+                        );
+                        priced += 1;
+                    }
+                }
+            }
+            assert!(priced > 2 * closures.len(), "{}: only {priced} stages priced", net.name);
+        }
     }
 
     #[test]

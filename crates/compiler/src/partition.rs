@@ -1,10 +1,10 @@
 //! CG-level model partitioning: the DP-based algorithm of the paper
 //! (Alg. 1) and the two baseline strategies used in the Fig. 5 comparison.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::bitset::BitMask256;
-use crate::cost::{CostModel, GroupMapping, StageCost};
+use crate::cost::{boundary_bytes, CostModel, GroupMapping, StageCost};
 use crate::frontend::{CondensedGraph, OpGroup};
 use crate::CompileError;
 
@@ -109,10 +109,14 @@ fn groups_of<'a>(condensed: &'a CondensedGraph, mask: &BitMask256) -> Vec<&'a Op
 
 /// The DP-based partitioning and mapping of Alg. 1.
 ///
-/// `dp[i]` is the best total cost of executing the dependency closure
-/// `D[i]`; transitions consider every closure `D[j] ⊆ D[i]` and treat the
-/// set difference as a candidate stage mapped with
-/// [`CostModel::optimal_mapping`].
+/// `dp[i]` is the least total estimated cycles of executing the
+/// dependency closure `D[i]`; a transition from every closure
+/// `D[j] ⊆ D[i]` treats the set difference as a candidate stage, priced
+/// in cycles by the duplication greedy of
+/// [`CostModel::optimal_mapping`] with the stage's boundary bytes read off
+/// its bitmask. The DP keeps only cycles: once the full closure is
+/// reached, each stage on the chosen `prev` chain is mapped and costed,
+/// energy included, by one [`CostModel::optimal_mapping`] call.
 ///
 /// # Errors
 ///
@@ -127,9 +131,6 @@ pub fn dp_partition(
     let full = BitMask256::full(condensed.len());
     let mut dp: Vec<f64> = vec![f64::INFINITY; closures.len()];
     let mut prev: Vec<Option<usize>> = vec![None; closures.len()];
-    let mut stage_of: Vec<Option<PlannedStage>> = vec![None; closures.len()];
-    let mut mapping_cache: HashMap<BitMask256, Option<(StageCost, Vec<GroupMapping>)>> =
-        HashMap::new();
 
     for (i, closure) in closures.iter().enumerate() {
         if closure.is_empty() {
@@ -140,20 +141,19 @@ pub fn dp_partition(
             if dp[j].is_infinite() || !candidate.is_subset_of(closure) {
                 continue;
             }
-            let stage_mask = closure.difference(candidate);
-            if stage_mask.is_empty() {
+            let stage = closure.difference(candidate);
+            if stage.is_empty() {
                 continue;
             }
-            let entry = mapping_cache.entry(stage_mask).or_insert_with(|| {
-                let stage_groups = groups_of(condensed, &stage_mask);
-                cost_model.optimal_mapping(&stage_groups)
-            });
-            let Some((cost, mapping)) = entry.clone() else { continue };
-            let total = dp[j] + cost.cycles as f64;
+            let groups = groups_of(condensed, &stage);
+            let boundary = boundary_bytes(&groups, |g| stage.contains(g));
+            let Some((cycles, _)) = cost_model.duplicate_greedily(&groups, boundary, true) else {
+                continue;
+            };
+            let total = dp[j] + cycles as f64;
             if total < dp[i] {
                 dp[i] = total;
                 prev[i] = Some(j);
-                stage_of[i] = Some((stage_mask.iter().collect(), mapping, cost));
             }
         }
     }
@@ -162,13 +162,15 @@ pub fn dp_partition(
     if dp[full_index].is_infinite() {
         return Err(capacity_error(condensed, cost_model));
     }
-    // Reconstruct the stage sequence.
+    // Reconstruct the stage sequence, mapping and costing each stage once.
     let mut stages = Vec::new();
     let mut cursor = full_index;
     while let Some(j) = prev[cursor] {
-        if let Some(stage) = stage_of[cursor].clone() {
-            stages.push(stage);
-        }
+        let stage = closures[cursor].difference(&closures[j]);
+        let (cost, mapping) = cost_model
+            .optimal_mapping(&groups_of(condensed, &stage))
+            .expect("the DP priced this stage, so it maps");
+        stages.push((stage.iter().collect(), mapping, cost));
         cursor = j;
     }
     stages.reverse();
