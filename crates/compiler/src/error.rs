@@ -8,11 +8,17 @@ use cimflow_nn::NnError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CompileError {
-    /// The workload cannot fit the architecture even after partitioning
-    /// (a single operator's weights exceed the whole chip's CIM capacity).
+    /// The workload cannot fit the architecture even after partitioning:
+    /// one replica of a single operator group needs more cores than the
+    /// chip has, for its weight bytes or for its macro-group tiles.
     CapacityExceeded {
         /// The offending operator group.
         group: String,
+        /// Cores one replica of the group needs (the larger of the
+        /// weight-byte and the macro-group bound).
+        required_cores: u32,
+        /// Cores on the chip.
+        available_cores: u32,
         /// Weight bytes required by the group.
         required_bytes: u64,
         /// CIM weight capacity of the chip in bytes.
@@ -34,9 +40,16 @@ pub enum CompileError {
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompileError::CapacityExceeded { group, required_bytes, available_bytes } => write!(
+            CompileError::CapacityExceeded {
+                group,
+                required_cores,
+                available_cores,
+                required_bytes,
+                available_bytes,
+            } => write!(
                 f,
-                "operator group `{group}` needs {required_bytes} weight bytes but the chip provides {available_bytes}"
+                "operator group `{group}` needs {required_cores} cores ({required_bytes} weight \
+                 bytes) but the chip has {available_cores} ({available_bytes} bytes)"
             ),
             CompileError::EmptyWorkload => {
                 write!(f, "the model contains no MVM-based operator to map onto CIM arrays")
@@ -80,6 +93,8 @@ mod tests {
     fn display_and_source() {
         let e = CompileError::CapacityExceeded {
             group: "fc1".into(),
+            required_cores: 2048,
+            available_cores: 64,
             required_bytes: 1 << 30,
             available_bytes: 1 << 25,
         };

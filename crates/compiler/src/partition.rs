@@ -234,17 +234,10 @@ fn check_individual_capacity(
     condensed: &CondensedGraph,
     cost_model: &CostModel,
 ) -> Result<(), CompileError> {
-    for group in condensed.groups() {
-        if cost_model.min_cores(group) > cost_model.total_cores() {
-            return Err(CompileError::CapacityExceeded {
-                group: group.name.clone(),
-                required_bytes: group.metrics.weight_bytes,
-                available_bytes: u64::from(cost_model.total_cores())
-                    * cost_model.core_capacity_bytes(),
-            });
-        }
+    match condensed.groups().iter().find(|g| cost_model.min_cores(g) > cost_model.total_cores()) {
+        Some(group) => Err(capacity_exceeded(group, cost_model)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn capacity_error(condensed: &CondensedGraph, cost_model: &CostModel) -> CompileError {
@@ -253,9 +246,17 @@ fn capacity_error(condensed: &CondensedGraph, cost_model: &CostModel) -> Compile
         .iter()
         .max_by_key(|g| g.metrics.weight_bytes)
         .expect("condensed graph is never empty here");
+    capacity_exceeded(largest, cost_model)
+}
+
+/// The capacity error naming `group`'s cores and weight bytes against the
+/// chip's.
+fn capacity_exceeded(group: &OpGroup, cost_model: &CostModel) -> CompileError {
     CompileError::CapacityExceeded {
-        group: largest.name.clone(),
-        required_bytes: largest.metrics.weight_bytes,
+        group: group.name.clone(),
+        required_cores: cost_model.min_cores(group),
+        available_cores: cost_model.total_cores(),
+        required_bytes: group.metrics.weight_bytes,
         available_bytes: u64::from(cost_model.total_cores()) * cost_model.core_capacity_bytes(),
     }
 }
@@ -366,6 +367,32 @@ mod tests {
             let dup = duplication_partition(&graph, &cost).unwrap().estimated_cycles();
             assert!(dp <= generic, "dp {dp} vs generic {generic}");
             assert!(dp <= dup, "dp {dp} vs duplication {dup}");
+        }
+    }
+
+    #[test]
+    fn capacity_errors_name_the_cores_a_group_needs() {
+        // conv4_2's first slice fits one core's weight bytes, but its 9 row
+        // tiles x 2 channel tiles need 18 macro groups and a core has 16.
+        let arch = ArchConfig::paper_default().with_core_count(1);
+        for strategy in crate::Strategy::ALL {
+            let error = crate::compile(&models::vgg19(64), &arch, strategy).unwrap_err();
+            assert_eq!(
+                error,
+                CompileError::CapacityExceeded {
+                    group: "conv4_2.part0".into(),
+                    required_cores: 2,
+                    available_cores: 1,
+                    required_bytes: 337_334,
+                    available_bytes: 524_288,
+                },
+                "{strategy}"
+            );
+            assert_eq!(
+                error.to_string(),
+                "operator group `conv4_2.part0` needs 2 cores (337334 weight bytes) but the \
+                 chip has 1 (524288 bytes)"
+            );
         }
     }
 
