@@ -235,25 +235,30 @@ impl CostModel {
 
     /// Chooses cores-per-replica and duplication factors for the groups of
     /// a candidate stage — the paper's `OptimalMapping(stage, R)` — and
-    /// costs the result with [`Self::stage_cost`].
+    /// returns the mapping with its [`Self::stage_cost`].
     ///
-    /// Returns `None` when the stage cannot fit the chip even without
-    /// duplication. The mapping is [`Self::mapping_with_duplication`]'s
-    /// greedy with duplication on.
+    /// This is [`Self::mapping_with_duplication`] with duplication on,
+    /// which the operator-duplication baseline also uses. The DP of Alg. 1
+    /// prices every candidate stage with the same greedy in cycles only
+    /// and calls this once for each stage it keeps. Returns `None` when
+    /// the stage cannot fit the chip even without duplication.
     pub fn optimal_mapping(&self, groups: &[&OpGroup]) -> Option<(StageCost, Vec<GroupMapping>)> {
         self.mapping_with_duplication(groups, true)
     }
 
-    /// Maps a stage and costs it: every group starts at its capacity
-    /// minimum of cores with one replica, and with `duplicate` the vacant
-    /// cores go to replicas of the slowest groups, as
-    /// [`Self::duplicate_greedily`] decides. The generic-mapping baseline
-    /// passes `duplicate = false`; the duplication baseline and the DP
-    /// pass `true`.
+    /// Maps the groups of one stage and costs the result.
     ///
-    /// Returns `None` when the groups' minimum cores exceed the chip (or
-    /// `groups` is empty). Otherwise returns [`Self::stage_cost`] of the
-    /// chosen mapping, whose cycles equal the greedy's own price.
+    /// Every group starts at [`Self::min_cores`] with one replica. With
+    /// `duplicate`, vacant cores then go, one replica at a time, to the
+    /// group with the largest estimated time among those whose replica
+    /// still fits (the earliest group wins a tie). A replica is kept while
+    /// the stage's estimated cycles, including the extra weight reload it
+    /// causes, strictly fall; the first one that does not ends the search.
+    /// Each step re-prices only the changed group. The generic-mapping
+    /// baseline passes `duplicate = false`.
+    ///
+    /// Returns `None` when `groups` is empty or their minimum cores exceed
+    /// the chip; otherwise the mapping and its [`Self::stage_cost`].
     pub fn mapping_with_duplication(
         &self,
         groups: &[&OpGroup],
@@ -264,23 +269,15 @@ impl CostModel {
         Some((self.stage_cost(groups, &mapping), mapping))
     }
 
-    /// The duplication greedy of `OptimalMapping`, priced in cycles only:
-    /// the one loop behind all three strategies and the DP's price of a
-    /// candidate stage.
+    /// The greedy of [`Self::mapping_with_duplication`], priced in cycles
+    /// only: the one duplication loop behind all three strategies, and the
+    /// DP's price of a candidate stage.
     ///
-    /// Every group starts at [`Self::min_cores`] with one replica. With
-    /// `duplicate`, the greedy then repeatedly adds a replica to the group
-    /// with the largest estimated time among those whose replica fits the
-    /// vacant cores (the earliest group wins a tie), keeps it while the
-    /// whole-stage estimate, including the extra weight reload, strictly
-    /// improves, and stops at the first step that does not. A step
-    /// re-prices only the changed group; the boundary fill is priced once
-    /// from `boundary_bytes` (see [`boundary_bytes`]). Every price is an
-    /// integer, so the returned cycles equal [`Self::stage_cost`] of the
-    /// returned mapping.
-    ///
-    /// Returns `None` when `groups` is empty or its minimum cores exceed
-    /// the chip.
+    /// The stage's activation fill is priced once from `boundary_bytes`
+    /// (see [`boundary_bytes`]). A step then moves only the changed
+    /// group's cycles, the bottleneck, the pipeline-fill share and the
+    /// weight reload. These are integers, so the returned cycles equal
+    /// [`Self::stage_cost`] of the returned mapping.
     pub(crate) fn duplicate_greedily(
         &self,
         groups: &[&OpGroup],
