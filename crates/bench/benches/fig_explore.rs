@@ -8,7 +8,9 @@
 //! The bench prints the per-generation points-evaluated-vs-frontier-
 //! quality trajectory for both algorithms, plus the per-model end-state
 //! ratio against the grid. The exhaustive baseline shares the on-disk
-//! evaluation cache with the other figure harnesses.
+//! evaluation cache with the other figure harnesses. Wall-clock times
+//! and cache state go to stderr, so stdout is deterministic; CI diffs it
+//! against `crates/bench/goldens/fig_explore.txt`.
 //!
 //! Run with `cargo bench -p cimflow-bench --bench fig_explore`.
 
@@ -59,7 +61,7 @@ fn main() {
         .submit_sweep(&space)
         .expect("fig_explore space is valid")
         .wait();
-    println!(
+    eprintln!(
         "exhaustive grid: {} evaluations in {:.2?} ({} cache hit(s))",
         grid.len(),
         started.elapsed(),
@@ -83,8 +85,12 @@ fn main() {
 
         println!("\n--- {algorithm} ---");
         println!(
-            "{} of {} budget used in {elapsed:.2?}: {} full-fidelity point(s), {} coarse",
+            "{} of {} budget used: {} full-fidelity point(s), {} coarse",
             report.budget_used, report.budget, report.evaluated, report.coarse_evaluated
+        );
+        eprintln!(
+            "{algorithm}: {} of {} budget used in {elapsed:.2?}",
+            report.budget_used, report.budget
         );
         // Points-evaluated vs frontier-quality trajectory: hypervolume
         // ratio of the outcome prefix recorded after each generation.
@@ -146,6 +152,6 @@ fn main() {
     if let Err(e) = cache.save(&cache_path) {
         eprintln!("warning: could not persist the evaluation cache: {e}");
     } else {
-        println!("\ncache: {} entries -> {}", cache.len(), cache_path.display());
+        eprintln!("cache: {} entries -> {}", cache.len(), cache_path.display());
     }
 }

@@ -11,7 +11,9 @@
 //! per-rung evaluation split, and the measured Kendall-tau rank
 //! fidelities the adaptive arm calibrated online. The exhaustive
 //! baseline shares the on-disk evaluation cache with the other figure
-//! harnesses.
+//! harnesses. Wall-clock times and cache state go to stderr, so stdout
+//! is deterministic; CI diffs it against
+//! `crates/bench/goldens/fig_ladder.txt`.
 //!
 //! Run with `cargo bench -p cimflow-bench --bench fig_ladder`.
 
@@ -128,7 +130,7 @@ fn main() {
         .submit_sweep(&space)
         .expect("fig_ladder space is valid")
         .wait();
-    println!(
+    eprintln!(
         "exhaustive grid: {} evaluations in {:.2?} ({} cache hit(s))",
         grid.len(),
         started.elapsed(),
@@ -220,6 +222,6 @@ fn main() {
     if let Err(e) = cache.save(&cache_path) {
         eprintln!("warning: could not persist the evaluation cache: {e}");
     } else {
-        println!("\ncache: {} entries -> {}", cache.len(), cache_path.display());
+        eprintln!("cache: {} entries -> {}", cache.len(), cache_path.display());
     }
 }
