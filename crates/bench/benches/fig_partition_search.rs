@@ -92,21 +92,13 @@ fn main() {
             let sequential = cimflow::compiler::compile_with_options(
                 &model_obj,
                 &arch,
-                CompileOptions {
-                    strategy: Strategy::DpOptimized,
-                    search: SearchMode::Sequential,
-                    ..CompileOptions::default()
-                },
+                CompileOptions { strategy: Strategy::DpOptimized, search: SearchMode::Sequential },
             )
             .expect("sequential compiles");
             let joint = cimflow::compiler::compile_with_options(
                 &model_obj,
                 &arch,
-                CompileOptions {
-                    strategy: Strategy::DpOptimized,
-                    search: SearchMode::Joint,
-                    ..CompileOptions::default()
-                },
+                CompileOptions { strategy: Strategy::DpOptimized, search: SearchMode::Joint },
             )
             .expect("joint compiles");
             assert!(

@@ -83,9 +83,6 @@ impl fmt::Display for Strategy {
 pub struct CompileOptions {
     /// The CG-level strategy.
     pub strategy: Strategy,
-    /// Whether to run the post-codegen validation pass (enabled by
-    /// default, matching the paper's "functional validation" stage).
-    pub validate: bool,
     /// How the system-level mapping space is searched on multi-chip
     /// architectures. [`SearchMode::Sequential`] (the default) keeps the
     /// historical fixed pass order; [`SearchMode::Joint`] searches chip
@@ -95,11 +92,7 @@ pub struct CompileOptions {
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            strategy: Strategy::DpOptimized,
-            validate: true,
-            search: SearchMode::Sequential,
-        }
+        CompileOptions { strategy: Strategy::DpOptimized, search: SearchMode::Sequential }
     }
 }
 
@@ -155,9 +148,7 @@ pub fn compile_with_options(
     let decision = chip_decision(&condensed, &cost_model, options.strategy)?;
     let plan = build_plan(&condensed, &decision, options.strategy, arch);
     let generated = codegen::generate(&condensed, &plan, arch)?;
-    if options.validate {
-        validate::check(&generated, &plan, &condensed, arch)?;
-    }
+    validate::check(&generated, &plan, &condensed, arch)?;
     let mut report = CompiledProgram::build_report(&generated.per_core, &plan, &condensed);
     let mut system = SystemPlan::single_chip(condensed.len());
     system.estimated_interval_cycles = plan.estimated_cycles().max(1);
@@ -263,9 +254,7 @@ fn lower_system(
         };
         let plan = build_plan(&subgraph, decision, lowering.strategy, arch);
         let generated = codegen::generate(&subgraph, &plan, arch)?;
-        if options.validate {
-            validate::check(&generated, &plan, &subgraph, arch)?;
-        }
+        validate::check(&generated, &plan, &subgraph, arch)?;
         per_core.extend(generated.per_core);
         // Lift the chip-local plan into the global index spaces for the
         // merged report/analysis view.
@@ -441,11 +430,7 @@ mod tests {
         let joint = compile_with_options(
             &model,
             &arch,
-            CompileOptions {
-                strategy: Strategy::DpOptimized,
-                search: SearchMode::Joint,
-                ..CompileOptions::default()
-            },
+            CompileOptions { strategy: Strategy::DpOptimized, search: SearchMode::Joint },
         )
         .unwrap();
         assert_eq!(joint.per_core.len(), 128);
@@ -480,11 +465,7 @@ mod tests {
             let result = compile_with_options(
                 &model,
                 &arch,
-                CompileOptions {
-                    strategy: Strategy::DpOptimized,
-                    search,
-                    ..CompileOptions::default()
-                },
+                CompileOptions { strategy: Strategy::DpOptimized, search },
             );
             assert!(
                 matches!(result, Err(crate::CompileError::CapacityExceeded { .. })),

@@ -249,7 +249,7 @@ pub fn evaluate_with_search(
     search: SearchMode,
 ) -> Result<Evaluation, DseError> {
     arch.validate()?;
-    let options = CompileOptions { strategy, search, ..CompileOptions::default() };
+    let options = CompileOptions { strategy, search };
     let compiled = compile_with_options(model, arch, options)?;
     let simulation = Simulator::new(&compiled).run()?;
     Ok(Evaluation {
@@ -280,7 +280,7 @@ pub(crate) fn evaluate_point(job: &Job, model: &Model) -> Result<Evaluation, Dse
     let (strategy, search) = (job.spec.strategy, job.spec.search);
     let mut evaluation = evaluate_with_search(&job.arch, model, strategy, search)?;
     evaluation.serving = serve_point(job, &evaluation.simulation, |_, other| {
-        let options = CompileOptions { strategy, search, ..CompileOptions::default() };
+        let options = CompileOptions { strategy, search };
         let compiled = compile_with_options(other, &job.arch, options)?;
         Ok(Simulator::new(&compiled).run()?)
     })?;
@@ -362,11 +362,7 @@ fn retime(
     let lead = jobs[0];
     let mut recorded = None;
     let (entry, _) = traces.get_or_record_with(key, || {
-        let options = CompileOptions {
-            strategy: lead.spec.strategy,
-            search: lead.spec.search,
-            ..CompileOptions::default()
-        };
+        let options = CompileOptions { strategy: lead.spec.strategy, search: lead.spec.search };
         let compiled = compile_with_options(model, &lead.arch, options)?;
         let (trace, report) = Simulator::record(&compiled)?;
         recorded = Some(report);

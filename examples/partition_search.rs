@@ -16,8 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut compiled = Vec::new();
     for search in [SearchMode::Sequential, SearchMode::Joint] {
-        let options =
-            CompileOptions { strategy: Strategy::DpOptimized, search, ..CompileOptions::default() };
+        let options = CompileOptions { strategy: Strategy::DpOptimized, search };
         let program = compile_with_options(&model, &arch, options)?;
         println!(
             "{search:>10}: {} candidate(s) explored, estimated interval {} cycles, split {:?}",

@@ -9,7 +9,7 @@ use cimflow::{models, ArchConfig, CimFlow, SearchMode, Strategy};
 use cimflow_dse::{evaluate_with_search, EvalCache, EvalService, ServiceConfig, SweepSpec};
 
 fn options(search: SearchMode) -> CompileOptions {
-    CompileOptions { strategy: Strategy::DpOptimized, search, ..CompileOptions::default() }
+    CompileOptions { strategy: Strategy::DpOptimized, search }
 }
 
 /// The acceptance bar of the search mode itself: on the `fig_multichip`
