@@ -35,16 +35,19 @@
 //! hypervolume stopping rule ends a run whose per-model frontiers have
 //! stopped growing.
 //!
-//! Every generation is submitted as one batch through the shared
-//! [`EvalService`] pipeline, so duplicate points coalesce in the
-//! [`EvalCache`](crate::EvalCache) and an attached [`SweepJournal`]
-//! makes an interrupted exploration resumable: re-running the same spec
-//! and seed replays the identical trajectory with journaled points
-//! served for free (no point is ever re-evaluated).
+//! The explorer runs on the sweep machinery. The points it picks become
+//! jobs through the same resolver a sweep of the space uses, and every
+//! generation is submitted as one batch through the shared
+//! [`EvalService`] pipeline. So duplicate points coalesce in the
+//! [`EvalCache`](crate::EvalCache), timing-only siblings in a batch
+//! replay one recorded trace, and an attached [`SweepJournal`] makes an
+//! interrupted exploration resumable: re-running the same spec and seed
+//! replays the identical trajectory with journaled points served for
+//! free (no point is ever re-evaluated).
 //!
-//! Determinism: the engine carries its own xorshift64* PRNG seeded from
-//! the spec (no `rand` dependency), batches are waited on in submission
-//! order, and selection sorts with total orders — the same
+//! Determinism: the engine draws from a [`cimflow_traffic::XorShift`]
+//! seeded from the spec (no `rand` dependency), batches are waited on in
+//! submission order, and selection sorts with total orders — the same
 //! `(space, budget, algorithm, seed)` always explores the same points.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -52,18 +55,18 @@ use std::fmt;
 use std::sync::Arc;
 
 use cimflow_arch::ArchConfig;
-use cimflow_nn::{models, Model};
 use cimflow_obs::{thread_track, AttrValue, Counter, Gauge, MetricsRegistry, Tracer};
+use cimflow_traffic::XorShift;
 use serde::{Content, Deserialize, Serialize};
 
 use crate::analysis::Objective;
-use crate::eval::{served_model_name, TrafficJob};
 use crate::fidelity::{
     scout_share_for, AnalyticalPricer, FeasibilityCaps, Fidelity, FidelityLadder, RankFidelity,
 };
+use crate::job::JobResolver;
 use crate::journal::SweepJournal;
 use crate::spec::{SweepAxes, AXIS_COUNT};
-use crate::{analysis, DseError, DseOutcome, EvalService, Job, PointSpec, Submission, SweepSpec};
+use crate::{analysis, DseError, DseOutcome, EvalService, PointSpec, Submission, SweepSpec};
 
 /// Relative frontier-hypervolume improvement below which a generation
 /// counts as stalled for the stopping rule.
@@ -408,32 +411,12 @@ pub fn explore(
             return Err(DseError::spec(format!("scout_share must be within [0, 1], got {share}")));
         }
     }
-    // Mirror `expand_jobs`: validate the workload once per run and,
-    // under co-location, resolve the whole model axis up front (an
-    // unresolvable colocated model is a spec error, never a silently
-    // shrunken mix).
-    let traffic = match &spec.space.traffic {
-        Some(section) => {
-            let served = if section.colocate { spec.space.models.len() } else { 1 };
-            section.workload.validate(served).map_err(|e| DseError::spec(e.to_string()))?;
-            let pool = if section.colocate {
-                let mut colocated = Vec::with_capacity(spec.space.models.len());
-                for m in &spec.space.models {
-                    let model = Arc::new(models::by_name(&m.name, m.resolution)?);
-                    colocated.push((served_model_name(&m.name, m.resolution), model));
-                }
-                Some(Arc::new(TrafficJob { workload: section.workload.clone(), colocated }))
-            } else {
-                None
-            };
-            Some((section.workload.clone(), pool))
-        }
-        None => None,
-    };
+    let jobs = JobResolver::new(&spec.space)?;
     let base = spec.space.base_arch();
     let mut run = Run {
         axes,
         base,
+        jobs,
         service,
         obs: ExploreObs::new(service, spec),
         journal: journal.cloned(),
@@ -445,9 +428,7 @@ pub fn explore(
         points: Vec::new(),
         outcomes: Vec::new(),
         generations: Vec::new(),
-        resolved: HashMap::new(),
         objective: spec.objective,
-        traffic,
         ladder: spec.ladder.clone(),
         scout_share_pin: spec.scout_share,
         caps: spec.caps,
@@ -541,40 +522,9 @@ fn constrained_frontier(
 // Engine internals
 // ---------------------------------------------------------------------------
 
-/// xorshift64\* — deterministic, dependency-free randomness.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        // splitmix64 finalizer: a bijective mix, so every seed lands on
-        // a distinct, well-scrambled state and adjacent seeds diverge
-        // in every bit (a plain XOR against a constant would collapse
-        // each even/odd seed pair once the low bit is forced). The
-        // final `| 1` keeps the xorshift state nonzero.
-        let mut mixed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mixed = (mixed ^ (mixed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        mixed = (mixed ^ (mixed >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        mixed ^= mixed >> 31;
-        XorShift(mixed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform value in `[0, bound)`; `bound` must be non-zero.
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-
-    fn coin(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
+/// A fair coin from the run PRNG.
+fn coin(rng: &mut XorShift) -> bool {
+    rng.next_u64() & 1 == 1
 }
 
 /// Generation/population size for a space: `⌈√space⌉` clamped to
@@ -675,6 +625,9 @@ impl ExploreObs {
 struct Run<'s> {
     axes: SweepAxes,
     base: ArchConfig,
+    /// Turns the points the search picks into jobs, exactly as a sweep
+    /// of the space would.
+    jobs: JobResolver,
     service: &'s EvalService,
     obs: ExploreObs,
     journal: Option<Arc<SweepJournal>>,
@@ -690,13 +643,8 @@ struct Run<'s> {
     /// Full-fidelity outcomes in submission order.
     outcomes: Vec<DseOutcome>,
     generations: Vec<GenerationStats>,
-    resolved: HashMap<(String, u32), Result<Arc<Model>, DseError>>,
     /// The objective pair selection ranks by.
     objective: Objective,
-    /// The space's serving workload, when it has a `traffic` section:
-    /// the workload plus the shared co-location pool (`None` for solo
-    /// serving — each job then serves its own model alone).
-    traffic: Option<(cimflow_traffic::WorkloadSpec, Option<Arc<TrafficJob>>)>,
     /// The proxy-fidelity ladder the search schedules over.
     ladder: FidelityLadder,
     /// A pinned scouting share (`None` = adapt from calibration).
@@ -734,32 +682,6 @@ impl Run<'_> {
         self.budget.saturating_sub(self.used)
     }
 
-    fn job_of(&mut self, point: PointSpec) -> Job {
-        let arch = point.arch(&self.base);
-        let model = self
-            .resolved
-            .entry((point.model.name.clone(), point.model.resolution))
-            .or_insert_with(|| {
-                models::by_name(&point.model.name, point.model.resolution)
-                    .map(Arc::new)
-                    .map_err(DseError::from)
-            })
-            .clone();
-        let traffic = self.traffic.as_ref().and_then(|(workload, pool)| match pool {
-            Some(shared) => Some(Arc::clone(shared)),
-            None => model.as_ref().ok().map(|resolved| {
-                Arc::new(TrafficJob {
-                    workload: workload.clone(),
-                    colocated: vec![(
-                        served_model_name(&point.model.name, point.model.resolution),
-                        Arc::clone(resolved),
-                    )],
-                })
-            }),
-        });
-        Job { spec: point, arch, model, traffic }
-    }
-
     /// Submits one batch through the service (journaled when attached)
     /// and waits for it; charges one budget unit per point.
     fn evaluate_batch(&mut self, points: Vec<PointSpec>) -> Result<Vec<DseOutcome>, DseError> {
@@ -767,7 +689,7 @@ impl Run<'_> {
             return Ok(Vec::new());
         }
         self.used += points.len() as u64;
-        let jobs: Vec<Job> = points.into_iter().map(|point| self.job_of(point)).collect();
+        let jobs = points.into_iter().map(|point| self.jobs.job(point)).collect();
         let submission =
             Submission { jobs, journal: self.journal.clone(), ..Submission::default() };
         Ok(self.service.submit_batch(submission)?.wait())
@@ -1033,21 +955,6 @@ fn successive_halving(run: &mut Run) -> Result<(), DseError> {
     let chain: Vec<Fidelity> = run.ladder.rungs().to_vec();
     let scout = chain.first().cloned();
     let scout_name = scout.as_ref().map(Fidelity::name).unwrap_or_default();
-    // What a point graduating past pool level `level` evaluates as:
-    // a terminal [`Fidelity::Replay`] rung relabels the promotion so
-    // the batch rides the trace-replay fast path; everything else is a
-    // plain full-fidelity submission.
-    let terminal = |next: usize| -> &'static str {
-        match chain.get(next) {
-            Some(Fidelity::Replay) => "replay",
-            _ => "full",
-        }
-    };
-    // Direct evaluations under a replay scout *are* the replay rung.
-    let direct_rung = match &scout {
-        Some(Fidelity::Replay) => "replay",
-        _ => "full",
-    };
     // Flat indices never sampled at any fidelity; shrinks as
     // generations consume it.
     let mut unseen: Vec<usize> = (0..space).collect();
@@ -1211,7 +1118,7 @@ fn successive_halving(run: &mut Run) -> Result<(), DseError> {
             proxy_results.insert(outcome.point.label(), objectives);
         }
         if !direct_flats.is_empty() {
-            *rungs.entry(direct_rung.to_owned()).or_default() += direct_flats.len();
+            *rungs.entry("full".to_owned()).or_default() += direct_flats.len();
         }
         run.record(&direct_flats, direct_outcomes);
 
@@ -1274,7 +1181,7 @@ fn successive_halving(run: &mut Run) -> Result<(), DseError> {
         }
         // Round-robin across models so a tight budget still promotes
         // every workload's best candidates.
-        let mut full_promotions: Vec<(usize, &'static str)> = Vec::new();
+        let mut full_promotions: Vec<usize> = Vec::new();
         let mut climb_jobs: Vec<(usize, String, PointSpec, String)> = Vec::new();
         let mut climb_links: Vec<(usize, usize, String, String)> = Vec::new();
         let mut free_climbs = 0usize;
@@ -1323,13 +1230,13 @@ fn successive_halving(run: &mut Run) -> Result<(), DseError> {
                             // intermediate rung.
                             run.visited.insert(flat);
                             planned += 1;
-                            full_promotions.push((flat, terminal(chain.len())));
+                            full_promotions.push(flat);
                         }
                     }
                     None => {
                         run.visited.insert(flat);
                         planned += 1;
-                        full_promotions.push((flat, terminal(next)));
+                        full_promotions.push(flat);
                     }
                 }
             }
@@ -1354,13 +1261,12 @@ fn successive_halving(run: &mut Run) -> Result<(), DseError> {
             climb_pool(&mut pool, &pool_index, flat, next, objectives);
         }
 
-        let full_flats: Vec<usize> = full_promotions.iter().map(|&(flat, _)| flat).collect();
         let promoted_points: Vec<PointSpec> =
-            full_flats.iter().map(|&flat| run.axes.point(run.axes.indices_of(flat))).collect();
+            full_promotions.iter().map(|&flat| run.axes.point(run.axes.indices_of(flat))).collect();
         let promoted_outcomes = run.evaluate_batch(promoted_points)?;
-        run.record(&full_flats, promoted_outcomes);
-        for (_, rung_name) in &full_promotions {
-            *rungs.entry((*rung_name).to_owned()).or_default() += 1;
+        run.record(&full_promotions, promoted_outcomes);
+        if !full_promotions.is_empty() {
+            *rungs.entry("full".to_owned()).or_default() += full_promotions.len();
         }
 
         let submitted = direct_flats.len() + scout_count + climb_count + full_promotions.len();
@@ -1539,7 +1445,7 @@ fn offspring(run: &mut Run, parents: &[[usize; AXIS_COUNT]], count: usize) -> Ve
     let tournament = |rng: &mut XorShift, len: usize| rng.below(len).min(rng.below(len));
     while children.len() < target && tries < 20 * count && !parents.is_empty() {
         tries += 1;
-        let child = if parents.len() >= 2 && run.rng.coin() {
+        let child = if parents.len() >= 2 && coin(&mut run.rng) {
             let a = parents[tournament(&mut run.rng, parents.len())];
             let b = parents[tournament(&mut run.rng, parents.len())];
             crossover(&mut run.rng, a, b)
@@ -1584,7 +1490,7 @@ fn mutate(
         1
     } else if at + 1 == dims[axis] {
         at - 1
-    } else if rng.coin() {
+    } else if coin(rng) {
         at + 1
     } else {
         at - 1
@@ -1599,7 +1505,7 @@ fn crossover(
 ) -> [usize; AXIS_COUNT] {
     let mut child = a;
     for axis in 0..AXIS_COUNT {
-        if rng.coin() {
+        if coin(rng) {
             child[axis] = b[axis];
         }
     }
@@ -1643,31 +1549,6 @@ mod tests {
         assert_eq!(ExploreAlgorithm::from_name("sh"), Some(ExploreAlgorithm::SuccessiveHalving));
         assert_eq!(ExploreAlgorithm::from_name("evo"), Some(ExploreAlgorithm::Evolutionary));
         assert_eq!(ExploreAlgorithm::from_name("annealing"), None);
-    }
-
-    #[test]
-    fn xorshift_is_deterministic_and_seed_sensitive() {
-        let mut a = XorShift::new(7);
-        let mut b = XorShift::new(7);
-        let mut c = XorShift::new(8);
-        let from_a: Vec<u64> = (0..8).map(|_| a.next()).collect();
-        let from_b: Vec<u64> = (0..8).map(|_| b.next()).collect();
-        let from_c: Vec<u64> = (0..8).map(|_| c.next()).collect();
-        assert_eq!(from_a, from_b);
-        assert_ne!(from_a, from_c);
-        // Adjacent even/odd seed pairs must diverge too (an unmixed
-        // `seed ^ CONST | 1` used to collapse each such pair onto one
-        // state).
-        for seed in 0..64u64 {
-            assert_ne!(
-                XorShift::new(seed).next(),
-                XorShift::new(seed + 1).next(),
-                "seeds {seed} and {} collide",
-                seed + 1
-            );
-        }
-        let mut d = XorShift::new(0);
-        assert!((0..8).all(|_| d.below(5) < 5));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The calibrated multi-fidelity evaluation ladder.
 //!
-//! Every evaluation fidelity the DSE stack knows — the compiler's
-//! analytical interval estimate, coarse-resolution simulation, trace
-//! replay, full cycle-level simulation — is one [`Fidelity`] rung with a
-//! uniform [`Fidelity::price`] surface. A [`FidelityLadder`] orders the
-//! *proxy* rungs cheapest-first (full simulation is always the implicit
-//! top), and the explorer schedules points up the ladder instead of
-//! toggling a boolean coarse/full flag.
+//! A [`Fidelity`] is one *proxy* rung: the compiler's analytical
+//! interval estimate, or cycle-level simulation at a coarsened
+//! resolution. A [`FidelityLadder`] orders the proxy rungs
+//! cheapest-first; full simulation at the point's own resolution is the
+//! implicit top of every ladder and is never listed. The explorer
+//! schedules points up the ladder instead of toggling a boolean
+//! coarse/full flag. Re-timing is not a rung: the evaluation service
+//! replays the timing-only siblings of any batch on its own, whatever
+//! the rung.
 //!
 //! Proxies are only useful when they *rank* like the real thing, so the
 //! ladder is **calibrated online**: every time a scouted point graduates
@@ -36,7 +38,7 @@ use serde::{Content, Deserialize, Serialize};
 use crate::analysis;
 use crate::eval::Evaluation;
 use crate::spec::{PointSpec, SweepAxes};
-use crate::{DseError, DseOutcome, EvalService, Job, Submission};
+use crate::{DseError, DseOutcome};
 
 /// Pairs a `(model, rung)` must graduate before its Kendall tau is
 /// trusted; below this the scheduler keeps the uncalibrated default.
@@ -46,7 +48,7 @@ pub const MIN_CALIBRATION_SAMPLES: usize = 3;
 /// half the budget, the historical fixed split of successive halving.
 pub const DEFAULT_SCOUT_SHARE: f64 = 0.5;
 
-/// One rung of the evaluation-fidelity ladder.
+/// One proxy rung of the evaluation-fidelity ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// The compiler's sequential interval estimate
@@ -58,43 +60,43 @@ pub enum Fidelity {
     /// [`SearchMode::Sequential`] — the generalization of the
     /// historical fixed 32 px scouting rung.
     CoarseSim(u32),
-    /// Full-fidelity re-timing through the trace store: identity
-    /// projection, bit-exact result (tau ≡ 1 by construction), served
-    /// by the lockstep replay fast path when the batch groups.
-    Replay,
-    /// Full cycle-level simulation — the implicit top of every ladder.
-    FullSim,
 }
 
 impl Fidelity {
-    /// Wire name of the rung (`analytical`, `coarse<px>`, `replay`,
-    /// `full`).
+    /// Wire name of the rung (`analytical` or `coarse<px>`).
     pub fn name(&self) -> String {
         match self {
             Fidelity::Analytical => "analytical".to_owned(),
             Fidelity::CoarseSim(resolution) => format!("coarse{resolution}"),
-            Fidelity::Replay => "replay".to_owned(),
-            Fidelity::FullSim => "full".to_owned(),
         }
     }
 
     /// Parses a wire name back into a rung.
-    pub fn from_name(text: &str) -> Option<Self> {
-        match text {
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted rungs when `text` is neither `analytical` nor
+    /// `coarse<px>` with a nonzero resolution.
+    pub fn from_name(text: &str) -> Result<Self, String> {
+        let rung = match text {
             "analytical" => Some(Fidelity::Analytical),
-            "replay" => Some(Fidelity::Replay),
-            "full" | "full_sim" => Some(Fidelity::FullSim),
             other => other
                 .strip_prefix("coarse")
                 .and_then(|digits| digits.parse().ok())
                 .filter(|&resolution| resolution > 0)
                 .map(Fidelity::CoarseSim),
-        }
+        };
+        rung.ok_or_else(|| {
+            format!(
+                "unknown fidelity rung `{text}`: expected `analytical` or `coarse<px>` \
+                 (e.g. `coarse32`)"
+            )
+        })
     }
 
     /// The projection a point is evaluated at on this rung. Only
     /// [`Fidelity::CoarseSim`] rewrites the point (resolution floored,
-    /// search pinned sequential); every other rung evaluates the point
+    /// search pinned sequential); the analytical rung prices the point
     /// as-is. A coarse rung at or above the point's own resolution
     /// projects to the point itself — evaluating it *is* full fidelity.
     pub fn project(&self, point: &PointSpec) -> PointSpec {
@@ -105,53 +107,8 @@ impl Fidelity {
                 coarse.search = SearchMode::Sequential;
                 coarse
             }
-            _ => point.clone(),
+            Fidelity::Analytical => point.clone(),
         }
-    }
-
-    /// Whether pricing this rung runs a simulation (and therefore costs
-    /// explorer budget).
-    pub fn is_simulated(&self) -> bool {
-        !matches!(self, Fidelity::Analytical)
-    }
-
-    /// Prices one point at this rung: the uniform surface over every
-    /// fidelity. [`Fidelity::Analytical`] computes the compiler estimate
-    /// in-process; the simulated rungs submit the projected point
-    /// through `service` (riding its cache, coalescing and trace-replay
-    /// fast paths) and wait for the single outcome.
-    ///
-    /// The score's objectives are `(primary, energy_mj)` — estimated
-    /// interval cycles for the analytical rung, simulated total cycles
-    /// otherwise — or `None` when the point fails at this rung.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError::UnknownModel`] or [`DseError::Model`] for an
-    /// unresolvable model and [`DseError::Io`] when the service refuses
-    /// the submission.
-    pub fn price(
-        &self,
-        point: &PointSpec,
-        base: &ArchConfig,
-        service: &EvalService,
-    ) -> Result<ProxyScore, DseError> {
-        if let Fidelity::Analytical = self {
-            let mut pricer = AnalyticalPricer::new(*base);
-            return Ok(ProxyScore { rung: self.name(), objectives: pricer.objectives(point) });
-        }
-        let projected = self.project(point);
-        let arch = projected.arch(base);
-        let model = Arc::new(models::by_name(&projected.model.name, projected.model.resolution)?);
-        let job = Job { spec: projected, arch, model: Ok(model), traffic: None };
-        let batch =
-            service.submit_batch(Submission { jobs: vec![job], ..Submission::default() })?;
-        let outcome = batch.wait().pop().expect("one job in, one outcome out");
-        let objectives = outcome
-            .evaluation()
-            .map(|e| (e.simulation.total_cycles, e.simulation.energy_mj()))
-            .filter(|(_, energy)| energy.is_finite());
-        Ok(ProxyScore { rung: self.name(), objectives })
     }
 }
 
@@ -171,19 +128,8 @@ impl Deserialize for Fidelity {
     fn deserialize(content: &Content) -> Result<Self, serde::Error> {
         let text =
             content.as_str().ok_or_else(|| serde::Error::new("expected fidelity rung name"))?;
-        Fidelity::from_name(text)
-            .ok_or_else(|| serde::Error::new(format!("unknown fidelity rung `{text}`")))
+        Fidelity::from_name(text).map_err(serde::Error::new)
     }
-}
-
-/// The result of pricing one point at one rung.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProxyScore {
-    /// Wire name of the rung that produced the score.
-    pub rung: String,
-    /// `(primary, energy_mj)` under the rung's fidelity, or `None` when
-    /// the point fails at this rung.
-    pub objectives: Option<(u64, f64)>,
 }
 
 /// An ordered ladder of *proxy* rungs, cheapest first. Full simulation
@@ -203,9 +149,7 @@ impl FidelityLadder {
 
     /// Builds a ladder, validating its shape:
     ///
-    /// * `full` is implicit and may not be listed;
     /// * `analytical` may only be the first rung;
-    /// * `replay` may only be the last rung;
     /// * coarse resolutions must be strictly ascending (the ladder runs
     ///   cheap → faithful).
     ///
@@ -219,24 +163,12 @@ impl FidelityLadder {
         let mut last_coarse: Option<u32> = None;
         for (at, rung) in rungs.iter().enumerate() {
             match rung {
-                Fidelity::FullSim => {
-                    return Err(DseError::spec(
-                        "ladder rung `full` is implicit (every ladder tops out at full \
-                         simulation) and may not be listed",
-                    ));
-                }
                 Fidelity::Analytical if at != 0 => {
                     return Err(DseError::spec(
                         "ladder rung `analytical` must be the first (cheapest) rung",
                     ));
                 }
                 Fidelity::Analytical => {}
-                Fidelity::Replay if at + 1 != rungs.len() => {
-                    return Err(DseError::spec(
-                        "ladder rung `replay` is full fidelity and must be the last rung",
-                    ));
-                }
-                Fidelity::Replay => {}
                 Fidelity::CoarseSim(resolution) => {
                     if last_coarse.is_some_and(|previous| previous >= *resolution) {
                         return Err(DseError::spec(format!(
@@ -526,23 +458,30 @@ pub fn mean_power_w(evaluation: &Evaluation) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ServiceConfig, SweepSpec};
+    use crate::SweepSpec;
     use cimflow_compiler::Strategy;
+
+    /// Asserts that an error message names both accepted rung forms.
+    fn names_the_accepted_rungs(message: &str) {
+        assert!(
+            message.contains("`analytical`") && message.contains("`coarse<px>`"),
+            "the error must name the accepted rungs: {message}"
+        );
+    }
 
     #[test]
     fn rung_names_round_trip() {
-        for rung in [
-            Fidelity::Analytical,
-            Fidelity::CoarseSim(32),
-            Fidelity::CoarseSim(48),
-            Fidelity::Replay,
-            Fidelity::FullSim,
-        ] {
-            assert_eq!(Fidelity::from_name(&rung.name()), Some(rung), "{rung}");
+        for rung in [Fidelity::Analytical, Fidelity::CoarseSim(32), Fidelity::CoarseSim(48)] {
+            assert_eq!(Fidelity::from_name(&rung.name()), Ok(rung), "{rung}");
         }
-        assert_eq!(Fidelity::from_name("coarse0"), None, "a 0 px rung is nonsense");
-        assert_eq!(Fidelity::from_name("coarsely"), None);
-        assert_eq!(Fidelity::from_name("exact"), None);
+        // A 0 px rung is nonsense; `replay` and `full` are not rungs:
+        // full simulation is the implicit top of every ladder, and the
+        // service replays timing-only siblings by itself.
+        for name in ["coarse0", "coarsely", "exact", "replay", "full", "full_sim"] {
+            let error = Fidelity::from_name(name).unwrap_err();
+            assert!(error.contains(&format!("`{name}`")), "{error}");
+            names_the_accepted_rungs(&error);
+        }
     }
 
     #[test]
@@ -557,17 +496,11 @@ mod tests {
             Fidelity::Analytical,
             Fidelity::CoarseSim(16),
             Fidelity::CoarseSim(32),
-            Fidelity::Replay,
         ])
         .is_ok());
-        assert!(FidelityLadder::new(vec![Fidelity::FullSim]).is_err(), "full is implicit");
         assert!(
             FidelityLadder::new(vec![Fidelity::CoarseSim(32), Fidelity::Analytical]).is_err(),
             "analytical must come first"
-        );
-        assert!(
-            FidelityLadder::new(vec![Fidelity::Replay, Fidelity::CoarseSim(32)]).is_err(),
-            "replay must come last"
         );
         assert!(
             FidelityLadder::new(vec![Fidelity::CoarseSim(32), Fidelity::CoarseSim(32)]).is_err(),
@@ -580,18 +513,33 @@ mod tests {
 
     #[test]
     fn ladder_serde_round_trips() {
-        let ladder = FidelityLadder::new(vec![
-            Fidelity::Analytical,
-            Fidelity::CoarseSim(48),
-            Fidelity::Replay,
-        ])
-        .unwrap();
+        let ladder =
+            FidelityLadder::new(vec![Fidelity::Analytical, Fidelity::CoarseSim(48)]).unwrap();
         let back = FidelityLadder::deserialize(&ladder.serialize()).unwrap();
         assert_eq!(back, ladder);
+        let misordered =
+            Content::Seq(vec![Content::Str("coarse32".into()), Content::Str("analytical".into())]);
         assert!(
-            FidelityLadder::deserialize(&Content::Seq(vec![Content::Str("full".into())])).is_err(),
+            FidelityLadder::deserialize(&misordered).is_err(),
             "validation runs on the wire too"
         );
+        for name in ["replay", "full"] {
+            let wire = Content::Seq(vec![Content::Str(name.into())]);
+            names_the_accepted_rungs(&FidelityLadder::deserialize(&wire).unwrap_err().to_string());
+        }
+    }
+
+    #[test]
+    fn explore_specs_reject_the_replay_and_full_rungs() {
+        for name in ["replay", "full"] {
+            let json = format!(
+                "{{\"space\": {{\"models\": [{{\"name\": \"resnet18\", \"resolution\": 32}}], \
+                 \"strategies\": [\"dp\"]}}, \"ladder\": [\"{name}\"]}}"
+            );
+            let error = crate::ExploreSpec::from_json(&json).unwrap_err().to_string();
+            assert!(error.contains("ExploreSpec.ladder"), "{error}");
+            names_the_accepted_rungs(&error);
+        }
     }
 
     #[test]
@@ -634,7 +582,6 @@ mod tests {
         assert_eq!(coarse.model.resolution, 32);
         assert_eq!(coarse.search, SearchMode::Sequential);
         assert_eq!(Fidelity::Analytical.project(&point), point, "analytical never rewrites");
-        assert_eq!(Fidelity::Replay.project(&point), point, "replay is identity");
         // At or below the rung the projection is the point itself.
         let fine = Fidelity::CoarseSim(64).project(&point);
         assert_eq!(fine.model.resolution, 64);
@@ -720,31 +667,5 @@ mod tests {
         let mut unknown = points[0].clone();
         unknown.model.name = "no-such-model".into();
         assert_eq!(pricer.objectives(&unknown), None);
-    }
-
-    #[test]
-    fn price_is_uniform_across_rungs() {
-        let point = SweepSpec::new()
-            .with_model("mobilenetv2", 48)
-            .with_strategies(&[Strategy::GenericMapping])
-            .expand()
-            .unwrap()[0]
-            .clone();
-        let base = ArchConfig::paper_default();
-        let service = EvalService::new(ServiceConfig::new().with_workers(2));
-        let analytical = Fidelity::Analytical.price(&point, &base, &service).unwrap();
-        assert_eq!(analytical.rung, "analytical");
-        let (estimate, _) = analytical.objectives.unwrap();
-        assert!(estimate > 0);
-        let coarse = Fidelity::CoarseSim(32).price(&point, &base, &service).unwrap();
-        assert_eq!(coarse.rung, "coarse32");
-        let (coarse_cycles, coarse_energy) = coarse.objectives.unwrap();
-        assert!(coarse_cycles > 0 && coarse_energy.is_finite());
-        let full = Fidelity::FullSim.price(&point, &base, &service).unwrap();
-        let (full_cycles, _) = full.objectives.unwrap();
-        assert!(
-            coarse_cycles < full_cycles,
-            "the 32 px projection simulates less work than the 48 px point"
-        );
     }
 }

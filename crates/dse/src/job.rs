@@ -1,7 +1,8 @@
 //! The unit of work of the evaluation service: a resolved design point
 //! ([`Job`]), its result ([`DseOutcome`]) and its progress event
-//! ([`Progress`]), plus the grid expansion that turns a [`SweepSpec`]
-//! into jobs.
+//! ([`Progress`]), plus the resolver that turns the points of a
+//! [`SweepSpec`] into jobs, for the whole grid ([`expand_jobs`]) or for
+//! the points an exploration picks.
 //!
 //! A failing point produces an `Err` outcome in its own slot; it never
 //! aborts the sweep, and outcomes keep grid order no matter which worker
@@ -12,6 +13,7 @@ use std::sync::Arc;
 
 use cimflow_arch::ArchConfig;
 use cimflow_nn::{models, Model};
+use cimflow_traffic::WorkloadSpec;
 
 use crate::eval::{served_model_name, TrafficJob};
 use crate::{traffic_fingerprint, CacheKey, DseError, Evaluation, PointSpec, SweepSpec};
@@ -97,77 +99,110 @@ pub struct Progress {
     pub cached: bool,
 }
 
-/// Expands a spec into concrete jobs, resolving each distinct model once
-/// (a `HashMap` keyed by `(name, resolution)`, so a 10k-point grid does
-/// not pay a linear scan per point).
-///
-/// # Errors
-///
-/// Returns [`DseError::Spec`] when the spec expands to an empty grid.
-pub fn expand_jobs(spec: &SweepSpec) -> Result<Vec<Job>, DseError> {
-    type ResolvedModel = Result<Arc<Model>, DseError>;
-    let base = spec.base_arch();
-    let points = spec.expand()?;
-    let mut resolved: HashMap<(String, u32), ResolvedModel> = HashMap::new();
-    let mut resolve = |name: &str, resolution: u32| -> ResolvedModel {
-        resolved
+/// Resolves the points of one [`SweepSpec`] into [`Job`]s. Built once
+/// per spec, it is the one place a point's model and serving workload
+/// are resolved: [`expand_jobs`] runs it over the whole grid, and the
+/// explorer over the points it picks.
+pub(crate) struct JobResolver {
+    base: ArchConfig,
+    /// The serving workload of a traffic section without co-location
+    /// (each point then serves its own model alone).
+    solo_workload: Option<WorkloadSpec>,
+    /// Under co-location, the pool every point serves.
+    colocated: Option<Arc<TrafficJob>>,
+    /// Each distinct `(name, resolution)` resolves once (a `HashMap`, so
+    /// a 10k-point grid does not pay a linear scan per point).
+    models: HashMap<(String, u32), Result<Arc<Model>, DseError>>,
+    solo_traffic: HashMap<(String, u32), Arc<TrafficJob>>,
+}
+
+impl JobResolver {
+    /// Validates the spec's traffic section once: the mix (when set)
+    /// must match the served-model count, which is the whole model axis
+    /// under co-location and 1 otherwise. Under co-location every point
+    /// serves the whole model axis (in mix order), so the pool resolves
+    /// here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DseError::Spec`] for an invalid workload, and the
+    /// model's resolution error when a co-located model cannot be
+    /// resolved (a typo must not silently shrink the mix).
+    pub(crate) fn new(spec: &SweepSpec) -> Result<Self, DseError> {
+        let mut resolver = JobResolver {
+            base: spec.base_arch(),
+            solo_workload: None,
+            colocated: None,
+            models: HashMap::new(),
+            solo_traffic: HashMap::new(),
+        };
+        if let Some(traffic) = &spec.traffic {
+            let served = if traffic.colocate { spec.models.len() } else { 1 };
+            traffic.workload.validate(served).map_err(|e| DseError::spec(e.to_string()))?;
+            if traffic.colocate {
+                let mut colocated = Vec::with_capacity(spec.models.len());
+                for m in &spec.models {
+                    let model = resolver.model(&m.name, m.resolution)?;
+                    colocated.push((served_model_name(&m.name, m.resolution), model));
+                }
+                let pool = TrafficJob { workload: traffic.workload.clone(), colocated };
+                resolver.colocated = Some(Arc::new(pool));
+            } else {
+                resolver.solo_workload = Some(traffic.workload.clone());
+            }
+        }
+        Ok(resolver)
+    }
+
+    fn model(&mut self, name: &str, resolution: u32) -> Result<Arc<Model>, DseError> {
+        self.models
             .entry((name.to_owned(), resolution))
             .or_insert_with(|| {
                 models::by_name(name, resolution).map(Arc::new).map_err(DseError::from)
             })
             .clone()
-    };
-    // The traffic section validates once per sweep: the mix (when set)
-    // must match the served-model count, which is the whole model axis
-    // under co-location and 1 otherwise.
-    if let Some(traffic) = &spec.traffic {
-        let served = if traffic.colocate { spec.models.len() } else { 1 };
-        traffic.workload.validate(served).map_err(|e| DseError::spec(e.to_string()))?;
     }
-    // Under co-location every point serves the whole model axis (in mix
-    // order); unresolvable colocated models surface as a spec error so a
-    // typo cannot silently shrink the mix.
-    let colocated_pool: Option<Arc<TrafficJob>> = match &spec.traffic {
-        Some(traffic) if traffic.colocate => {
-            let mut colocated = Vec::with_capacity(spec.models.len());
-            for m in &spec.models {
-                let model = resolve(&m.name, m.resolution)?;
-                colocated.push((served_model_name(&m.name, m.resolution), model));
-            }
-            Some(Arc::new(TrafficJob { workload: traffic.workload.clone(), colocated }))
-        }
-        _ => None,
-    };
-    let mut solo_traffic: HashMap<(String, u32), Arc<TrafficJob>> = HashMap::new();
-    let mut jobs = Vec::with_capacity(points.len());
-    for point in points {
-        let model = resolve(&point.model.name, point.model.resolution);
-        let traffic = match &spec.traffic {
-            None => None,
-            Some(_) if colocated_pool.is_some() => colocated_pool.clone(),
-            Some(traffic) => match &model {
-                Ok(resolved) => Some(
-                    solo_traffic
-                        .entry((point.model.name.clone(), point.model.resolution))
-                        .or_insert_with(|| {
-                            Arc::new(TrafficJob {
-                                workload: traffic.workload.clone(),
-                                colocated: vec![(
-                                    served_model_name(&point.model.name, point.model.resolution),
-                                    Arc::clone(resolved),
-                                )],
-                            })
+
+    /// The job of one point. An unresolvable model is the job's own
+    /// failure, never the caller's.
+    pub(crate) fn job(&mut self, point: PointSpec) -> Job {
+        let model = self.model(&point.model.name, point.model.resolution);
+        let traffic = match (&self.colocated, &self.solo_workload, &model) {
+            (Some(pool), _, _) => Some(Arc::clone(pool)),
+            (None, Some(workload), Ok(resolved)) => Some(
+                self.solo_traffic
+                    .entry((point.model.name.clone(), point.model.resolution))
+                    .or_insert_with(|| {
+                        Arc::new(TrafficJob {
+                            workload: workload.clone(),
+                            colocated: vec![(
+                                served_model_name(&point.model.name, point.model.resolution),
+                                Arc::clone(resolved),
+                            )],
                         })
-                        .clone(),
-                ),
-                // The point fails on model resolution anyway.
-                Err(_) => None,
-            },
+                    })
+                    .clone(),
+            ),
+            // No traffic section, or the point fails on model resolution
+            // anyway.
+            _ => None,
         };
-        let arch = point.arch(&base);
-        jobs.push(Job { spec: point, arch, model, traffic });
+        let arch = point.arch(&self.base);
+        Job { spec: point, arch, model, traffic }
     }
-    Ok(jobs)
+}
+
+/// Expands a spec into concrete jobs, resolving each distinct model once.
+///
+/// # Errors
+///
+/// Returns [`DseError::Spec`] when the spec expands to an empty grid or
+/// its traffic section is invalid, and the resolution error of a
+/// co-located model that cannot be built.
+pub fn expand_jobs(spec: &SweepSpec) -> Result<Vec<Job>, DseError> {
+    let points = spec.expand()?;
+    let mut resolver = JobResolver::new(spec)?;
+    Ok(points.into_iter().map(|point| resolver.job(point)).collect())
 }
 
 #[cfg(test)]

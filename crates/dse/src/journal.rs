@@ -18,20 +18,8 @@
 //! [`SweepJournal::open`] start a fresh journal (stale results must not
 //! be resumed across engine changes). A malformed trailing line — the
 //! signature of a crash mid-write — is dropped, and everything before it
-//! is kept.
-//!
-//! # Size-based rotation
-//!
-//! A journal opened with [`SweepJournal::open_rotating`] rotates once the
-//! active file grows past a configurable byte limit: the active file is
-//! renamed to `<path>.1` (older segments shift to `<path>.2`, `<path>.3`,
-//! … — higher numbers are older) and a fresh header-only active file
-//! takes its place, so one multi-million-point run never accretes a
-//! single unbounded file. Every `open` variant reads the rotated
-//! segments back, oldest first, before the active file; each segment is
-//! header-checked and crash-tail-tolerant exactly like the active file.
-//! [`SweepJournal::compact`] merges the segments into one deduplicated
-//! active file and deletes them.
+//! is kept. A journal is the one file at its path: [`SweepJournal::open`]
+//! and [`SweepJournal::compact`] read and rewrite only that file.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -110,69 +98,17 @@ pub struct CompactionStats {
 pub struct SweepJournal {
     path: PathBuf,
     entries: Mutex<HashMap<CacheKey, Evaluation>>,
-    file: Mutex<ActiveFile>,
-    /// Rotate the active file past this many bytes; `None` never rotates.
-    rotate_limit: Option<u64>,
+    file: Mutex<std::fs::File>,
 }
 
-/// The active journal file plus its running byte size (rotation is
-/// decided on the tracked size, not a metadata syscall per append).
-#[derive(Debug)]
-struct ActiveFile {
-    file: std::fs::File,
-    bytes: u64,
-}
-
-/// The `n`-th rotated segment of a journal (`<path>.<n>`; 1 is the most
-/// recently rotated, higher numbers are older).
-fn segment_path(path: &Path, n: u32) -> PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(format!(".{n}"));
-    PathBuf::from(name)
-}
-
-/// The existing rotated segments of a journal with their numbers,
-/// ascending `n` (newest rotated first). Enumerated from the directory
-/// rather than probed sequentially, so a numbering gap — the signature
-/// of a crash between rotation renames — hides at most the segment
-/// that was mid-rename, never every segment behind the gap.
-fn numbered_segments(path: &Path) -> Vec<(u32, PathBuf)> {
-    let Some(file_name) = path.file_name().map(|name| name.to_string_lossy().into_owned()) else {
-        return Vec::new();
-    };
-    let directory = match path.parent() {
-        Some(parent) if !parent.as_os_str().is_empty() => parent.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let Ok(entries) = std::fs::read_dir(&directory) else { return Vec::new() };
-    let prefix = format!("{file_name}.");
-    let mut numbered: Vec<(u32, PathBuf)> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let n: u32 = name.strip_prefix(&prefix)?.parse().ok()?;
-            (n > 0).then(|| (n, entry.path()))
-        })
-        .collect();
-    numbered.sort_by_key(|(n, _)| *n);
-    numbered
-}
-
-/// The rotated segment paths of a journal, ascending `n`.
-fn existing_segments(path: &Path) -> Vec<PathBuf> {
-    numbered_segments(path).into_iter().map(|(_, segment)| segment).collect()
-}
-
-/// The parsed prefix of a journal file: each kept line with its key (for
-/// successful entries) and evaluation.
-struct ParsedJournal {
-    lines: Vec<(String, Option<CacheKey>, Option<Evaluation>)>,
-}
+/// One kept line of a journal file with its key (for successful entries)
+/// and evaluation.
+type JournalLine = (String, Option<CacheKey>, Option<Evaluation>);
 
 /// Reads the valid, header-checked prefix of a journal file. A stale or
 /// missing header yields an empty parse; a malformed trailing line (crash
 /// mid-write) drops the tail and keeps the prefix.
-fn parse_journal(path: &Path) -> Result<ParsedJournal, DseError> {
+fn parse_journal(path: &Path) -> Result<Vec<JournalLine>, DseError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
@@ -197,13 +133,13 @@ fn parse_journal(path: &Path) -> Result<ParsedJournal, DseError> {
             }
         }
     }
-    Ok(ParsedJournal { lines: parsed })
+    Ok(parsed)
 }
 
 /// Marks which lines survive deduplication: for every key only the
 /// *last* successful entry is kept (earlier ones are superseded);
 /// keyless/failure lines pass through untouched.
-fn dedup_mask(lines: &[(String, Option<CacheKey>, Option<Evaluation>)]) -> Vec<bool> {
+fn dedup_mask(lines: &[JournalLine]) -> Vec<bool> {
     let mut seen: std::collections::HashSet<CacheKey> = std::collections::HashSet::new();
     let mut keep = vec![true; lines.len()];
     for (index, (_, key, _)) in lines.iter().enumerate().rev() {
@@ -216,9 +152,8 @@ fn dedup_mask(lines: &[(String, Option<CacheKey>, Option<Evaluation>)]) -> Vec<b
     keep
 }
 
-/// Writes a normalized journal file (current header + `lines`), returning
-/// the byte size written.
-fn write_journal(path: &Path, lines: &[&str]) -> Result<u64, DseError> {
+/// Writes a normalized journal file (current header + `lines`).
+fn write_journal(path: &Path, lines: &[&str]) -> Result<(), DseError> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)
@@ -233,8 +168,7 @@ fn write_journal(path: &Path, lines: &[&str]) -> Result<u64, DseError> {
         contents.push('\n');
     }
     std::fs::write(path, &contents)
-        .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))?;
-    Ok(contents.len() as u64)
+        .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))
 }
 
 impl SweepJournal {
@@ -255,38 +189,12 @@ impl SweepJournal {
     /// Returns [`DseError::Io`] when the file cannot be read, rewritten
     /// or created.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, DseError> {
-        Self::open_with_limit(path.into(), None)
-    }
-
-    /// [`Self::open`] with size-based rotation: once an append pushes the
-    /// active file past `max_bytes`, it is rotated to `<path>.1` (older
-    /// segments shift up) and a fresh active file is started. Rotation
-    /// triggers on append only — an oversized pre-existing file rotates
-    /// at its next recorded point, not at open.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::open`].
-    pub fn open_rotating(path: impl Into<PathBuf>, max_bytes: u64) -> Result<Self, DseError> {
-        Self::open_with_limit(path.into(), Some(max_bytes))
-    }
-
-    fn open_with_limit(path: PathBuf, rotate_limit: Option<u64>) -> Result<Self, DseError> {
+        let path = path.into();
         let mut entries = HashMap::new();
-        // Rotated segments, oldest (highest number) first: a key
-        // re-recorded later overwrites the older evaluation. Segments
-        // are read-only archives — only the active file is normalized.
-        for segment in existing_segments(&path).iter().rev() {
-            for (_, key, evaluation) in parse_journal(segment)?.lines {
-                if let (Some(key), Some(evaluation)) = (key, evaluation) {
-                    entries.insert(key, evaluation);
-                }
-            }
-        }
-        let parsed = parse_journal(&path)?;
-        let keep = dedup_mask(&parsed.lines);
+        let lines = parse_journal(&path)?;
+        let keep = dedup_mask(&lines);
         let mut kept = Vec::new();
-        for ((line, key, evaluation), keep) in parsed.lines.iter().zip(&keep) {
+        for ((line, key, evaluation), keep) in lines.iter().zip(&keep) {
             if !keep {
                 continue;
             }
@@ -297,41 +205,27 @@ impl SweepJournal {
         }
         // Rewrite the normalized journal (fresh header, deduplicated
         // valid entries only) and keep the handle open for appending.
-        let bytes = write_journal(&path, &kept)?;
+        write_journal(&path, &kept)?;
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
             .map_err(|e| DseError::io(format!("cannot open {}: {e}", path.display())))?;
-        Ok(SweepJournal {
-            path,
-            entries: Mutex::new(entries),
-            file: Mutex::new(ActiveFile { file, bytes }),
-            rotate_limit,
-        })
+        Ok(SweepJournal { path, entries: Mutex::new(entries), file: Mutex::new(file) })
     }
 
     /// Compacts a journal in place without opening it for appending:
     /// drops superseded/duplicate entries (keeping each key's latest
     /// success) *and* failure/log-only lines, which resumption re-runs
-    /// anyway. Rotated segments are folded into the rewritten active
-    /// file and deleted, so a rotated journal compacts back to a single
-    /// file. The `cimflow-dse journal compact` subcommand is a thin
+    /// anyway. The `cimflow-dse journal compact` subcommand is a thin
     /// wrapper over this.
     ///
     /// # Errors
     ///
-    /// Returns [`DseError::Io`] when a file cannot be read, rewritten or
-    /// removed.
+    /// Returns [`DseError::Io`] when the file cannot be read or
+    /// rewritten.
     pub fn compact(path: impl Into<PathBuf>) -> Result<CompactionStats, DseError> {
         let path = path.into();
-        let segments = existing_segments(&path);
-        // Chronological order: oldest segment first, active file last,
-        // so dedup keeps each key's latest success across the whole set.
-        let mut lines = Vec::new();
-        for segment in segments.iter().rev() {
-            lines.extend(parse_journal(segment)?.lines);
-        }
-        lines.extend(parse_journal(&path)?.lines);
+        let lines = parse_journal(&path)?;
         let keep = dedup_mask(&lines);
         let mut stats = CompactionStats::default();
         let mut kept = Vec::new();
@@ -346,10 +240,6 @@ impl SweepJournal {
             }
         }
         write_journal(&path, &kept)?;
-        for segment in segments {
-            std::fs::remove_file(&segment)
-                .map_err(|e| DseError::io(format!("cannot remove {}: {e}", segment.display())))?;
-        }
         Ok(stats)
     }
 
@@ -375,13 +265,12 @@ impl SweepJournal {
 
     /// Appends one finished outcome (flushed immediately). `key` is the
     /// point's content hash when its model resolved; keyless entries are
-    /// log-only. On a rotating journal, an append that pushes the active
-    /// file past the byte limit rotates it afterwards.
+    /// log-only.
     ///
     /// # Errors
     ///
-    /// Returns [`DseError::Io`] when the append (or a rotation rename)
-    /// fails. Workers treat this as best-effort.
+    /// Returns [`DseError::Io`] when the append fails. Workers treat this
+    /// as best-effort.
     pub fn record(&self, key: Option<CacheKey>, outcome: &DseOutcome) -> Result<(), DseError> {
         let entry = JournalEntry {
             key,
@@ -394,44 +283,14 @@ impl SweepJournal {
             serde_json::to_string(&entry).expect("journal entry serialization cannot fail");
         line.push('\n');
         {
-            let mut active = self.file.lock().expect("journal poisoned");
-            active
-                .file
-                .write_all(line.as_bytes())
-                .and_then(|()| active.file.flush())
+            let mut file = self.file.lock().expect("journal poisoned");
+            file.write_all(line.as_bytes())
+                .and_then(|()| file.flush())
                 .map_err(|e| DseError::io(format!("cannot append {}: {e}", self.path.display())))?;
-            active.bytes += line.len() as u64;
-            if self.rotate_limit.is_some_and(|limit| active.bytes > limit) {
-                self.rotate_locked(&mut active)?;
-            }
         }
         if let (Some(key), Ok(evaluation)) = (key, &outcome.result) {
             self.entries.lock().expect("journal poisoned").insert(key, evaluation.clone());
         }
-        Ok(())
-    }
-
-    /// Rotates the over-limit active file to `<path>.1`, shifting older
-    /// segments up, and starts a fresh header-only active file. Caller
-    /// holds the file lock. Segments are shifted highest number first
-    /// by their *actual* numbers, so a gap left by an interrupted
-    /// earlier rotation never causes a rename onto an occupied slot.
-    fn rotate_locked(&self, active: &mut ActiveFile) -> Result<(), DseError> {
-        let rename = |from: &Path, to: &Path| {
-            std::fs::rename(from, to).map_err(|e| {
-                DseError::io(format!("cannot rotate {} -> {}: {e}", from.display(), to.display()))
-            })
-        };
-        for (n, segment) in numbered_segments(&self.path).into_iter().rev() {
-            rename(&segment, &segment_path(&self.path, n + 1))?;
-        }
-        rename(&self.path, &segment_path(&self.path, 1))?;
-        let bytes = write_journal(&self.path, &[])?;
-        active.file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| DseError::io(format!("cannot open {}: {e}", self.path.display())))?;
-        active.bytes = bytes;
         Ok(())
     }
 }
@@ -628,165 +487,6 @@ mod tests {
         let stats = SweepJournal::compact(&path).unwrap();
         assert_eq!(stats, CompactionStats::default(), "stale journals compact to empty");
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1, "header only");
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Distinct cache keys over one reusable evaluation (the journal
-    /// does not validate key/value consistency, so rotation tests need
-    /// not pay for N real evaluations).
-    fn keyed_outcomes(count: usize) -> (Vec<CacheKey>, crate::DseOutcome) {
-        let model = models::mobilenet_v2(32);
-        let evaluation = evaluate_with_search(
-            &ArchConfig::paper_default(),
-            &model,
-            Strategy::GenericMapping,
-            SearchMode::Sequential,
-        )
-        .unwrap();
-        let keys = (0..count)
-            .map(|i| {
-                let arch = ArchConfig::paper_default().with_macros_per_group(2 << i);
-                CacheKey::of(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential)
-            })
-            .collect();
-        let outcome = crate::DseOutcome {
-            point: spec().expand().unwrap()[0].clone(),
-            result: Ok(evaluation),
-            cached: false,
-        };
-        (keys, outcome)
-    }
-
-    #[test]
-    fn rotation_splits_past_the_limit_and_open_reads_segments() {
-        let path = journal_path("rotate.jsonl");
-        // A 1-byte limit rotates after every append: one entry per
-        // segment, newest in `.1`.
-        let journal = SweepJournal::open_rotating(&path, 1).unwrap();
-        let (keys, outcome) = keyed_outcomes(4);
-        for &key in &keys {
-            journal.record(Some(key), &outcome).unwrap();
-        }
-        assert_eq!(journal.len(), 4);
-        drop(journal);
-        for n in 1..=4 {
-            assert!(segment_path(&path, n).exists(), "segment {n} exists");
-        }
-        assert!(!segment_path(&path, 5).exists());
-        let active = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(active.lines().count(), 1, "the active file holds only the fresh header");
-
-        // A plain (non-rotating) reopen reads every rotated segment.
-        let reopened = SweepJournal::open(&path).unwrap();
-        assert_eq!(reopened.len(), 4);
-        for key in &keys {
-            assert!(reopened.lookup(key).is_some());
-        }
-        // Without a limit it appends without rotating further.
-        let (more, _) = keyed_outcomes(5);
-        reopened.record(Some(more[4]), &outcome).unwrap();
-        drop(reopened);
-        assert!(!segment_path(&path, 5).exists());
-        assert_eq!(SweepJournal::open(&path).unwrap().len(), 5);
-
-        for n in 1..=4 {
-            std::fs::remove_file(segment_path(&path, n)).ok();
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn crash_truncated_rotated_tails_drop_only_the_torn_entry() {
-        let path = journal_path("rotate-torn.jsonl");
-        let journal = SweepJournal::open_rotating(&path, 1).unwrap();
-        let (keys, outcome) = keyed_outcomes(4);
-        for &key in &keys {
-            journal.record(Some(key), &outcome).unwrap();
-        }
-        drop(journal);
-        // `.1` is the newest rotated segment and holds the last key;
-        // tear its entry the way a crash mid-rotation-write would.
-        let newest = segment_path(&path, 1);
-        let text = std::fs::read_to_string(&newest).unwrap();
-        std::fs::write(&newest, &text[..text.len() - 50]).unwrap();
-
-        let reopened = SweepJournal::open(&path).unwrap();
-        assert_eq!(reopened.len(), 3, "only the torn entry is lost");
-        assert!(reopened.lookup(&keys[3]).is_none());
-        for key in &keys[..3] {
-            assert!(reopened.lookup(key).is_some());
-        }
-        drop(reopened);
-        for n in 1..=4 {
-            std::fs::remove_file(segment_path(&path, n)).ok();
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn segment_gaps_from_interrupted_rotations_hide_only_the_missing_segment() {
-        let path = journal_path("rotate-gap.jsonl");
-        let journal = SweepJournal::open_rotating(&path, 1).unwrap();
-        let (keys, outcome) = keyed_outcomes(4);
-        for &key in &keys {
-            journal.record(Some(key), &outcome).unwrap();
-        }
-        drop(journal);
-        // A crash between rotation renames leaves a numbering gap at
-        // `.1` (everything shifted up, the active file not yet moved).
-        // Only that segment's entry may be lost; the rest must load.
-        std::fs::remove_file(segment_path(&path, 1)).unwrap();
-        let reopened = SweepJournal::open(&path).unwrap();
-        assert_eq!(reopened.len(), 3, "segments behind the gap still load");
-        assert!(reopened.lookup(&keys[3]).is_none(), "only the removed segment's entry is lost");
-        drop(reopened);
-
-        // A rotation over the gapped set must not clobber a survivor:
-        // every pre-gap key is still resumable afterwards.
-        let journal = SweepJournal::open_rotating(&path, 1).unwrap();
-        let (more, _) = keyed_outcomes(5);
-        journal.record(Some(more[4]), &outcome).unwrap();
-        assert_eq!(journal.len(), 4);
-        drop(journal);
-        let reopened = SweepJournal::open(&path).unwrap();
-        assert_eq!(reopened.len(), 4);
-        for key in keys[..3].iter().chain([&more[4]]) {
-            assert!(reopened.lookup(key).is_some());
-        }
-        for segment in existing_segments(&path) {
-            std::fs::remove_file(segment).ok();
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compaction_merges_rotated_segments_back_into_one_file() {
-        let path = journal_path("rotate-compact.jsonl");
-        let journal = SweepJournal::open_rotating(&path, 1).unwrap();
-        let (keys, outcome) = keyed_outcomes(3);
-        for &key in &keys {
-            journal.record(Some(key), &outcome).unwrap();
-        }
-        // A superseding duplicate of the first key and a failure line,
-        // spread across further segments.
-        journal.record(Some(keys[0]), &outcome).unwrap();
-        let failed = crate::DseOutcome {
-            point: outcome.point.clone(),
-            result: Err(crate::DseError::io("boom")),
-            cached: false,
-        };
-        journal.record(None, &failed).unwrap();
-        drop(journal);
-        assert!(segment_path(&path, 5).exists(), "five appends rotated five segments");
-
-        let stats = SweepJournal::compact(&path).unwrap();
-        assert_eq!(stats, CompactionStats { kept: 3, superseded: 1, failures: 1 });
-        assert!(existing_segments(&path).is_empty(), "compaction removes the segments");
-        let reopened = SweepJournal::open(&path).unwrap();
-        assert_eq!(reopened.len(), 3);
-        for key in &keys {
-            assert!(reopened.lookup(key).is_some());
-        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -73,7 +73,7 @@ pub use explore::{
 };
 pub use fidelity::{
     kendall_tau, mean_power_w, scout_share_for, AnalyticalPricer, FeasibilityCaps, Fidelity,
-    FidelityLadder, ProxyScore, RankFidelity, DEFAULT_SCOUT_SHARE, MIN_CALIBRATION_SAMPLES,
+    FidelityLadder, RankFidelity, DEFAULT_SCOUT_SHARE, MIN_CALIBRATION_SAMPLES,
 };
 pub use job::{expand_jobs, DseOutcome, Job, Progress};
 pub use journal::{CompactionStats, SweepJournal, JOURNAL_FORMAT_VERSION};

@@ -228,14 +228,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Option<Args>, String> {
                     .split(',')
                     .map(str::trim)
                     .filter(|name| !name.is_empty())
-                    .map(|name| {
-                        Fidelity::from_name(name).ok_or_else(|| {
-                            format!(
-                                "--rungs expects names like `analytical`, `coarse32`, `replay`, \
-                                 got `{name}`"
-                            )
-                        })
-                    })
+                    .map(|name| Fidelity::from_name(name).map_err(|e| format!("--rungs: {e}")))
                     .collect::<Result<Vec<_>, _>>()?;
                 ladder = Some(FidelityLadder::new(rungs).map_err(|e| e.to_string())?);
             }

@@ -1,5 +1,5 @@
-//! Deterministic, dependency-free randomness: the same
-//! xorshift64\*/splitmix64 pairing the DSE explorer uses, plus the
+//! Deterministic, dependency-free randomness: the xorshift64\* generator
+//! behind both the arrival processes and the DSE explorer, plus the
 //! floating-point draws arrival processes need.
 
 /// xorshift64\* seeded through a splitmix64 finalizer.
@@ -73,6 +73,19 @@ mod tests {
         };
         assert_eq!(a, b);
         assert_ne!(a, c);
+        // Adjacent even/odd seed pairs must diverge too (an unmixed
+        // `seed ^ CONST | 1` would collapse each such pair onto one
+        // state).
+        for seed in 0..64u64 {
+            assert_ne!(
+                XorShift::new(seed).next_u64(),
+                XorShift::new(seed + 1).next_u64(),
+                "seeds {seed} and {} collide",
+                seed + 1
+            );
+        }
+        let mut r = XorShift::new(0);
+        assert!((0..8).all(|_| r.below(5) < 5));
     }
 
     #[test]
