@@ -201,13 +201,7 @@ impl serde::Deserialize for CompileReport {
             stage_count: serde::Deserialize::deserialize(field("stage_count")?)?,
             group_count: serde::Deserialize::deserialize(field("group_count")?)?,
             active_cores: serde::Deserialize::deserialize(field("active_cores")?)?,
-            // Reports persisted before the search layer lack the field;
-            // they read back as the sequential pipeline's single
-            // candidate.
-            search_candidates: match field("search_candidates") {
-                Ok(content) => serde::Deserialize::deserialize(content)?,
-                Err(_) => 1,
-            },
+            search_candidates: serde::Deserialize::deserialize(field("search_candidates")?)?,
         })
     }
 }

@@ -13,41 +13,70 @@
 //! bench targets — share warm state.
 //!
 //! **Staleness:** the key captures the *inputs* of an evaluation, not the
-//! simulator/compiler code that produced it. Persisted files therefore
-//! carry the engine crate version (plus a format version), and
-//! [`EvalCache::load`] starts cold when either differs. Within one
-//! version, editing the cost/timing/energy models does **not** invalidate
-//! an existing cache file — delete it (or point `CIMFLOW_DSE_CACHE`
-//! elsewhere) after such changes, or bump [`CACHE_FORMAT_VERSION`].
+//! simulator/compiler code that produced it. Every file the engine
+//! persists — a cache file here, a [`SweepJournal`](crate::SweepJournal)
+//! — therefore carries one stamp, [`CACHE_FORMAT_VERSION`] plus the
+//! engine crate version, checked in one place: [`EvalCache::load`] starts
+//! cold and a journal starts fresh when it differs. Within one version,
+//! editing the cost/timing/energy models does **not** invalidate an
+//! existing file — delete it (or point `CIMFLOW_DSE_CACHE` elsewhere)
+//! after such changes, or bump [`CACHE_FORMAT_VERSION`].
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use cimflow_arch::ArchConfig;
 use cimflow_compiler::{SearchMode, Strategy};
 use cimflow_nn::Model;
 use serde::{Deserialize, Serialize};
 
+use crate::memo::{Memo, Source};
 use crate::{DseError, Evaluation};
 
-/// On-disk cache format version; bump on any change to the evaluation
-/// semantics (simulator timing, energy model, compiler cost model) or
-/// the persisted schema that should invalidate previously persisted
-/// results. Version 2: the system level (multi-chip) — `SimReport` and
-/// `EnergyBreakdown` gained inter-chip fields. Version 3: the joint
-/// partition search — `CacheKey`/`Evaluation` gained the search mode,
-/// `SimReport` grew overlap/stall metrics, and the simulator's
-/// inter-chip hand-off became tile-streaming. Version 4: the trace-replay
-/// engine — `Evaluation` gained the `eval_path` provenance field and
-/// sweep points gained the timing-only frequency/memory-port axes.
-/// Version 5: serving mode — `CacheKey` gained the `traffic` workload
-/// fingerprint and `Evaluation` the optional `serving` SLO summary.
+/// On-disk format version of cache files and sweep journals (journal
+/// lines embed the same [`Evaluation`] schema, so one number versions
+/// both); bump on any change to the evaluation semantics (simulator
+/// timing, energy model, compiler cost model) or the persisted schema
+/// that should invalidate previously persisted results. Version 2: the
+/// system level (multi-chip) — `SimReport` and `EnergyBreakdown` gained
+/// inter-chip fields. Version 3: the joint partition search —
+/// `CacheKey`/`Evaluation` gained the search mode, `SimReport` grew
+/// overlap/stall metrics, and the simulator's inter-chip hand-off became
+/// tile-streaming. Version 4: the trace-replay engine — `Evaluation`
+/// gained the `eval_path` provenance field and sweep points gained the
+/// timing-only frequency/memory-port axes. Version 5: serving mode —
+/// `CacheKey` gained the `traffic` workload fingerprint and `Evaluation`
+/// the optional `serving` SLO summary.
 pub const CACHE_FORMAT_VERSION: u32 = 5;
 
-/// Engine identity stamped into persisted cache files (the `cimflow-dse`
-/// crate version); a mismatch makes [`EvalCache::load`] start cold.
+/// Engine identity stamped into persisted cache files and journals (the
+/// `cimflow-dse` crate version); a mismatch makes [`EvalCache::load`]
+/// start cold.
 pub const CACHE_ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
+
+/// The stamp every persisted file carries: [`CACHE_FORMAT_VERSION`] plus
+/// [`CACHE_ENGINE_VERSION`]. A cache file holds it at its top level, next
+/// to its entries; a journal holds it as its header line.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct Stamp {
+    version: u32,
+    engine: String,
+}
+
+impl Stamp {
+    /// This engine's stamp.
+    pub(crate) fn current() -> Self {
+        Stamp { version: CACHE_FORMAT_VERSION, engine: CACHE_ENGINE_VERSION.to_owned() }
+    }
+
+    /// Whether `value` — a cache file's top-level object or a journal's
+    /// header line — carries this engine's stamp (other fields are
+    /// ignored). The one staleness check of every persisted file: a file
+    /// of an older schema has no current stamp, so its entries are never
+    /// read.
+    pub(crate) fn is_current(value: &serde_json::Value) -> bool {
+        serde_json::from_value::<Stamp>(value).is_ok_and(|stamp| stamp == Stamp::current())
+    }
+}
 
 /// 64-bit FNV-1a: deterministic across runs, platforms and compiler
 /// versions (unlike `DefaultHasher`, which documents no such stability).
@@ -75,7 +104,7 @@ pub fn model_content_hash(model: &Model) -> u64 {
 
 /// Cache key identifying one (architecture, model, strategy, search
 /// mode, serving workload) point by content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CacheKey {
     /// FNV-1a hash of the serialized architecture.
     pub arch: u64,
@@ -112,37 +141,6 @@ impl CacheKey {
     }
 }
 
-// Manual Deserialize so journal rows written before serving mode existed
-// (no `traffic` key) keep resuming: the missing field reads as 0 = no
-// serving workload, which is exactly what those rows evaluated.
-impl Deserialize for CacheKey {
-    fn deserialize(content: &serde::Content) -> Result<Self, serde::Error> {
-        let map = content.as_map().ok_or_else(|| serde::Error::new("expected map for CacheKey"))?;
-        fn field<T: Deserialize>(
-            map: &[(String, serde::Content)],
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            let v = map
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::Error::new(format!("CacheKey: missing field {name}")))?;
-            T::deserialize(v).map_err(|e| serde::Error::new(format!("CacheKey.{name}: {e}")))
-        }
-        Ok(CacheKey {
-            arch: field(map, "arch")?,
-            model: field(map, "model")?,
-            strategy: field(map, "strategy")?,
-            search: field(map, "search")?,
-            traffic: match map.iter().find(|(k, _)| k == "traffic") {
-                Some((_, v)) => u64::deserialize(v)
-                    .map_err(|e| serde::Error::new(format!("CacheKey.traffic: {e}")))?,
-                None => 0,
-            },
-        })
-    }
-}
-
 /// Content fingerprint of a serving workload: the offered rate, the
 /// serialized [`WorkloadSpec`](cimflow_traffic::WorkloadSpec) preset and
 /// every co-located model's content hash (order-sensitive — the mix
@@ -166,7 +164,7 @@ pub fn traffic_fingerprint(
 }
 
 /// Hit/miss counters of a cache (monotonic over the cache's lifetime).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -190,42 +188,9 @@ impl CacheStats {
     }
 }
 
-// Manual (de)serialization so the wire format stays compatible in both
-// directions: `coalesced` defaults to 0 when absent, letting a new
-// client parse a `stats` reply from an old server (the derive would
-// reject the missing field).
-impl Serialize for CacheStats {
-    fn serialize(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("hits".to_owned(), serde::Content::U64(self.hits)),
-            ("misses".to_owned(), serde::Content::U64(self.misses)),
-            ("coalesced".to_owned(), serde::Content::U64(self.coalesced)),
-        ])
-    }
-}
-
-impl Deserialize for CacheStats {
-    fn deserialize(content: &serde::Content) -> Result<Self, serde::Error> {
-        let map = content.as_map().ok_or_else(|| {
-            serde::Error::new(format!("CacheStats: expected map, got {}", content.kind_name()))
-        })?;
-        let field = |name: &str| -> Result<u64, serde::Error> {
-            match map.iter().find(|(k, _)| k == name) {
-                Some((_, v)) => u64::deserialize(v)
-                    .map_err(|e| serde::Error::new(format!("CacheStats.{name}: {e}"))),
-                None if name == "coalesced" => Ok(0),
-                None => Err(serde::Error::new(format!("missing field `{name}` in CacheStats"))),
-            }
-        };
-        Ok(CacheStats {
-            hits: field("hits")?,
-            misses: field("misses")?,
-            coalesced: field("coalesced")?,
-        })
-    }
-}
-
-/// A thread-safe, content-addressed store of finished evaluations.
+/// A thread-safe, content-addressed store of finished evaluations: an
+/// unbounded single-flight memo plus hit/miss/coalesced counters and
+/// JSON persistence.
 ///
 /// The store lives behind an [`Arc`](std::sync::Arc), so `Clone` is
 /// shallow: every clone shares the same entries and counters. That is
@@ -239,12 +204,7 @@ pub struct EvalCache {
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    entries: Mutex<HashMap<CacheKey, Evaluation>>,
-    /// Keys currently being evaluated by some worker; concurrent lookups
-    /// of the same key wait on [`Self::in_flight_done`] instead of
-    /// duplicating the compile → simulate pipeline.
-    in_flight: Mutex<std::collections::HashSet<CacheKey>>,
-    in_flight_done: std::sync::Condvar,
+    memo: Memo<CacheKey, Evaluation>,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -258,7 +218,7 @@ impl EvalCache {
 
     /// Number of stored evaluations.
     pub fn len(&self) -> usize {
-        self.inner.entries.lock().expect("cache poisoned").len()
+        self.inner.memo.len()
     }
 
     /// Whether the cache holds no evaluations.
@@ -277,7 +237,7 @@ impl EvalCache {
 
     /// Looks an evaluation up, counting a hit or a miss.
     pub fn get(&self, key: &CacheKey) -> Option<Evaluation> {
-        let found = self.lookup(key);
+        let found = self.inner.memo.get(key);
         if found.is_some() {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -286,34 +246,25 @@ impl EvalCache {
         found
     }
 
-    /// Uncounted lookup.
-    fn lookup(&self, key: &CacheKey) -> Option<Evaluation> {
-        self.inner.entries.lock().expect("cache poisoned").get(key).cloned()
-    }
-
     /// Stores an evaluation.
     pub fn insert(&self, key: CacheKey, evaluation: Evaluation) {
-        self.inner.entries.lock().expect("cache poisoned").insert(key, evaluation);
+        self.inner.memo.insert(key, evaluation);
     }
 
     /// Stores an evaluation computed after a counted miss, without
     /// counting another lookup. The first writer wins: returns the stored
     /// evaluation and whether another writer had published it first.
     pub(crate) fn publish(&self, key: CacheKey, evaluation: Evaluation) -> (Evaluation, bool) {
-        let mut entries = self.inner.entries.lock().expect("cache poisoned");
-        match entries.entry(key) {
-            Entry::Occupied(slot) => (slot.get().clone(), true),
-            Entry::Vacant(slot) => (slot.insert(evaluation).clone(), false),
-        }
+        self.inner.memo.publish(key, evaluation)
     }
 
     /// Looks up, or evaluates-and-stores on a miss.
     ///
     /// Concurrent callers with the same key are deduplicated: the first
-    /// one evaluates while the others block until the result lands and
-    /// then take it as a hit, so an expensive point is never compiled
-    /// twice in parallel. (If the owning evaluation fails, one waiter
-    /// takes over — errors are not cached.)
+    /// one evaluates (a miss) while the others block until the result
+    /// lands and then take it as a hit and a coalesced lookup, so an
+    /// expensive point is never compiled twice in parallel. (If the
+    /// owning evaluation fails or panics, one waiter takes over.)
     ///
     /// # Errors
     ///
@@ -324,68 +275,32 @@ impl EvalCache {
         key: CacheKey,
         evaluate: impl FnOnce() -> Result<Evaluation, DseError>,
     ) -> Result<(Evaluation, bool), DseError> {
-        let mut waited = false;
-        loop {
-            if let Some(hit) = self.lookup(&key) {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                if waited {
-                    self.inner.coalesced.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok((hit, true));
-            }
-            let mut in_flight = self.inner.in_flight.lock().expect("cache poisoned");
-            if in_flight.insert(key) {
-                break; // this caller owns the evaluation
-            }
-            // Another worker is evaluating this key: wait for it to
-            // finish (or fail), then re-check the entries. Counted as a
-            // coalesced lookup (once, however many wakeups it takes) if
-            // the in-flight result ends up serving it.
-            waited = true;
-            let guard = self.inner.in_flight_done.wait(in_flight).expect("cache poisoned");
-            drop(guard);
+        let (evaluation, source) = self.inner.memo.get_or_compute(key, || {
+            // A miss counts when this caller starts evaluating, so a
+            // failed evaluation still counts one.
+            self.inner.misses.fetch_add(1, Ordering::Relaxed);
+            evaluate()
+        })?;
+        let hit = source != Source::Computed;
+        if hit {
+            self.inner.hits.fetch_add(1, Ordering::Relaxed);
         }
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        // Release the marker even if `evaluate` panics, so waiters are
-        // woken instead of deadlocking (one of them takes over).
-        struct InFlightGuard<'a> {
-            cache: &'a CacheInner,
-            key: CacheKey,
+        if source == Source::Awaited {
+            self.inner.coalesced.fetch_add(1, Ordering::Relaxed);
         }
-        impl Drop for InFlightGuard<'_> {
-            fn drop(&mut self) {
-                let mut in_flight =
-                    self.cache.in_flight.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                in_flight.remove(&self.key);
-                self.cache.in_flight_done.notify_all();
-            }
-        }
-        let guard = InFlightGuard { cache: &self.inner, key };
-        let result = evaluate();
-        if let Ok(evaluation) = &result {
-            // Publish before releasing the in-flight marker so waiters
-            // always observe the entry when they wake.
-            self.insert(key, evaluation.clone());
-        }
-        drop(guard);
-        result.map(|evaluation| (evaluation, false))
+        Ok((evaluation, hit))
     }
 
     /// Serializes all entries to JSON (counters are not persisted).
     pub fn to_json(&self) -> String {
-        let entries = self.inner.entries.lock().expect("cache poisoned");
-        let mut rows: Vec<(CacheKey, Evaluation)> =
-            entries.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let mut rows = self.inner.memo.entries();
         // Deterministic file contents regardless of hash-map order.
         rows.sort_by_key(|(k, _)| (k.model, k.arch, k.strategy.name(), k.search.name(), k.traffic));
-        let rows: Vec<CacheEntry> =
+        let entries: Vec<CacheEntry> =
             rows.into_iter().map(|(key, evaluation)| CacheEntry { key, evaluation }).collect();
-        serde_json::to_string_pretty(&CacheFile {
-            version: CACHE_FORMAT_VERSION,
-            engine: CACHE_ENGINE_VERSION.to_owned(),
-            entries: rows,
-        })
-        .expect("cache serialization cannot fail")
+        let Stamp { version, engine } = Stamp::current();
+        serde_json::to_string_pretty(&CacheFile { version, engine, entries })
+            .expect("cache serialization cannot fail")
     }
 
     /// Restores a cache from [`Self::to_json`] output.
@@ -393,37 +308,36 @@ impl EvalCache {
     /// # Errors
     ///
     /// Returns [`DseError::Io`] for malformed contents or for a file
-    /// written by a different engine/format version (stale results must
-    /// not be served across engine changes; [`Self::load`] treats that
-    /// case as a cold start instead).
+    /// without this engine's stamp (stale results must not be served
+    /// across engine changes; [`Self::load`] treats that case as a cold
+    /// start instead).
     pub fn from_json(text: &str) -> Result<Self, DseError> {
-        let file: CacheFile =
-            serde_json::from_str(text).map_err(|e| DseError::io(format!("bad cache file: {e}")))?;
-        if !file.is_current() {
-            return Err(DseError::io(format!(
-                "cache written by engine {} format {} (this engine: {} format {})",
-                file.engine, file.version, CACHE_ENGINE_VERSION, CACHE_FORMAT_VERSION
-            )));
-        }
-        Ok(Self::from_file(file))
+        Self::parse(text)
+            .map_err(|e| DseError::io(format!("bad cache file: {e}")))?
+            .ok_or_else(|| DseError::io("cache not written by this engine version"))
     }
 
-    /// A cache holding the entries of a current-version file.
-    fn from_file(file: CacheFile) -> Self {
-        let cache = EvalCache::new();
-        {
-            let mut entries = cache.inner.entries.lock().expect("cache poisoned");
-            for entry in file.entries {
-                entries.insert(entry.key, entry.evaluation);
-            }
+    /// Parses a cache file: anything that is not JSON, or a current-stamp
+    /// file whose entries do not parse, is corruption; JSON without the
+    /// current stamp (another engine or format version, or an older
+    /// schema) is stale (`None`).
+    fn parse(text: &str) -> Result<Option<Self>, serde_json::Error> {
+        let value: serde_json::Value = serde_json::from_str(text)?;
+        if !Stamp::is_current(&value) {
+            return Ok(None);
         }
-        cache
+        let file: CacheFile = serde_json::from_value(&value)?;
+        let cache = EvalCache::new();
+        for entry in file.entries {
+            cache.insert(entry.key, entry.evaluation);
+        }
+        Ok(Some(cache))
     }
 
     /// Loads a cache from a JSON file. Returns an empty cache if the file
-    /// does not exist **or** was written by a different engine/format
-    /// version (an expected lifecycle event — the sweep simply runs
-    /// cold and overwrites the file on save).
+    /// does not exist **or** lacks this engine's stamp (an expected
+    /// lifecycle event — the sweep simply runs cold and overwrites the
+    /// file on save).
     ///
     /// # Errors
     ///
@@ -434,17 +348,9 @@ impl EvalCache {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Self::new()),
             Err(e) => return Err(DseError::io(format!("cannot read {}: {e}", path.display()))),
         };
-        // Anything that is not JSON at all is corruption and surfaces as
-        // an error; the text is parsed once, then checked against the
-        // schema.
-        let value: serde_json::Value = serde_json::from_str(&text)
+        let cache = Self::parse(&text)
             .map_err(|e| DseError::io(format!("bad cache file {}: {e}", path.display())))?;
-        match serde_json::from_value::<CacheFile>(&value) {
-            Ok(file) if file.is_current() => Ok(Self::from_file(file)),
-            // A different engine/format version, or well-formed JSON of an
-            // older/unknown schema, is a stale cache: start cold.
-            _ => Ok(Self::new()),
-        }
+        Ok(cache.unwrap_or_default())
     }
 
     /// Persists the cache to a JSON file.
@@ -471,19 +377,13 @@ struct CacheEntry {
     evaluation: Evaluation,
 }
 
+/// A persisted cache: the [`Stamp`]'s fields, then the entries.
 #[derive(Serialize, Deserialize)]
 struct CacheFile {
     version: u32,
     /// `cimflow-dse` crate version that wrote the file.
     engine: String,
     entries: Vec<CacheEntry>,
-}
-
-impl CacheFile {
-    /// Whether this engine and format version wrote the file.
-    fn is_current(&self) -> bool {
-        self.version == CACHE_FORMAT_VERSION && self.engine == CACHE_ENGINE_VERSION
-    }
 }
 
 #[cfg(test)]
@@ -672,29 +572,6 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.coalesced, 3, "every waiter is a coalesced lookup");
-    }
-
-    #[test]
-    fn cache_stats_wire_format_tolerates_old_servers() {
-        use serde::{Deserialize as _, Serialize as _};
-
-        let stats = CacheStats { hits: 7, misses: 2, coalesced: 3 };
-        let round = CacheStats::deserialize(&stats.serialize()).unwrap();
-        assert_eq!(round, stats);
-
-        // A reply from a server predating the `coalesced` field still
-        // parses, defaulting the counter to 0.
-        let old = serde::Content::Map(vec![
-            ("hits".to_owned(), serde::Content::U64(7)),
-            ("misses".to_owned(), serde::Content::U64(2)),
-        ]);
-        assert_eq!(
-            CacheStats::deserialize(&old).unwrap(),
-            CacheStats { hits: 7, misses: 2, coalesced: 0 }
-        );
-        // Genuinely required fields still error when absent.
-        let broken = serde::Content::Map(vec![("hits".to_owned(), serde::Content::U64(7))]);
-        assert!(CacheStats::deserialize(&broken).is_err());
     }
 
     #[test]

@@ -953,7 +953,12 @@ fn successive_halving(run: &mut Run) -> Result<(), DseError> {
     let space = run.space();
     let generation = generation_size(space);
     let chain: Vec<Fidelity> = run.ladder.rungs().to_vec();
-    let scout = chain.first().cloned();
+    // A simulated scouting rung with no allowance could never sample:
+    // like an empty ladder, the run then samples at full fidelity.
+    let scout = chain
+        .first()
+        .filter(|rung| **rung == Fidelity::Analytical || run.scout_budget() > 0)
+        .cloned();
     let scout_name = scout.as_ref().map(Fidelity::name).unwrap_or_default();
     // Flat indices never sampled at any fidelity; shrinks as
     // generations consume it.
@@ -1795,6 +1800,28 @@ mod tests {
             "below the calibration floor the adaptive split is the historical half"
         );
         assert_eq!(b.scout_share, 0.5);
+    }
+
+    #[test]
+    fn a_pinned_zero_scouting_share_spends_the_budget_at_full_fidelity() {
+        // Every point's coarse projection differs from the point, so the
+        // default coarse rung would have to scout, yet no scouting is
+        // allowed: the run samples at full fidelity instead of nothing.
+        let space = SweepSpec::new()
+            .with_model("mobilenetv2", 48)
+            .with_strategies(&[Strategy::GenericMapping])
+            .with_mg_sizes(&[4, 8])
+            .with_flit_sizes(&[8, 16]);
+        let spec = ExploreSpec::new(space)
+            .with_budget(3)
+            .with_algorithm(ExploreAlgorithm::SuccessiveHalving)
+            .with_seed(4)
+            .with_scout_share(Some(0.0));
+        let service = EvalService::new(ServiceConfig::new().with_workers(2));
+        let report = explore(&spec, &service, None).unwrap();
+        assert_eq!(report.budget_used, 3);
+        assert_eq!(report.coarse_evaluated, 0);
+        assert_eq!(report.evaluated, 3);
     }
 
     #[test]

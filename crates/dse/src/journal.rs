@@ -13,8 +13,10 @@
 //! have been transient), matching the cache's errors-are-not-cached
 //! policy.
 //!
-//! A journal file starts with a header line carrying the engine and
-//! format versions; a mismatching or missing header makes
+//! A journal file starts with a header line holding the same stamp as a
+//! cache file — [`CACHE_FORMAT_VERSION`](crate::CACHE_FORMAT_VERSION)
+//! plus the engine version, since journal lines embed the cache's
+//! [`Evaluation`] schema — and a mismatching or missing stamp makes
 //! [`SweepJournal::open`] start a fresh journal (stale results must not
 //! be resumed across engine changes). A malformed trailing line — the
 //! signature of a crash mid-write — is dropped, and everything before it
@@ -28,42 +30,8 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CACHE_ENGINE_VERSION, CACHE_FORMAT_VERSION};
+use crate::cache::Stamp;
 use crate::{CacheKey, DseError, DseOutcome, Evaluation, PointSpec};
-
-/// On-disk journal format version; bumped together with the cache format
-/// (journal entries embed the same [`Evaluation`] schema). Version 2:
-/// entries embed `Evaluation.eval_path` and the `PointSpec`
-/// frequency/memory-port axes.
-pub const JOURNAL_FORMAT_VERSION: u32 = 2;
-
-#[derive(Serialize, Deserialize)]
-struct JournalHeader {
-    journal: String,
-    format: u32,
-    /// Evaluation-semantics version (shared with the cache).
-    cache_format: u32,
-    engine: String,
-}
-
-impl JournalHeader {
-    fn current() -> Self {
-        JournalHeader {
-            journal: "cimflow-dse-sweep".to_owned(),
-            format: JOURNAL_FORMAT_VERSION,
-            cache_format: CACHE_FORMAT_VERSION,
-            engine: CACHE_ENGINE_VERSION.to_owned(),
-        }
-    }
-
-    fn is_current(&self) -> bool {
-        let current = Self::current();
-        self.journal == current.journal
-            && self.format == current.format
-            && self.cache_format == current.cache_format
-            && self.engine == current.engine
-    }
-}
 
 /// One journaled point. `evaluation` is present for successes (resumable),
 /// `error` for failures (log-only).
@@ -105,8 +73,8 @@ pub struct SweepJournal {
 /// and evaluation.
 type JournalLine = (String, Option<CacheKey>, Option<Evaluation>);
 
-/// Reads the valid, header-checked prefix of a journal file. A stale or
-/// missing header yields an empty parse; a malformed trailing line (crash
+/// Reads the valid, stamp-checked prefix of a journal file. A stale or
+/// missing stamp yields an empty parse; a malformed trailing line (crash
 /// mid-write) drops the tail and keeps the prefix.
 fn parse_journal(path: &Path) -> Result<Vec<JournalLine>, DseError> {
     let text = match std::fs::read_to_string(path) {
@@ -115,12 +83,12 @@ fn parse_journal(path: &Path) -> Result<Vec<JournalLine>, DseError> {
         Err(e) => return Err(DseError::io(format!("cannot read {}: {e}", path.display()))),
     };
     let mut lines = text.lines();
-    let header_ok = lines
+    let stamped = lines
         .next()
-        .and_then(|line| serde_json::from_str::<JournalHeader>(line).ok())
-        .is_some_and(|header| header.is_current());
+        .and_then(|line| serde_json::from_str::<serde_json::Value>(line).ok())
+        .is_some_and(|header| Stamp::is_current(&header));
     let mut parsed = Vec::new();
-    if header_ok {
+    if stamped {
         for line in lines {
             match serde_json::from_str::<JournalEntry>(line) {
                 Ok(entry) => {
@@ -152,7 +120,7 @@ fn dedup_mask(lines: &[JournalLine]) -> Vec<bool> {
     keep
 }
 
-/// Writes a normalized journal file (current header + `lines`).
+/// Writes a normalized journal file (current stamp + `lines`).
 fn write_journal(path: &Path, lines: &[&str]) -> Result<(), DseError> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -160,8 +128,8 @@ fn write_journal(path: &Path, lines: &[&str]) -> Result<(), DseError> {
                 .map_err(|e| DseError::io(format!("cannot create {}: {e}", parent.display())))?;
         }
     }
-    let mut contents = serde_json::to_string(&JournalHeader::current())
-        .expect("journal header serialization cannot fail");
+    let mut contents =
+        serde_json::to_string(&Stamp::current()).expect("stamp serialization cannot fail");
     contents.push('\n');
     for line in lines {
         contents.push_str(line);
@@ -176,7 +144,7 @@ impl SweepJournal {
     /// point recorded by a previous run of the same engine/format.
     ///
     /// A journal written by a different engine or format version — or a
-    /// file without a journal header — is discarded and restarted fresh.
+    /// file without a stamp header — is discarded and restarted fresh.
     /// A malformed trailing line (crash mid-write) is dropped; the valid
     /// prefix is kept and the file is rewritten without the garbage tail.
     /// Superseded entries — an earlier success for a key a later line
@@ -300,7 +268,7 @@ mod tests {
     use super::*;
     use crate::{
         evaluate_with_search, expand_jobs, EvalCache, EvalService, ServiceConfig, Submission,
-        SweepSpec,
+        SweepSpec, CACHE_ENGINE_VERSION,
     };
     use cimflow_arch::ArchConfig;
     use cimflow_compiler::{SearchMode, Strategy};

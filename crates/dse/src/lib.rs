@@ -56,6 +56,7 @@ pub mod export;
 mod fidelity;
 mod job;
 mod journal;
+mod memo;
 pub mod serve;
 mod service;
 mod spec;
@@ -76,7 +77,7 @@ pub use fidelity::{
     FidelityLadder, RankFidelity, DEFAULT_SCOUT_SHARE, MIN_CALIBRATION_SAMPLES,
 };
 pub use job::{expand_jobs, DseOutcome, Job, Progress};
-pub use journal::{CompactionStats, SweepJournal, JOURNAL_FORMAT_VERSION};
+pub use journal::{CompactionStats, SweepJournal};
 pub use service::{
     BatchHandle, EvalRequest, EvalService, JobHandle, JobStatus, Priority, Rejected, ServiceConfig,
     ServiceStats, Submission, TrafficRequest, DEFAULT_TENANT,

@@ -156,9 +156,8 @@ pub enum Response {
         /// Number of stored evaluations.
         cache_entries: usize,
         /// In-flight (queued + running) points per tenant, sorted by
-        /// name. `None` when talking to a server predating this field
-        /// (old clients simply ignore it).
-        tenants: Option<Vec<(String, usize)>>,
+        /// name.
+        tenants: Vec<(String, usize)>,
     },
     /// A metrics snapshot.
     Metrics {
@@ -508,11 +507,7 @@ impl serde::Deserialize for Response {
                 service: crate::ServiceStats::deserialize(req("service")?)?,
                 cache: crate::CacheStats::deserialize(req("cache")?)?,
                 cache_entries: usize::deserialize(req("cache_entries")?)?,
-                // Optional for compatibility with pre-tenant servers.
-                tenants: match field(map, "tenants") {
-                    None | Some(Content::Null) => None,
-                    Some(value) => Some(Vec::deserialize(value)?),
-                },
+                tenants: Vec::deserialize(req("tenants")?)?,
             }),
             "metrics" => Ok(Response::Metrics {
                 exposition: String::deserialize(req("exposition")?)?,
@@ -680,7 +675,7 @@ impl<'s> Connection<'s> {
                 service: self.service.stats(),
                 cache: self.service.cache().stats(),
                 cache_entries: self.service.cache().len(),
-                tenants: Some(self.service.tenants_in_flight()),
+                tenants: self.service.tenants_in_flight(),
             },
             Request::Metrics => {
                 let snapshot = self.service.metrics_snapshot();
@@ -970,7 +965,7 @@ mod tests {
                 service: crate::ServiceStats::default(),
                 cache: crate::CacheStats { hits: 1, misses: 2, coalesced: 0 },
                 cache_entries: 2,
-                tenants: Some(vec![("alice".to_owned(), 3)]),
+                tenants: vec![("alice".to_owned(), 3)],
             },
             Response::Metrics {
                 exposition: "# TYPE x counter\nx 1\n".to_owned(),
@@ -995,18 +990,6 @@ mod tests {
             let text = serde_json::to_string(&response).unwrap();
             let back: Response = serde_json::from_str(&text).unwrap();
             assert_eq!(back, response, "{text}");
-        }
-        // A `stats` reply from a server predating the `tenants` field
-        // still parses (the field defaults to absent).
-        let old = "{\"stats\": {\"service\": {\"submitted\": 0, \"completed\": 0, \
-                    \"cancelled\": 0, \"rejected\": 0, \"queued\": 0, \"running\": 0}, \
-                    \"cache\": {\"hits\": 0, \"misses\": 0}, \"cache_entries\": 0}}";
-        match serde_json::from_str::<Response>(old).unwrap() {
-            Response::Stats { tenants, cache, .. } => {
-                assert_eq!(tenants, None);
-                assert_eq!(cache.coalesced, 0);
-            }
-            other => panic!("expected stats, got {other:?}"),
         }
     }
 
@@ -1046,7 +1029,7 @@ mod tests {
                 assert_eq!(service.completed, 1);
                 assert_eq!(cache.misses, 1);
                 assert_eq!(*cache_entries, 1);
-                assert_eq!(tenants.as_deref(), Some(&[][..]), "nothing in flight after the wait");
+                assert!(tenants.is_empty(), "nothing in flight after the wait");
             }
             other => panic!("expected stats, got {other:?}"),
         }

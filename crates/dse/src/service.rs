@@ -683,10 +683,8 @@ struct ServiceObs {
     queue_depth: Gauge,
     /// Points answered by replaying a recorded trace (timing-only reuse).
     replay_points: Counter,
-    /// Trace-store reuses (replays plus recorder-sharing waits).
-    trace_reuse: Counter,
-    /// Replay throughput in points per second, one sample per replayed
-    /// point.
+    /// A claim's fresh-replay rate (freshly replayed points over the
+    /// claim's wall time), sampled once per freshly replayed point.
     replay_rate: Histogram,
     /// Lockstep replay walks executed by grouped claims (one walk
     /// re-times every cycle-distinct lane of a chunk in a single pass).
@@ -707,7 +705,6 @@ impl ServiceObs {
             workers_busy: metrics.gauge("service.workers_busy"),
             queue_depth: metrics.gauge("service.queue_depth"),
             replay_points: metrics.counter("sim.replay_points"),
-            trace_reuse: metrics.counter("sim.trace_reuse"),
             replay_rate: metrics.histogram("sim.replay_points_per_s"),
             lockstep_batches: metrics.counter("sim.lockstep_batches"),
             lockstep_lanes: metrics.counter("sim.lockstep_lanes"),
@@ -1052,7 +1049,6 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             if let Ok(evaluation) = &outcome.result {
                 if evaluation.eval_path.is_replayed() && !outcome.cached {
                     shared.obs.replay_points.inc();
-                    shared.obs.trace_reuse.inc();
                     if secs > 0.0 {
                         shared.obs.replay_rate.record((fresh_replays as f64 / secs) as u64);
                     }
@@ -1280,11 +1276,6 @@ impl BatchHandle {
     pub fn cancel(&self) -> usize {
         let mut st = self.shared.state.lock().expect(STATE_POISONED);
         self.ids.iter().filter(|id| cancel_locked(&mut st, &self.shared, **id)).count()
-    }
-
-    /// The streamed per-point [`Progress`] events (completion order).
-    pub fn progress_events(&self) -> &mpsc::Receiver<Progress> {
-        &self.progress
     }
 }
 

@@ -538,7 +538,7 @@ impl SweepAxes {
 }
 
 /// One fully resolved design point of a sweep grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PointSpec {
     /// The model evaluated at this point.
     pub model: ModelSpec,
@@ -563,41 +563,6 @@ pub struct PointSpec {
     /// Offered request rate in requests/second; `0` means the point runs
     /// no serving workload (the classic single-inference evaluation).
     pub offered_qps: u64,
-}
-
-// Manual Deserialize so journals written before the offered-QPS axis
-// existed (no `offered_qps` key) keep resuming; the missing field reads
-// as 0 = serving disabled, which is exactly what those runs evaluated.
-impl Deserialize for PointSpec {
-    fn deserialize(content: &Content) -> Result<Self, serde::Error> {
-        let map =
-            content.as_map().ok_or_else(|| serde::Error::new("expected map for PointSpec"))?;
-        fn field<T: Deserialize>(map: &[(String, Content)], name: &str) -> Result<T, serde::Error> {
-            let v = map
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::Error::new(format!("PointSpec: missing field {name}")))?;
-            T::deserialize(v).map_err(|e| serde::Error::new(format!("PointSpec.{name}: {e}")))
-        }
-        Ok(PointSpec {
-            model: field(map, "model")?,
-            strategy: field(map, "strategy")?,
-            search: field(map, "search")?,
-            chip_count: field(map, "chip_count")?,
-            core_count: field(map, "core_count")?,
-            local_memory_kib: field(map, "local_memory_kib")?,
-            flit_bytes: field(map, "flit_bytes")?,
-            mg_size: field(map, "mg_size")?,
-            frequency_mhz: field(map, "frequency_mhz")?,
-            memory_port: field(map, "memory_port")?,
-            offered_qps: match map.iter().find(|(k, _)| k == "offered_qps") {
-                Some((_, Content::Null)) | None => 0,
-                Some((_, v)) => u64::deserialize(v)
-                    .map_err(|e| serde::Error::new(format!("PointSpec.offered_qps: {e}")))?,
-            },
-        })
-    }
 }
 
 impl PointSpec {
@@ -924,12 +889,6 @@ mod tests {
         .unwrap();
         assert!(legacy.traffic.is_none());
         assert!(legacy.expand().unwrap().iter().all(|p| p.offered_qps == 0));
-        // Old journal rows (no offered_qps key) still deserialize.
-        let mut json = serde_json::to_string(&legacy.expand().unwrap()[0]).unwrap();
-        json = json.replace(",\"offered_qps\":0", "");
-        assert!(!json.contains("offered_qps"));
-        let point: PointSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(point.offered_qps, 0);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! report and publishes the trace (plus the frequency-independent
 //! compile-side facts an [`Evaluation`](crate::Evaluation) needs); every
 //! other point with the same key is re-timed from the trace in a
-//! fraction of the time, one lockstep walk per claimed group. Concurrent
-//! recorders of one key are deduplicated with the same in-flight-marker
-//! protocol as the [`EvalCache`](crate::EvalCache), so a sweep fanning
+//! fraction of the time, one lockstep walk per claimed group. The store
+//! is a bounded single-flight memo — the same one under the
+//! [`EvalCache`](crate::EvalCache) — plus recorded/reused counters:
+//! concurrent recorders of one key are deduplicated, so a sweep fanning
 //! 16 workers into one trace group performs exactly one recording.
 //!
 //! The key hashes the architecture through
@@ -24,9 +25,8 @@
 //! Everything else (flit size, macro grouping, chip/core counts, …)
 //! changes the compiled program and therefore the key.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use cimflow_arch::ArchConfig;
 use cimflow_compiler::{CompileReport, SearchMode, Strategy};
@@ -34,9 +34,8 @@ use cimflow_nn::Model;
 use cimflow_sim::SimTrace;
 
 use crate::cache::model_content_hash;
+use crate::memo::{Memo, Source};
 use crate::DseError;
-
-const STORE_POISONED: &str = "trace store poisoned";
 
 /// Identifies one recorded trace by compile-affecting content: the
 /// architecture's [`compile fingerprint`](ArchConfig::compile_fingerprint),
@@ -101,20 +100,9 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 128;
 
 #[derive(Debug)]
 struct StoreInner {
-    /// Recorded traces plus the logical clock tick of their last use
-    /// (insertion or lookup) — the eviction scan removes the smallest.
-    entries: Mutex<HashMap<TraceKey, (Arc<TraceEntry>, u64)>>,
-    /// Keys currently being recorded; guarded separately from `entries`
-    /// so waiters do not hold the entry map across a recording.
-    in_flight: Mutex<HashSet<TraceKey>>,
-    in_flight_done: Condvar,
+    memo: Memo<TraceKey, Arc<TraceEntry>>,
     recorded: AtomicU64,
     reused: AtomicU64,
-    evicted: AtomicU64,
-    /// Logical recency clock (bumped on every lookup/insert).
-    clock: AtomicU64,
-    /// Maximum number of stored traces (at least 1).
-    capacity: usize,
 }
 
 /// A concurrency-safe store of recorded traces shared by the workers of
@@ -147,26 +135,21 @@ impl TraceStore {
     pub fn with_capacity(capacity: usize) -> Self {
         TraceStore {
             inner: Arc::new(StoreInner {
-                entries: Mutex::new(HashMap::new()),
-                in_flight: Mutex::new(HashSet::new()),
-                in_flight_done: Condvar::new(),
+                memo: Memo::bounded(capacity),
                 recorded: AtomicU64::new(0),
                 reused: AtomicU64::new(0),
-                evicted: AtomicU64::new(0),
-                clock: AtomicU64::new(0),
-                capacity: capacity.max(1),
             }),
         }
     }
 
     /// Maximum number of traces the store holds before evicting.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.inner.memo.capacity().expect("a trace store is bounded")
     }
 
     /// Number of recorded traces.
     pub fn len(&self) -> usize {
-        self.inner.entries.lock().expect(STORE_POISONED).len()
+        self.inner.memo.len()
     }
 
     /// Whether the store holds no traces.
@@ -177,12 +160,7 @@ impl TraceStore {
     /// The trace recorded under `key`, if any (does not count as reuse,
     /// but refreshes the entry's LRU recency).
     pub fn get(&self, key: &TraceKey) -> Option<Arc<TraceEntry>> {
-        let tick = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.inner.entries.lock().expect(STORE_POISONED);
-        entries.get_mut(key).map(|slot| {
-            slot.1 = tick;
-            Arc::clone(&slot.0)
-        })
+        self.inner.memo.get(key)
     }
 
     /// Counts `count` additional reuses. [`TraceStore::get`] deliberately
@@ -200,20 +178,20 @@ impl TraceStore {
         TraceStoreStats {
             recorded: self.inner.recorded.load(Ordering::Relaxed),
             reused: self.inner.reused.load(Ordering::Relaxed),
-            evicted: self.inner.evicted.load(Ordering::Relaxed),
+            evicted: self.inner.memo.evicted(),
         }
     }
 
     /// Looks up the trace under `key`, or records it with `record` on a
     /// miss. Returns the entry plus whether **this caller** recorded it
     /// (`false` means the trace pre-existed or another worker's
-    /// recording was awaited — either way the caller should replay).
+    /// recording was awaited — either way the caller should replay, and
+    /// the lookup counts one reuse).
     ///
     /// Concurrent callers with the same key are deduplicated exactly
     /// like [`EvalCache::get_or_insert_with`](crate::EvalCache): the
-    /// first records while the others block on the in-flight marker,
-    /// then take the published entry. Recording failures are not cached
-    /// (one waiter takes over).
+    /// first records while the others wait, then take the published
+    /// entry. Recording failures are not cached (one waiter takes over).
     ///
     /// # Errors
     ///
@@ -223,68 +201,11 @@ impl TraceStore {
         key: TraceKey,
         record: impl FnOnce() -> Result<TraceEntry, DseError>,
     ) -> Result<(Arc<TraceEntry>, bool), DseError> {
-        loop {
-            if let Some(entry) = self.get(&key) {
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                return Ok((entry, false));
-            }
-            let mut in_flight = self.inner.in_flight.lock().expect(STORE_POISONED);
-            if in_flight.insert(key) {
-                break; // this caller owns the recording
-            }
-            // Another worker is recording this key: wait for it, then
-            // re-check the entries.
-            while in_flight.contains(&key) {
-                in_flight = self.inner.in_flight_done.wait(in_flight).expect(STORE_POISONED);
-            }
-        }
-        // Release the marker even if `record` panics, so waiters are
-        // woken instead of deadlocking (one of them takes over).
-        struct InFlightGuard<'a> {
-            store: &'a StoreInner,
-            key: TraceKey,
-        }
-        impl Drop for InFlightGuard<'_> {
-            fn drop(&mut self) {
-                let mut in_flight =
-                    self.store.in_flight.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                in_flight.remove(&self.key);
-                self.store.in_flight_done.notify_all();
-            }
-        }
-        let guard = InFlightGuard { store: &self.inner, key };
-        let result = record();
-        let entry = match result {
-            Ok(entry) => Arc::new(entry),
-            Err(e) => return Err(e), // guard wakes the waiters
-        };
-        // Publish before releasing the in-flight marker so waiters
-        // always observe the entry when they wake.
-        {
-            let tick = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-            let mut entries = self.inner.entries.lock().expect(STORE_POISONED);
-            entries.insert(key, (Arc::clone(&entry), tick));
-            // LRU bound: evict the stalest entry other than the one just
-            // published (an O(n) scan — the map is at most `capacity`+1
-            // entries, far below where a recency list would pay off).
-            while entries.len() > self.inner.capacity {
-                let victim = entries
-                    .iter()
-                    .filter(|(k, _)| **k != key)
-                    .min_by_key(|(_, (_, tick))| *tick)
-                    .map(|(k, _)| *k);
-                match victim {
-                    Some(victim) => {
-                        entries.remove(&victim);
-                        self.inner.evicted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => break,
-                }
-            }
-        }
-        self.inner.recorded.fetch_add(1, Ordering::Relaxed);
-        drop(guard);
-        Ok((entry, true))
+        let (entry, source) = self.inner.memo.get_or_compute(key, || record().map(Arc::new))?;
+        let recorded = source == Source::Computed;
+        let counter = if recorded { &self.inner.recorded } else { &self.inner.reused };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok((entry, recorded))
     }
 }
 

@@ -111,9 +111,8 @@ pub struct RemoteStats {
     pub cache: CacheStats,
     /// Number of stored evaluations.
     pub cache_entries: usize,
-    /// Per-tenant in-flight job counts, sorted by tenant. `None` when
-    /// the server predates the field.
-    pub tenants: Option<Vec<(String, usize)>>,
+    /// Per-tenant in-flight job counts, sorted by tenant.
+    pub tenants: Vec<(String, usize)>,
 }
 
 /// A server-side metrics snapshot: the structured rows and a
@@ -427,7 +426,7 @@ mod tests {
         assert_eq!(stats.service.completed, 5);
         assert_eq!(stats.cache.hits, 2);
         // Every wait above consumed its ids, so nothing is in flight.
-        assert_eq!(stats.tenants.as_deref(), Some(&[][..]));
+        assert!(stats.tenants.is_empty());
 
         let metrics = client.metrics().expect("metrics");
         assert!(metrics.exposition.contains("service_evals_completed 5"));
