@@ -151,16 +151,30 @@ pub fn traffic_fingerprint(
     workload: &cimflow_traffic::WorkloadSpec,
     colocated: &[(String, std::sync::Arc<Model>)],
 ) -> u64 {
-    let mut text = format!(
-        "qps={offered_qps}\0{}",
-        serde_json::to_string(workload).expect("workload serialization cannot fail")
-    );
+    rate_fingerprint(offered_qps, &pool_text(workload, colocated))
+}
+
+/// The rate-free part of a [`traffic_fingerprint`]'s hashed text: the
+/// preset, then each co-located model's name and content hash. A
+/// [`TrafficJob`](crate::TrafficJob) builds it once for every point it
+/// serves.
+pub(crate) fn pool_text(
+    workload: &cimflow_traffic::WorkloadSpec,
+    colocated: &[(String, std::sync::Arc<Model>)],
+) -> String {
+    let mut text = serde_json::to_string(workload).expect("workload serialization cannot fail");
     for (name, model) in colocated {
         text.push('\0');
         text.push_str(name);
         text.push_str(&format!(":{:016x}", model_content_hash(model)));
     }
-    fnv1a(text.as_bytes()).max(1)
+    text
+}
+
+/// The [`traffic_fingerprint`] of `pool` (a [`pool_text`]) at
+/// `offered_qps`.
+pub(crate) fn rate_fingerprint(offered_qps: u64, pool: &str) -> u64 {
+    fnv1a(format!("qps={offered_qps}\0{pool}").as_bytes()).max(1)
 }
 
 /// Hit/miss counters of a cache (monotonic over the cache's lifetime).
@@ -244,6 +258,20 @@ impl EvalCache {
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
         }
         found
+    }
+
+    /// Looks an evaluation up without counting the lookup, and without
+    /// waiting for a key in flight. The service's admission lookup uses
+    /// it: it counts its hits with [`Self::count_hits`] once the
+    /// submission is admitted, and leaves each miss to the worker that
+    /// evaluates the point, so a point still counts one lookup.
+    pub(crate) fn peek(&self, key: &CacheKey) -> Option<Evaluation> {
+        self.inner.memo.get(key)
+    }
+
+    /// Counts `hits` lookups answered from the cache.
+    pub(crate) fn count_hits(&self, hits: u64) {
+        self.inner.hits.fetch_add(hits, Ordering::Relaxed);
     }
 
     /// Stores an evaluation.

@@ -99,14 +99,36 @@ impl serde::Deserialize for EvalPath {
 /// trace-replayed — on the point's architecture). The offered rate
 /// itself lives on the [`PointSpec`](crate::PointSpec) as the innermost
 /// sweep axis.
+///
+/// Every point of a grid shares one `TrafficJob`, which hashes its
+/// co-located models once, when it is built: a point's
+/// [`fingerprint`](Self::fingerprint) hashes no model.
 #[derive(Debug)]
 pub struct TrafficJob {
     /// The workload preset (arrival shape, seed, horizon, batching
     /// knobs, mix).
-    pub workload: WorkloadSpec,
+    pub(crate) workload: WorkloadSpec,
     /// The models time-sharing the system, in mix order. Contains just
     /// the point's own model unless the sweep co-locates.
-    pub colocated: Vec<(String, Arc<Model>)>,
+    pub(crate) colocated: Vec<(String, Arc<Model>)>,
+    /// The rate-free text every fingerprint hashes
+    /// ([`pool_text`](crate::cache::pool_text)).
+    pool: String,
+}
+
+impl TrafficJob {
+    /// A serving workload of `workload` over the `colocated` models, in
+    /// mix order.
+    pub fn new(workload: WorkloadSpec, colocated: Vec<(String, Arc<Model>)>) -> Self {
+        let pool = crate::cache::pool_text(&workload, &colocated);
+        TrafficJob { workload, colocated, pool }
+    }
+
+    /// The workload's [`traffic_fingerprint`](crate::traffic_fingerprint)
+    /// at `offered_qps`, bit for bit.
+    pub fn fingerprint(&self, offered_qps: u64) -> u64 {
+        crate::cache::rate_fingerprint(offered_qps, &self.pool)
+    }
 }
 
 /// Wire name of a served model (the `model` of the per-model entries of

@@ -16,7 +16,7 @@ use cimflow_nn::{models, Model};
 use cimflow_traffic::WorkloadSpec;
 
 use crate::eval::{served_model_name, TrafficJob};
-use crate::{traffic_fingerprint, CacheKey, DseError, Evaluation, PointSpec, SweepSpec};
+use crate::{CacheKey, DseError, Evaluation, PointSpec, SweepSpec};
 
 /// One schedulable unit: a resolved design point.
 ///
@@ -52,11 +52,7 @@ impl Job {
         let model = self.model.as_ref().ok()?;
         let key = CacheKey::of(&self.arch, model, self.spec.strategy, self.spec.search);
         Some(match self.active_traffic() {
-            Some(traffic) => key.with_traffic(traffic_fingerprint(
-                self.spec.offered_qps,
-                &traffic.workload,
-                &traffic.colocated,
-            )),
+            Some(traffic) => key.with_traffic(traffic.fingerprint(self.spec.offered_qps)),
             None => key,
         })
     }
@@ -145,7 +141,7 @@ impl JobResolver {
                     let model = resolver.model(&m.name, m.resolution)?;
                     colocated.push((served_model_name(&m.name, m.resolution), model));
                 }
-                let pool = TrafficJob { workload: traffic.workload.clone(), colocated };
+                let pool = TrafficJob::new(traffic.workload.clone(), colocated);
                 resolver.colocated = Some(Arc::new(pool));
             } else {
                 resolver.solo_workload = Some(traffic.workload.clone());
@@ -173,13 +169,13 @@ impl JobResolver {
                 self.solo_traffic
                     .entry((point.model.name.clone(), point.model.resolution))
                     .or_insert_with(|| {
-                        Arc::new(TrafficJob {
-                            workload: workload.clone(),
-                            colocated: vec![(
+                        Arc::new(TrafficJob::new(
+                            workload.clone(),
+                            vec![(
                                 served_model_name(&point.model.name, point.model.resolution),
                                 Arc::clone(resolved),
                             )],
-                        })
+                        ))
                     })
                     .clone(),
             ),

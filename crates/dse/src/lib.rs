@@ -82,5 +82,7 @@ pub use service::{
     BatchHandle, EvalRequest, EvalService, JobHandle, JobStatus, Priority, Rejected, ServiceConfig,
     ServiceStats, Submission, TrafficRequest, DEFAULT_TENANT,
 };
-pub use spec::{ModelSpec, PointSpec, SweepAxes, SweepSpec, TrafficSpec, AXIS_COUNT};
+pub use spec::{
+    ModelSpec, PointSpec, SweepAxes, SweepSpec, TrafficSpec, AXIS_COUNT, MAX_EXPANDED_POINTS,
+};
 pub use trace_store::{TraceEntry, TraceKey, TraceStore, TraceStoreStats, DEFAULT_TRACE_CAPACITY};

@@ -25,9 +25,10 @@
 //!
 //! Over-quota and queue-full submissions answer
 //! `{"rejected": {"kind": "quota_exceeded", "reason": "..."}}`; malformed
-//! lines answer `{"error": {"message": "..."}}` and keep the connection
-//! open. `{"shutdown": {}}` stops the service and (for the TCP listener)
-//! the accept loop.
+//! lines — including lines that are not UTF-8 or are longer than
+//! [`MAX_LINE_BYTES`] — answer `{"error": {"message": "..."}}` and keep
+//! the connection open. `{"shutdown": {}}` stops the service and (for the
+//! TCP listener) the accept loop.
 //!
 //! The module lives in `cimflow-dse` so the `cimflow-dse serve`
 //! subcommand can host it; the `cimflow-serve` crate re-exports it and
@@ -714,22 +715,88 @@ pub fn serve_connection(
     serve_lines(service, reader, writer, || {})
 }
 
+/// Longest request line the wire reads, in bytes, its newline excluded:
+/// 1 MiB. The largest request, a sweep spec with a base architecture
+/// and a traffic section, takes a few KiB. A longer line is answered
+/// with one `error` line, and its bytes past the cap are skipped, never
+/// buffered.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line`] read.
+enum WireLine {
+    /// A line of at most [`MAX_LINE_BYTES`] bytes, now in the buffer
+    /// without its line ending.
+    Fits,
+    /// A longer line, consumed through its newline and dropped.
+    TooLong,
+}
+
+/// Reads the next line of `reader` into `buffer`, which never grows past
+/// [`MAX_LINE_BYTES`]; `None` at the end of the stream.
+fn read_line(reader: &mut impl BufRead, buffer: &mut Vec<u8>) -> std::io::Result<Option<WireLine>> {
+    buffer.clear();
+    let (mut read_any, mut too_long) = (false, false);
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            break;
+        }
+        read_any = true;
+        let newline = available.iter().position(|&byte| byte == b'\n');
+        let line = &available[..newline.unwrap_or(available.len())];
+        if too_long || buffer.len() + line.len() > MAX_LINE_BYTES {
+            too_long = true;
+            buffer.clear();
+        } else {
+            buffer.extend_from_slice(line);
+        }
+        let used = newline.map_or(available.len(), |at| at + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if buffer.last() == Some(&b'\r') {
+        buffer.pop();
+    }
+    Ok(read_any.then_some(if too_long { WireLine::TooLong } else { WireLine::Fits }))
+}
+
 /// [`serve_connection`], calling `on_shutdown` as soon as a request asks
 /// for shutdown and before its acknowledgement is written, so a client
 /// holding the acknowledgement always observes the state it reports.
+///
+/// A line that is not UTF-8 or is longer than [`MAX_LINE_BYTES`] fails
+/// alone: it is answered with an `error` line, counted in
+/// `wire.rejected_lines{cause}`, and the connection keeps serving.
 fn serve_lines(
     service: &EvalService,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
     on_shutdown: impl Fn(),
 ) -> std::io::Result<bool> {
     let mut connection = Connection::new(service);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = connection.handle_line(&line);
+    let mut buffer = Vec::new();
+    while let Some(line) = read_line(&mut reader, &mut buffer)? {
+        let rejected = |cause: &str, message: String| {
+            service.metrics().counter_with("wire.rejected_lines", &[("cause", cause)]).inc();
+            (Response::Error { message }, false)
+        };
+        let (response, shutdown) = match line {
+            WireLine::TooLong => rejected(
+                "too_long",
+                format!("bad request: line longer than {MAX_LINE_BYTES} bytes"),
+            ),
+            WireLine::Fits => match std::str::from_utf8(&buffer) {
+                Err(e) => rejected("invalid_utf8", format!("bad request: {e}")),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => connection.handle_line(line),
+            },
+        };
         if shutdown {
             on_shutdown();
         }
@@ -915,9 +982,12 @@ mod tests {
             + "\n"
     }
 
-    fn responses(service: &EvalService, input: &str) -> Vec<Response> {
+    /// Serves `input` through a `BufReader`, so lines arrive in its
+    /// 8 KiB chunks, and parses every response line.
+    fn responses(service: &EvalService, input: impl AsRef<[u8]>) -> Vec<Response> {
         let mut output = Vec::new();
-        serve_connection(service, input.as_bytes(), &mut output).expect("in-memory transport");
+        serve_connection(service, BufReader::new(input.as_ref()), &mut output)
+            .expect("in-memory transport");
         String::from_utf8(output)
             .unwrap()
             .lines()
@@ -1185,6 +1255,75 @@ mod tests {
         }
         // The connection keeps serving.
         assert!(matches!(connection.handle_line("{\"stats\": {}}").0, Response::Stats { .. }));
+    }
+
+    /// The `wire.rejected_lines` count of `cause`.
+    fn rejected_lines(service: &EvalService, cause: &str) -> Option<u64> {
+        match service.metrics_snapshot().get("wire.rejected_lines", &[("cause", cause)]) {
+            Some(cimflow_obs::MetricValue::Counter(count)) => Some(*count),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_non_utf8_line_fails_alone() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let answers = responses(&service, b"{\"stats\": {}}\n\xff\xfe\n{\"stats\": {}}\n");
+        assert_eq!(answers.len(), 3, "{answers:?}");
+        assert!(matches!(answers[0], Response::Stats { .. }));
+        match &answers[1] {
+            Response::Error { message } => assert!(message.contains("utf-8"), "{message}"),
+            other => panic!("expected an error line, got {other:?}"),
+        }
+        assert!(matches!(answers[2], Response::Stats { .. }), "the connection keeps serving");
+        assert_eq!(rejected_lines(&service, "invalid_utf8"), Some(1));
+        assert_eq!(rejected_lines(&service, "too_long"), None);
+    }
+
+    #[test]
+    fn an_over_long_line_fails_alone() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let stats = "{\"stats\": {}}";
+        let input = format!(
+            // A line of exactly the cap is served; one of four times the
+            // cap is skipped chunk by chunk past the cap.
+            "{}{stats}\n{}\n{stats}\n{}",
+            " ".repeat(MAX_LINE_BYTES - stats.len()),
+            "x".repeat(4 * MAX_LINE_BYTES),
+            "y".repeat(MAX_LINE_BYTES + 1),
+        );
+        let answers = responses(&service, input);
+        assert_eq!(answers.len(), 4, "{answers:?}");
+        assert!(matches!(answers[0], Response::Stats { .. }), "a line at the cap is served");
+        assert!(matches!(answers[2], Response::Stats { .. }), "the connection keeps serving");
+        // The final line, one byte over the cap and unterminated, fails
+        // alone too.
+        for answer in [&answers[1], &answers[3]] {
+            match answer {
+                Response::Error { message } => {
+                    assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{message}")
+                }
+                other => panic!("expected an error line, got {other:?}"),
+            }
+        }
+        assert_eq!(rejected_lines(&service, "too_long"), Some(2));
+    }
+
+    #[test]
+    fn oversized_sweeps_are_rejected_as_invalid_specs() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let axis = format!("[{}]", (1..=100).map(|v| v.to_string()).collect::<Vec<_>>().join(","));
+        let line = format!(
+            r#"{{"sweep": {{"spec": {{"models": [{{"name": "resnet18", "resolution": 32}}], "strategies": ["dp"], "chip_counts": {axis}, "core_counts": {axis}, "flit_sizes": {axis}, "frequencies_mhz": {axis}}}}}}}"#
+        );
+        match Connection::new(&service).handle_line(&line).0 {
+            Response::Rejected { kind, reason } => {
+                assert_eq!(kind, "invalid_spec");
+                assert!(reason.contains("100000000 points"), "{reason}");
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!(service.stats().submitted, 0);
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! starve the others. A batch is admitted or rejected whole. A service
 //! configured with neither bound rejects only while shutting down.
 //!
+//! A point the submission's journal records, or (in a batch of two or
+//! more live points) a point the cache already holds, is answered at
+//! admission: it is born terminal and takes no queue slot, quota or
+//! worker (see [`EvalService::submit_batch`]).
+//!
 //! # Coalescing
 //!
 //! All workers share one [`EvalCache`], whose in-flight deduplication
@@ -331,13 +336,13 @@ impl EvalRequest {
             .map(Arc::new)
             .map_err(DseError::from);
         let traffic = match (&self.traffic, &model) {
-            (Some(traffic), Ok(resolved)) => Some(Arc::new(crate::eval::TrafficJob {
-                workload: traffic.workload.clone().unwrap_or_default(),
-                colocated: vec![(
+            (Some(traffic), Ok(resolved)) => Some(Arc::new(crate::eval::TrafficJob::new(
+                traffic.workload.clone().unwrap_or_default(),
+                vec![(
                     crate::eval::served_model_name(&spec.model.name, spec.model.resolution),
                     Arc::clone(resolved),
                 )],
-            })),
+            ))),
             _ => None,
         };
         Job { spec, arch, model, traffic }
@@ -538,7 +543,9 @@ pub struct Submission {
     pub priority: Priority,
     /// Journal to resume from and append to: a point it already records
     /// is born terminal (its result seeded into the cache, no admission
-    /// consumed), and every freshly finished point is appended.
+    /// consumed). Every other point is appended once answered: an
+    /// admission hit before [`EvalService::submit_batch`] returns, a
+    /// queued point when its worker finishes it.
     pub journal: Option<Arc<SweepJournal>>,
 }
 
@@ -595,6 +602,20 @@ impl BatchState {
             cached: outcome.cached,
         });
     }
+}
+
+/// How one point of a submission enters the service, decided on the
+/// submitting thread before the state lock is taken.
+#[derive(Debug)]
+enum Admission {
+    /// Queued for a worker, with the trace key to group it by when the
+    /// batch hashed one.
+    Queued(Option<TraceKey>),
+    /// Born terminal: the submission's journal already records it.
+    Resumed(DseOutcome),
+    /// Born terminal: the cache answered it at admission. The key is
+    /// kept for the journal append.
+    Hit(DseOutcome, CacheKey),
 }
 
 /// Most queued entries one claim drains into a single group run. Bounds
@@ -1163,9 +1184,9 @@ impl BatchHandle {
 
     /// Points that were born terminal at submission because a journal
     /// already recorded them. Unlike [`Self::completed`], this is a
-    /// property of the submission, not of scheduling progress — a point
-    /// a fast worker finished immediately after admission does not
-    /// count.
+    /// property of the submission, not of scheduling progress: neither a
+    /// point the cache answered at admission nor one a fast worker
+    /// finished right after it counts.
     pub fn resumed(&self) -> usize {
         self.resumed
     }
@@ -1386,12 +1407,24 @@ impl EvalService {
     /// returns immediately with a [`BatchHandle`] whose slots follow the
     /// submission's job order.
     ///
-    /// Points the submission's journal already records are born terminal
-    /// (their results seeded into the cache). The remaining, live points
-    /// pass one admission check as a whole and are queued with
-    /// timing-only groups interleaved, so each group records one trace
-    /// early and replays the rest; their outcomes are appended to the
-    /// journal as they finish.
+    /// Two kinds of point are born terminal, with `cached: true`, and
+    /// take no queue slot, quota, trace group or worker:
+    /// - a point the submission's journal already records (its result
+    ///   seeded into the cache; [`BatchHandle::resumed`] counts these);
+    /// - in a batch with two or more live points, a point the cache
+    ///   already holds. Such a batch hashes each live point's model once
+    ///   on this thread for its trace key, and looks the point up by the
+    ///   cache key built from that hash. A hit counts one cache hit, is
+    ///   appended to the journal, and takes its job id after the queued
+    ///   points.
+    ///
+    /// The remaining points pass one admission check as a whole and are
+    /// queued with timing-only groups interleaved, so each group records
+    /// one trace early and replays the rest. Their workers look them up
+    /// again (a miss counts there), and their outcomes are appended to
+    /// the journal as they finish. A one-point submission is never
+    /// looked up here: its worker hashes its model once, for its cache
+    /// key. With a tracer, the submission records one `admit` span.
     ///
     /// # Errors
     ///
@@ -1401,21 +1434,31 @@ impl EvalService {
     pub fn submit_batch(&self, submission: Submission) -> Result<BatchHandle, Rejected> {
         let Submission { jobs, tenant, priority, journal } = submission;
         let tenant = tenant.unwrap_or_else(|| DEFAULT_TENANT.to_owned());
-        // Journal resumption is resolved before taking the state lock:
-        // cache seeding must not nest the cache mutex inside it.
-        let resumed: Vec<Option<DseOutcome>> = jobs
-            .iter()
-            .map(|job| {
-                let journal = journal.as_ref()?;
-                let key = job.cache_key()?;
-                let evaluation = journal.lookup(&key)?;
-                self.shared.cache.insert(key, evaluation.clone());
-                Some(DseOutcome { point: job.spec.clone(), result: Ok(evaluation), cached: true })
-            })
-            .collect();
-        let born_terminal = resumed.iter().filter(|r| r.is_some()).count();
-        let live = jobs.len() - born_terminal;
-        let (order, groups) = Self::trace_plan(&jobs, &resumed, live);
+        let mut span =
+            self.shared.obs.tracer.as_ref().map(|tracer| tracer.thread_span("admit", "service"));
+        // Resolved before taking the state lock: cache access must not
+        // nest the cache mutex inside it.
+        let admissions = self.admissions(&jobs, journal.as_deref());
+        let resumed = admissions.iter().filter(|a| matches!(a, Admission::Resumed(_))).count();
+        let hits = admissions.iter().filter(|a| matches!(a, Admission::Hit(..))).count();
+        if let Some(span) = &mut span {
+            span.attr("points", jobs.len() as u64)
+                .attr("hits", hits as u64)
+                .attr("resumed", resumed as u64);
+        }
+        // The hits a journaled batch appends once it is admitted.
+        let journaled: Vec<(CacheKey, DseOutcome)> = match &journal {
+            Some(_) => admissions
+                .iter()
+                .filter_map(|admission| match admission {
+                    Admission::Hit(outcome, key) => Some((*key, outcome.clone())),
+                    _ => None,
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let queued = jobs.len() - resumed - hits;
+        let (order, groups) = Self::trace_plan(&admissions);
 
         let (tx, rx) = mpsc::channel();
         let batch = Arc::new(BatchState {
@@ -1424,22 +1467,27 @@ impl EvalService {
             progress: tx,
         });
         let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        self.admit(&mut st, &tenant, live, jobs.len())?;
-        if live > 0 {
-            *st.in_flight.entry(tenant.clone()).or_insert(0) += live;
+        self.admit(&mut st, &tenant, queued, jobs.len())?;
+        self.shared.cache.count_hits(hits as u64);
+        if queued > 0 {
+            *st.in_flight.entry(tenant.clone()).or_insert(0) += queued;
         }
         // Queue in the interleaved order, but keep `ids` in grid order so
         // the handle's per-point slots line up with the submitted grid.
         let total = jobs.len();
-        let mut slots: Vec<Option<(Job, Option<DseOutcome>)>> =
-            jobs.into_iter().zip(resumed).map(Some).collect();
+        let mut slots: Vec<Option<(Job, Admission)>> =
+            jobs.into_iter().zip(admissions).map(Some).collect();
         let mut ids = vec![0u64; total];
         for index in order {
-            let (job, resumed) = slots[index].take().expect("each slot is queued exactly once");
+            let (job, admission) = slots[index].take().expect("each slot is queued exactly once");
             let id = st.allocate_id();
             ids[index] = id;
             st.submitted += 1;
-            let status = match &resumed {
+            let outcome = match admission {
+                Admission::Queued(_) => None,
+                Admission::Resumed(outcome) | Admission::Hit(outcome, _) => Some(outcome),
+            };
+            let status = match &outcome {
                 Some(outcome) => {
                     batch.finish(index, &job, outcome);
                     st.completed += 1;
@@ -1461,7 +1509,7 @@ impl EvalService {
                     group: groups[index],
                     submitted_at: Instant::now(),
                     status,
-                    outcome: resumed,
+                    outcome,
                     batch: Arc::clone(&batch),
                     index,
                     journal: journal.clone(),
@@ -1472,17 +1520,68 @@ impl EvalService {
         self.shared.obs.queue_depth.set(st.queued as i64);
         drop(st);
         self.shared.work.notify_all();
-        Ok(BatchHandle {
-            shared: Arc::clone(&self.shared),
-            ids,
-            batch,
-            progress: rx,
-            resumed: born_terminal,
-        })
+        if let Some(journal) = &journal {
+            for (key, outcome) in &journaled {
+                // Best effort, like a worker's append.
+                let _ = journal.record(Some(*key), outcome);
+            }
+        }
+        Ok(BatchHandle { shared: Arc::clone(&self.shared), ids, batch, progress: rx, resumed })
+    }
+
+    /// Decides how each point of a batch enters the service. A point's
+    /// cache key is hashed here, on the submitting thread, at most once,
+    /// and only when the batch needs it: for its journal, or because two
+    /// or more points are live. A point the journal records is resumed.
+    /// With two or more live points, a live point the cache holds is a
+    /// hit (counted by the caller once admitted), and every other live
+    /// point carries the trace key built from its cache key's model hash.
+    /// An in-flight key is not waited for: its point queues and coalesces
+    /// in its worker's lookup.
+    fn admissions(&self, jobs: &[Job], journal: Option<&SweepJournal>) -> Vec<Admission> {
+        let keyed = journal.is_some() || jobs.len() >= 2;
+        let keys: Vec<Option<CacheKey>> =
+            jobs.iter().map(|job| if keyed { job.cache_key() } else { None }).collect();
+        let mut admissions: Vec<Admission> = jobs
+            .iter()
+            .zip(&keys)
+            .map(|(job, key)| {
+                let resumed = journal.zip(*key).and_then(|(journal, key)| {
+                    let evaluation = journal.lookup(&key)?;
+                    self.shared.cache.insert(key, evaluation.clone());
+                    Some(evaluation)
+                });
+                match resumed {
+                    Some(evaluation) => Admission::Resumed(DseOutcome {
+                        point: job.spec.clone(),
+                        result: Ok(evaluation),
+                        cached: true,
+                    }),
+                    None => Admission::Queued(None),
+                }
+            })
+            .collect();
+        // A trace group needs two live points. With fewer, the worker's
+        // lookup stays the only one.
+        if admissions.iter().filter(|a| matches!(a, Admission::Queued(_))).count() < 2 {
+            return admissions;
+        }
+        for ((admission, job), key) in admissions.iter_mut().zip(jobs).zip(keys) {
+            let (Admission::Queued(trace), Some(key)) = (&mut *admission, key) else { continue };
+            match self.shared.cache.peek(&key) {
+                Some(evaluation) => {
+                    let point = job.spec.clone();
+                    let outcome = DseOutcome { point, result: Ok(evaluation), cached: true };
+                    *admission = Admission::Hit(outcome, key);
+                }
+                None => *trace = Some(TraceKey::of_point(&job.arch, &key)),
+            }
+        }
+        admissions
     }
 
     /// The one admission check, run under the state lock for a whole
-    /// submission of `points` points, `live` of them to be queued: a
+    /// submission of `points` points, `queued` of them to be queued: a
     /// service shutting down admits nothing, a bounded queue admits only
     /// within its capacity, and a quota caps `tenant`'s in-flight points.
     /// A service with neither bound rejects only at shutdown. Every point
@@ -1491,14 +1590,16 @@ impl EvalService {
         &self,
         st: &mut State,
         tenant: &str,
-        live: usize,
+        queued: usize,
         points: usize,
     ) -> Result<(), Rejected> {
         let in_flight = st.in_flight.get(tenant).copied().unwrap_or(0);
         let rejection = match (self.config.queue_capacity, self.config.tenant_quota) {
             _ if st.shutting_down => Rejected::ShuttingDown,
-            (Some(capacity), _) if st.queued + live > capacity => Rejected::QueueFull { capacity },
-            (_, Some(quota)) if in_flight + live > quota => {
+            (Some(capacity), _) if st.queued + queued > capacity => {
+                Rejected::QueueFull { capacity }
+            }
+            (_, Some(quota)) if in_flight + queued > quota => {
                 Rejected::QuotaExceeded { tenant: tenant.to_owned(), quota }
             }
             _ => return Ok(()),
@@ -1508,55 +1609,53 @@ impl EvalService {
         Err(rejection)
     }
 
-    /// Plans the queue-insertion order and the trace groups of a batch.
-    /// Live points are grouped by [`TraceKey`] (compile fingerprint +
-    /// model + strategy + search), whether or not they carry a serving
-    /// workload: the rungs of one rate ladder share a key like any other
-    /// timing-only variants. Groups of at least two points carry their
-    /// key: they share one compile → record run and replay the rest, and
-    /// the worker claiming one member drains the whole group into a
-    /// single lockstep replay instead of per-point jobs. The insertion
-    /// order interleaves the groups round-robin so every group's
-    /// recording starts early instead of the recordings serializing
-    /// group after group. Singleton groups stay untraced and pay zero
-    /// recording overhead. Outcome slots keep grid order regardless (the
-    /// handle's ids are indexed by grid position).
-    fn trace_plan(
-        jobs: &[Job],
-        resumed: &[Option<DseOutcome>],
-        live: usize,
-    ) -> (Vec<usize>, Vec<Option<TraceKey>>) {
-        // A group needs two live points. With fewer, skip hashing trace
-        // keys: a single submit hashes its model once, for the cache key.
-        if live < 2 {
-            return ((0..jobs.len()).collect(), vec![None; jobs.len()]);
-        }
+    /// Plans the queue-insertion order, and so the job-id order, and the
+    /// trace groups of a batch. Queued points are grouped by the
+    /// [`TraceKey`] (compile fingerprint + model + strategy + search)
+    /// that [`Self::admissions`] gave them, whether or not they carry a
+    /// serving workload: the rungs of one rate ladder share a key like
+    /// any other timing-only variants. Groups of at least two points
+    /// carry their key: they share one compile → record run and replay
+    /// the rest, and the worker claiming one member drains the whole
+    /// group into a single lockstep replay instead of per-point jobs. A
+    /// point whose key siblings were all admission hits is left alone,
+    /// an untraced singleton with the same report. The order interleaves
+    /// the groups round-robin so every group's recording starts early
+    /// instead of the recordings serializing group after group;
+    /// journal-resumed points keep their place in it, and admission hits
+    /// follow it, in grid order. Singleton groups stay untraced and pay
+    /// zero recording overhead. Outcome slots keep grid order regardless
+    /// (the handle's ids are indexed by grid position).
+    fn trace_plan(admissions: &[Admission]) -> (Vec<usize>, Vec<Option<TraceKey>>) {
         let mut groups: Vec<(Option<TraceKey>, Vec<usize>)> = Vec::new();
         let mut by_key: HashMap<TraceKey, usize> = HashMap::new();
-        for (index, job) in jobs.iter().enumerate() {
-            match &job.model {
-                Ok(model) if resumed[index].is_none() => {
-                    let key = TraceKey::of(&job.arch, model, job.spec.strategy, job.spec.search);
-                    let slot = *by_key.entry(key).or_insert_with(|| {
-                        groups.push((Some(key), Vec::new()));
+        let mut hits = Vec::new();
+        for (index, admission) in admissions.iter().enumerate() {
+            match admission {
+                Admission::Queued(Some(key)) => {
+                    let slot = *by_key.entry(*key).or_insert_with(|| {
+                        groups.push((Some(*key), Vec::new()));
                         groups.len() - 1
                     });
                     groups[slot].1.push(index);
                 }
-                // Unknown-model and journal-resumed points are untraced
-                // singletons.
-                _ => groups.push((None, vec![index])),
+                Admission::Hit(..) => hits.push(index),
+                // Unhashed, unknown-model and journal-resumed points are
+                // untraced singletons.
+                Admission::Queued(None) | Admission::Resumed(_) => {
+                    groups.push((None, vec![index]));
+                }
             }
         }
-        let mut group_keys: Vec<Option<TraceKey>> = vec![None; jobs.len()];
+        let mut group_keys: Vec<Option<TraceKey>> = vec![None; admissions.len()];
         for (key, members) in groups.iter().filter(|(_, members)| members.len() >= 2) {
             for &index in members {
                 group_keys[index] = *key;
             }
         }
-        let mut order = Vec::with_capacity(jobs.len());
+        let mut order = Vec::with_capacity(admissions.len());
         let mut round = 0;
-        while order.len() < jobs.len() {
+        while order.len() + hits.len() < admissions.len() {
             for (_, members) in &groups {
                 if let Some(&index) = members.get(round) {
                     order.push(index);
@@ -1564,6 +1663,7 @@ impl EvalService {
             }
             round += 1;
         }
+        order.extend(hits);
         (order, group_keys)
     }
 
@@ -1830,8 +1930,12 @@ mod tests {
             EvalService::new(ServiceConfig::new().with_workers(1).with_tracer(tracer.clone()));
         let outcomes = service.submit_sweep(&spec).expect("admitted").wait();
         assert!(outcomes.iter().all(|o| o.result.is_ok()));
-        let spans: Vec<_> =
-            tracer.events().into_iter().filter(|e| e.category == "service").collect();
+        // The claims' spans (the submission's `admit` span is not a claim).
+        let spans: Vec<_> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.category == "service" && e.name != "admit")
+            .collect();
         let names: Vec<&str> = spans.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["replay", "eval"]);
         let has =
@@ -2202,6 +2306,161 @@ mod tests {
         assert!(fresh.wait().pop().unwrap().result.is_ok());
         assert_eq!(journal.len(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    fn mg_sweep() -> SweepSpec {
+        SweepSpec::new()
+            .with_model("mobilenetv2", 32)
+            .with_strategies(&[Strategy::GenericMapping])
+            .with_mg_sizes(&[4, 8])
+    }
+
+    #[test]
+    fn a_finished_sweep_resubmitted_behind_a_held_worker_completes_at_admission() {
+        let cache = EvalCache::new();
+        let service = EvalService::with_cache(ServiceConfig::new().with_workers(1), cache.clone());
+        let cold = service.submit_sweep(&mg_sweep()).expect("admitted").wait();
+        assert!(cold.iter().all(|o| o.result.is_ok() && !o.cached));
+        // Hold the only worker on another point.
+        let (go, release) = mpsc::channel();
+        let blocker = block_point(&cache, models::resnet18(32), Strategy::GenericMapping, release);
+        let running = service.submit(request("resnet18", Strategy::GenericMapping)).unwrap();
+        wait_until("the worker claims the blocked job", || running.status() == JobStatus::Running);
+
+        let warm = service.submit_sweep(&mg_sweep()).expect("admitted");
+        assert_eq!(service.stats().queued, 0, "no point reached the queue");
+        assert_eq!(warm.resumed(), 0, "no journal resumed them");
+        let outcomes = warm.wait_timeout(Duration::ZERO).expect("terminal at admission");
+        assert!(outcomes.iter().all(|o| o.cached && o.result.is_ok()));
+        for (warm, cold) in outcomes.iter().zip(&cold) {
+            let (warm, cold) = (warm.evaluation().unwrap(), cold.evaluation().unwrap());
+            assert_eq!(warm.simulation, cold.simulation);
+        }
+        go.send(()).unwrap();
+        assert!(running.wait().result.is_ok());
+        blocker.join().unwrap();
+    }
+
+    #[test]
+    fn a_batch_of_cached_and_new_points_queues_only_the_new_ones() {
+        let cache = EvalCache::new();
+        let service = EvalService::with_cache(ServiceConfig::new().with_workers(1), cache.clone());
+        assert!(service.submit_sweep(&mg_sweep()).unwrap().wait().iter().all(|o| !o.cached));
+        let (go, release) = mpsc::channel();
+        let blocker = block_point(&cache, models::resnet18(32), Strategy::GenericMapping, release);
+        let running = service.submit(request("resnet18", Strategy::GenericMapping)).unwrap();
+        wait_until("the worker claims the blocked job", || running.status() == JobStatus::Running);
+
+        // Flit 8 is the base: points 0 and 1 are cached, 2 and 3 new.
+        let before = cache.stats();
+        let mixed = service.submit_sweep(&mg_sweep().with_flit_sizes(&[8, 16])).unwrap();
+        assert_eq!(service.stats().queued, 2, "only the new points queue");
+        let admitted = cache.stats();
+        assert_eq!((admitted.hits - before.hits, admitted.misses - before.misses), (2, 0));
+        // The queued points take their ids first, the hits after them.
+        let ids = mixed.ids();
+        assert!(ids[2] < ids[3] && ids[3] < ids[0] && ids[0] < ids[1], "{ids:?}");
+
+        go.send(()).unwrap();
+        let outcomes = mixed.wait();
+        assert_eq!(
+            outcomes.iter().map(|o| o.cached).collect::<Vec<_>>(),
+            [true, true, false, false]
+        );
+        assert!(running.wait().result.is_ok());
+        blocker.join().unwrap();
+        // One lookup a point: the two new points missed in their workers.
+        // (The blocked job's own lookup coalesced onto the blocker.)
+        let after = cache.stats();
+        assert_eq!(after.misses - before.misses, 2);
+        assert_eq!((after.hits - before.hits) - (after.coalesced - before.coalesced), 2);
+    }
+
+    #[test]
+    fn journaled_batches_append_their_admission_hits() {
+        let dir = std::env::temp_dir().join("cimflow-dse-service-admission-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hits.jsonl");
+        std::fs::remove_file(&path).ok();
+        let journaled = |journal: &Arc<SweepJournal>, spec: &SweepSpec| Submission {
+            jobs: crate::expand_jobs(spec).unwrap(),
+            journal: Some(Arc::clone(journal)),
+            ..Submission::default()
+        };
+
+        // Two points the cache holds and the journal does not.
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        service.submit_sweep(&mg_sweep()).unwrap().wait();
+        let journal = Arc::new(SweepJournal::open(&path).unwrap());
+        let hits = service.submit_batch(journaled(&journal, &mg_sweep())).unwrap();
+        assert_eq!(hits.resumed(), 0, "admission hits are not journal-born");
+        assert!(hits.wait().iter().all(|o| o.cached));
+        assert_eq!(journal.len(), 2, "both hits were appended");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines.iter().all(|line| line.contains("\"cached\":true")), "{text}");
+        drop(service);
+
+        // A fresh cache holding two other points, and the reopened
+        // journal: two points resume, two are admission hits.
+        let journal = Arc::new(SweepJournal::open(&path).unwrap());
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        service.submit_sweep(&mg_sweep().with_flit_sizes(&[16])).unwrap().wait();
+        let before = service.cache().stats();
+        let both = journaled(&journal, &mg_sweep().with_flit_sizes(&[8, 16]));
+        let batch = service.submit_batch(both).unwrap();
+        assert_eq!(batch.resumed(), 2, "only journal-born points count as resumed");
+        assert!(batch.is_done());
+        assert!(batch.wait().iter().all(|o| o.cached));
+        let after = service.cache().stats();
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (2, 0));
+        assert_eq!(journal.len(), 4, "the new hits were appended too");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn traffic_jobs_fingerprint_every_rate_like_traffic_fingerprint() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../sweeps/traffic.json");
+        let spec = SweepSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let rates = &spec.traffic.as_ref().expect("a traffic sweep").offered_qps;
+        let jobs = crate::expand_jobs(&spec).unwrap();
+        assert!(!jobs.is_empty());
+        for job in &jobs {
+            let traffic = job.traffic.as_ref().expect("every point serves");
+            for &rate in rates {
+                let reference =
+                    crate::traffic_fingerprint(rate, &traffic.workload, &traffic.colocated);
+                assert_eq!(traffic.fingerprint(rate), reference, "{}", job.spec.label());
+            }
+            let key = job.cache_key().expect("resolved model");
+            assert_eq!(key.traffic, traffic.fingerprint(job.spec.offered_qps));
+        }
+    }
+
+    #[test]
+    fn each_submission_records_one_admit_span() {
+        use cimflow_obs::AttrValue;
+
+        let tracer = Tracer::new(1024);
+        let service =
+            EvalService::new(ServiceConfig::new().with_workers(1).with_tracer(tracer.clone()));
+        service.submit_sweep(&mg_sweep()).unwrap().wait();
+        service.submit_sweep(&mg_sweep()).unwrap().wait();
+        let events = tracer.events();
+        let admits: Vec<_> = events.iter().filter(|e| e.name == "admit").collect();
+        assert_eq!(admits.len(), 2, "one span per submission");
+        for (span, hits) in admits.iter().zip([0, 2]) {
+            let attr = |key: &str| span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            assert_eq!(span.category, "service");
+            assert_eq!(span.track, thread_track(), "recorded on the submitting thread");
+            assert_eq!(attr("points"), Some(&AttrValue::U64(2)));
+            assert_eq!(attr("hits"), Some(&AttrValue::U64(hits)));
+            assert_eq!(attr("resumed"), Some(&AttrValue::U64(0)));
+        }
+        // The warm sweep reached no worker: the cold one's two claims
+        // are the only `eval` spans.
+        assert_eq!(events.iter().filter(|e| e.name == "eval").count(), 2);
     }
 
     #[test]

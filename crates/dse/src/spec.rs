@@ -14,6 +14,15 @@ use serde::{Content, Deserialize, Serialize};
 
 use crate::DseError;
 
+/// Most points [`SweepSpec::expand`] materializes: 65,536. A sweep holds
+/// each point as a `PointSpec` (104 B on 64-bit targets) and then a `Job`
+/// (320 B), so the cap bounds one expansion at about 26.5 MiB before
+/// admission control runs; a ~2 KB wire `sweep` with four 100-value axes
+/// would otherwise ask for 10⁸ points, about 42 GB. The explorer walks
+/// [`SweepSpec::axes`] without expanding, so larger spaces stay
+/// explorable.
+pub const MAX_EXPANDED_POINTS: usize = 1 << 16;
+
 /// A benchmark model reference: zoo name plus input resolution.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ModelSpec {
@@ -267,37 +276,52 @@ impl SweepSpec {
         self.base.unwrap_or_else(ArchConfig::paper_default)
     }
 
-    /// Number of grid points the spec expands to.
-    pub fn point_count(&self) -> usize {
+    /// Number of grid points the spec expands to, or `None` when the
+    /// count overflows `usize` (such a grid fails [`Self::axes`]).
+    fn checked_point_count(&self) -> Option<usize> {
         let axis = |len: usize| len.max(1);
-        self.models.len()
-            * axis(self.strategies.len())
-            * axis(self.search_modes.len())
-            * axis(self.chip_counts.len())
-            * axis(self.core_counts.len())
-            * axis(self.local_memory_kib.len())
-            * axis(self.flit_sizes.len())
-            * axis(self.mg_sizes.len())
-            * axis(self.frequencies_mhz.len())
-            * axis(self.memory_ports.len())
-            * axis(self.traffic.as_ref().map_or(0, |t| t.offered_qps.len()))
+        [
+            self.models.len(),
+            axis(self.strategies.len()),
+            axis(self.search_modes.len()),
+            axis(self.chip_counts.len()),
+            axis(self.core_counts.len()),
+            axis(self.local_memory_kib.len()),
+            axis(self.flit_sizes.len()),
+            axis(self.mg_sizes.len()),
+            axis(self.frequencies_mhz.len()),
+            axis(self.memory_ports.len()),
+            axis(self.traffic.as_ref().map_or(0, |t| t.offered_qps.len())),
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+    }
+
+    /// Number of grid points the spec expands to; `usize::MAX` for a grid
+    /// too large to count, which [`Self::axes`] rejects.
+    pub fn point_count(&self) -> usize {
+        self.checked_point_count().unwrap_or(usize::MAX)
     }
 
     /// Resolves every axis of the sweep against the base architecture:
     /// the random-access view of the grid the adaptive exploration engine
     /// navigates (axis-index vectors instead of a materialized cartesian
-    /// product).
+    /// product), so its size is bounded only by what `usize` counts.
     ///
     /// # Errors
     ///
     /// Returns [`DseError::Spec`] when the spec names no model or no
-    /// strategy (the same contract as [`Self::expand`]).
+    /// strategy (the same contract as [`Self::expand`]), or when its
+    /// point count overflows `usize`.
     pub fn axes(&self) -> Result<SweepAxes, DseError> {
         if self.models.is_empty() {
             return Err(DseError::spec("the `models` axis must name at least one model"));
         }
         if self.strategies.is_empty() {
             return Err(DseError::spec("the `strategies` axis must name at least one strategy"));
+        }
+        if self.checked_point_count().is_none() {
+            return Err(DseError::spec("the grid has more points than a usize can count"));
         }
         if let Some(traffic) = &self.traffic {
             if traffic.offered_qps.is_empty() {
@@ -340,10 +364,18 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Returns [`DseError::Spec`] when the spec names no model or no
-    /// strategy (an empty grid is almost certainly a config mistake).
+    /// strategy (an empty grid is almost certainly a config mistake), or
+    /// when the grid holds more than [`MAX_EXPANDED_POINTS`] points.
     pub fn expand(&self) -> Result<Vec<PointSpec>, DseError> {
         let axes = self.axes()?;
-        Ok((0..axes.point_count()).map(|flat| axes.point(axes.indices_of(flat))).collect())
+        let points = axes.point_count();
+        if points > MAX_EXPANDED_POINTS {
+            return Err(DseError::spec(format!(
+                "the grid has {points} points, more than the {MAX_EXPANDED_POINTS} a sweep \
+                 expands; explore a larger space with `cimflow-dse explore`"
+            )));
+        }
+        Ok((0..points).map(|flat| axes.point(axes.indices_of(flat))).collect())
     }
 
     /// Serializes the spec to pretty JSON (the on-disk sweep file format).
@@ -672,6 +704,63 @@ mod tests {
         assert!(SweepSpec::new().with_model("resnet18", 32).expand().is_err());
         assert!(SweepSpec::new().with_strategies(&[Strategy::DpOptimized]).expand().is_err());
         assert!(SweepSpec::new().axes().is_err());
+    }
+
+    /// A `values`-long axis of distinct entries.
+    fn axis(values: u32) -> Vec<u32> {
+        (1..=values).collect()
+    }
+
+    #[test]
+    fn grids_above_the_cap_walk_their_axes_but_do_not_expand() {
+        // About 2 KB of JSON asking for 10^8 points.
+        let spec = SweepSpec::new()
+            .with_model("resnet18", 32)
+            .with_strategies(&[Strategy::DpOptimized])
+            .with_chip_counts(&axis(100))
+            .with_core_counts(&axis(100))
+            .with_flit_sizes(&axis(100))
+            .with_frequencies_mhz(&axis(100));
+        let points = spec.point_count();
+        assert_eq!(points, 100_000_000);
+        assert_eq!(
+            spec.axes().expect("the explorer walks any countable grid").point_count(),
+            points
+        );
+        match spec.expand() {
+            Err(DseError::Spec { reason }) => {
+                assert!(reason.contains(&MAX_EXPANDED_POINTS.to_string()), "{reason}")
+            }
+            other => panic!("expected a spec error, got {other:?}"),
+        }
+        // The cap itself still expands.
+        let at_cap = SweepSpec::new()
+            .with_model("resnet18", 32)
+            .with_strategies(&[Strategy::DpOptimized])
+            .with_frequencies_mhz(&axis(1 << 8))
+            .with_memory_ports(&axis(1 << 8));
+        assert_eq!(at_cap.expand().unwrap().len(), MAX_EXPANDED_POINTS);
+    }
+
+    #[test]
+    fn grids_that_overflow_the_point_count_are_spec_errors() {
+        let mut spec =
+            SweepSpec::new().with_model("resnet18", 32).with_strategies(&[Strategy::DpOptimized]);
+        spec.search_modes = vec![SearchMode::Sequential; 1000];
+        let spec = spec
+            .with_chip_counts(&axis(1000))
+            .with_core_counts(&axis(1000))
+            .with_local_memory_kib(&(1..=1000).collect::<Vec<u64>>())
+            .with_flit_sizes(&axis(1000))
+            .with_mg_sizes(&axis(1000))
+            .with_frequencies_mhz(&axis(1000));
+        assert_eq!(spec.point_count(), usize::MAX, "the count saturates");
+        for result in [spec.axes().map(|_| ()), spec.expand().map(|_| ())] {
+            match result {
+                Err(DseError::Spec { reason }) => assert!(reason.contains("usize"), "{reason}"),
+                other => panic!("expected a spec error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

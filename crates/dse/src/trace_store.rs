@@ -35,7 +35,7 @@ use cimflow_sim::SimTrace;
 
 use crate::cache::model_content_hash;
 use crate::memo::{Memo, Source};
-use crate::DseError;
+use crate::{CacheKey, DseError};
 
 /// Identifies one recorded trace by compile-affecting content: the
 /// architecture's [`compile fingerprint`](ArchConfig::compile_fingerprint),
@@ -61,6 +61,17 @@ impl TraceKey {
             model: model_content_hash(model),
             strategy,
             search,
+        }
+    }
+
+    /// The trace key of the point on `arch` whose cache key is `key`,
+    /// reusing the model hash the cache key holds.
+    pub(crate) fn of_point(arch: &ArchConfig, key: &CacheKey) -> Self {
+        TraceKey {
+            arch: arch.compile_fingerprint(),
+            model: key.model,
+            strategy: key.strategy,
+            search: key.search,
         }
     }
 }
