@@ -1,62 +1,36 @@
-//! The `cimflow-dse` CLI: batch sweeps and the evaluation service.
+//! The `cimflow-dse` CLI: batch sweeps, adaptive exploration, the
+//! evaluation service and journal maintenance.
 //!
-//! **Sweep mode** runs a JSON sweep specification end-to-end through the
-//! engine and reports/exports the results:
+//! `cimflow-dse --help` prints one line per mode with every flag that
+//! mode takes. It is generated from `FLAGS`, the table the parser reads,
+//! so it always matches what the parser accepts. The modes:
 //!
-//! ```text
-//! cargo run --release -p cimflow-dse -- sweep.json \
-//!     [--workers N] [--sequential] [--search sequential|joint] \
-//!     [--csv out.csv] [--json out.json] \
-//!     [--cache cache.json] [--journal sweep.jsonl] [--quiet] \
-//!     [--trace-out trace.json] [--metrics-out metrics.prom]
-//! ```
+//! - **sweep** (`cimflow-dse <sweep.json>`) evaluates every point of a
+//!   `SweepSpec` grid and reports the per-model Pareto frontiers.
+//!   `--journal` appends each finished point to a JSONL journal and
+//!   resumes from it; `--search` overrides the spec's search-mode axis.
+//! - **explore** (`cimflow-dse explore <space.json>`) runs the adaptive
+//!   explorer over an `ExploreSpec` (a sweep space plus a budget, an
+//!   algorithm and a seed) instead of the whole grid. Its flags override
+//!   the spec's fields; `--journal` makes the run resumable.
+//! - **serve** (`cimflow-dse serve`) starts a long-lived [`EvalService`]
+//!   speaking newline-delimited JSON (see `cimflow_dse::serve`) on
+//!   stdin/stdout, or on a TCP loopback listener with `--tcp`. `--queue`
+//!   bounds the admission queue and `--quota` each tenant's in-flight
+//!   points.
+//! - **journal** (`cimflow-dse journal compact <PATH>`) drops superseded
+//!   entries and failure lines from a sweep journal.
 //!
-//! `--journal` appends each finished point to a JSONL journal and resumes
-//! from it, so an interrupted sweep picks up where it stopped, and
-//! `--search` overrides the spec's system-level search-mode axis.
+//! `--trace-out` writes a Chrome `trace_event` timeline of the run
+//! (loadable in Perfetto or `chrome://tracing`) and `--metrics-out` its
+//! final metrics in Prometheus text format; a server also answers the
+//! `metrics` wire request at any time.
 //!
-//! **Explore mode** runs the adaptive Pareto-guided exploration engine
-//! over an `ExploreSpec` JSON file (a sweep *space* plus a budget, an
-//! algorithm and a seed) instead of exhaustively expanding the grid:
-//!
-//! ```text
-//! cargo run --release -p cimflow-dse -- explore space.json \
-//!     [--budget N] [--algorithm successive_halving|evolutionary] [--seed N] \
-//!     [--workers N] [--journal explore.jsonl] [--csv out.csv] [--json out.json] [--quiet]
-//! ```
-//!
-//! The flags override the spec's `budget`/`algorithm`/`seed`; `--journal`
-//! makes the exploration resumable (the same spec and seed replay their
-//! trajectory with journaled points served for free).
-//!
-//! **Journal maintenance**: `cimflow-dse journal compact <path>` drops
-//! superseded/duplicate entries and failure log lines from a sweep
-//! journal, shrinking files that accumulated across resumed runs.
-//!
-//! **Serve mode** starts a long-lived [`EvalService`] speaking
-//! newline-delimited JSON (see `cimflow_dse::serve`) on stdin/stdout, or
-//! on a TCP loopback listener with `--tcp`:
-//!
-//! ```text
-//! cargo run --release -p cimflow-dse -- serve \
-//!     [--workers N] [--queue N] [--quota N] [--cache cache.json] [--tcp PORT]
-//! ```
-//!
-//! `--queue` bounds the admission queue (excess submissions are rejected
-//! with backpressure) and `--quota` caps each tenant's in-flight points.
-//!
-//! **Observability**: sweep, explore and serve all take
-//! `--trace-out PATH` (write a Chrome `trace_event` JSON timeline of the
-//! run, loadable in Perfetto or `chrome://tracing`) and
-//! `--metrics-out PATH` (write the final metrics in Prometheus text
-//! exposition format). A long-lived server additionally answers the
-//! `metrics` wire request with a live snapshot at any point.
-//!
-//! Exit codes: 0 when at least one point evaluated successfully (sweep
-//! mode) or the service shut down cleanly (serve mode), 1 for a
-//! usage/spec error, 2 when every point failed.
+//! Exit codes: 0 when at least one point evaluated successfully (sweep,
+//! explore) or the service shut down cleanly (serve), 1 for a usage,
+//! spec or I/O error, 2 when every point failed.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,348 +40,248 @@ use cimflow_dse::analysis::Objective;
 use cimflow_dse::serve::{serve_stdio, TcpServer};
 use cimflow_dse::{
     analysis, expand_jobs, explore, export, DseError, DseOutcome, EvalCache, EvalService,
-    ExploreAlgorithm, ExploreSpec, FeasibilityCaps, Fidelity, FidelityLadder, Progress,
-    ServiceConfig, Submission, SweepJournal, SweepSpec,
+    ExploreAlgorithm, ExploreSpec, Fidelity, FidelityLadder, Progress, ServiceConfig, Submission,
+    SweepJournal, SweepSpec,
 };
 use cimflow_obs::{
-    HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot, Tracer,
-    DEFAULT_TRACE_CAPACITY,
+    HistogramSnapshot, MetricValue, MetricsSnapshot, Tracer, DEFAULT_TRACE_CAPACITY,
 };
 
-struct SweepArgs {
-    spec_path: PathBuf,
+/// The CLI's modes. The first positional argument picks `explore`,
+/// `serve` or `journal`; any other command line runs a sweep.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    Sweep,
+    Explore,
+    Serve,
+    Journal,
+}
+
+impl Mode {
+    const ALL: [Mode; 4] = [Mode::Sweep, Mode::Explore, Mode::Serve, Mode::Journal];
+
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Sweep => "sweep",
+            Mode::Explore => "explore",
+            Mode::Serve => "serve",
+            Mode::Journal => "journal",
+        }
+    }
+
+    /// The mode's word and positional arguments.
+    fn synopsis(self) -> &'static str {
+        match self {
+            Mode::Sweep => "<sweep.json>",
+            Mode::Explore => "explore <space.json>",
+            Mode::Serve => "serve",
+            Mode::Journal => "journal compact <PATH>",
+        }
+    }
+
+    /// The mode's bit in [`Flag::modes`].
+    const fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
+    /// The mode's `--help` line: its synopsis and every flag it takes.
+    fn usage(self) -> String {
+        let flags =
+            FLAGS.iter().filter(|flag| flag.applies_to(self)).map(|flag| match flag.value {
+                "" => format!(" [{}]", flag.name),
+                value => format!(" [{} {value}]", flag.name),
+            });
+        format!("cimflow-dse {}{}", self.synopsis(), flags.collect::<String>())
+    }
+}
+
+const SWEEP: u8 = Mode::Sweep.bit();
+const EXPLORE: u8 = Mode::Explore.bit();
+const SERVE: u8 = Mode::Serve.bit();
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// The value placeholder `--help` shows; empty for a switch.
+    value: &'static str,
+    /// The [`Mode::bit`]s of the modes that take the flag.
+    modes: u8,
+}
+
+impl Flag {
+    fn applies_to(&self, mode: Mode) -> bool {
+        self.modes & mode.bit() != 0
+    }
+}
+
+/// Every flag, in `--help` order. Parsing, the per-mode checks and
+/// `--help` all read this table; [`Options::set`] parses each value.
+const FLAGS: &[Flag] = &[
+    Flag { name: "--workers", value: "N", modes: SWEEP | EXPLORE | SERVE },
+    Flag { name: "--sequential", value: "", modes: SWEEP | EXPLORE | SERVE },
+    Flag { name: "--search", value: "sequential|joint", modes: SWEEP },
+    Flag { name: "--objective", value: "cycles|p99|area", modes: SWEEP | EXPLORE },
+    Flag { name: "--budget", value: "N", modes: EXPLORE },
+    Flag { name: "--algorithm", value: "successive_halving|evolutionary", modes: EXPLORE },
+    Flag { name: "--seed", value: "N", modes: EXPLORE },
+    Flag { name: "--rungs", value: "R1,R2,...", modes: EXPLORE },
+    Flag { name: "--scout-share", value: "X", modes: EXPLORE },
+    Flag { name: "--stall", value: "N", modes: EXPLORE },
+    Flag { name: "--max-area", value: "MM2", modes: EXPLORE },
+    Flag { name: "--max-power", value: "W", modes: EXPLORE },
+    Flag { name: "--queue", value: "N", modes: SERVE },
+    Flag { name: "--quota", value: "N", modes: SERVE },
+    Flag { name: "--tcp", value: "PORT", modes: SERVE },
+    Flag { name: "--csv", value: "PATH", modes: SWEEP | EXPLORE },
+    Flag { name: "--json", value: "PATH", modes: SWEEP | EXPLORE },
+    Flag { name: "--cache", value: "PATH", modes: SWEEP | SERVE },
+    Flag { name: "--journal", value: "PATH", modes: SWEEP | EXPLORE },
+    Flag { name: "--trace-out", value: "PATH", modes: SWEEP | EXPLORE | SERVE },
+    Flag { name: "--metrics-out", value: "PATH", modes: SWEEP | EXPLORE | SERVE },
+    Flag { name: "--quiet", value: "", modes: SWEEP | EXPLORE | SERVE },
+];
+
+/// The usage text: one line per mode.
+fn usage() -> String {
+    let lines: Vec<String> = Mode::ALL.iter().map(|mode| mode.usage()).collect();
+    format!("usage: {}", lines.join("\n       "))
+}
+
+/// The typed value of every flag; a flag left off the command line
+/// stays `None` (or `false`).
+#[derive(Default)]
+struct Options {
     workers: Option<usize>,
     search: Option<SearchMode>,
     objective: Option<Objective>,
-    csv: Option<PathBuf>,
-    json: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    journal: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    quiet: bool,
-}
-
-struct ServeArgs {
-    workers: Option<usize>,
-    queue: Option<usize>,
-    quota: Option<usize>,
-    cache: Option<PathBuf>,
-    tcp: Option<u16>,
-    trace_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    quiet: bool,
-}
-
-struct ExploreArgs {
-    spec_path: PathBuf,
-    workers: Option<usize>,
     budget: Option<u64>,
     algorithm: Option<ExploreAlgorithm>,
     seed: Option<u64>,
-    objective: Option<Objective>,
     ladder: Option<FidelityLadder>,
     scout_share: Option<f64>,
     stall: Option<u32>,
     max_area: Option<f64>,
     max_power: Option<f64>,
-    journal: Option<PathBuf>,
+    queue: Option<usize>,
+    quota: Option<usize>,
+    tcp: Option<u16>,
     csv: Option<PathBuf>,
     json: Option<PathBuf>,
+    cache: Option<PathBuf>,
+    journal: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     quiet: bool,
 }
 
-enum Args {
-    Sweep(SweepArgs),
-    Serve(ServeArgs),
-    Explore(ExploreArgs),
-    JournalCompact { path: PathBuf },
-}
-
-const USAGE: &str = "usage: cimflow-dse <sweep.json> [--workers N] [--sequential] \
-[--search sequential|joint] [--objective cycles|p99|area] [--csv PATH] [--json PATH] \
-[--cache PATH] [--journal PATH] [--trace-out PATH] [--metrics-out PATH] [--quiet]
-       cimflow-dse explore <space.json> [--budget N] [--algorithm successive_halving|evolutionary] \
-[--seed N] [--objective cycles|p99|area] [--rungs R1,R2,...] [--scout-share X] [--stall N] \
-[--max-area MM2] [--max-power W] [--workers N] [--journal PATH] [--csv PATH] [--json PATH] \
-[--trace-out PATH] [--metrics-out PATH] [--quiet]
-       cimflow-dse serve [--workers N] [--queue N] [--quota N] [--cache PATH] [--tcp PORT] \
-[--trace-out PATH] [--metrics-out PATH] [--quiet]
-       cimflow-dse journal compact <PATH>";
-
 fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value.parse::<T>().map_err(|_| format!("{flag} expects a number, got `{value}`"))
 }
 
-/// `Ok(None)` means `--help` was requested: print usage to stdout, exit 0.
-fn parse_args(mut argv: std::env::Args) -> Result<Option<Args>, String> {
-    argv.next(); // program name
-    let take_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
-    };
-
-    let mut positionals: Vec<String> = Vec::new();
-    let mut serve = false;
-    let mut journal_cmd = false;
-    let mut explore_cmd = false;
-    let mut search = None;
-    let mut workers = None;
-    let mut csv = None;
-    let mut json = None;
-    let mut cache = None;
-    let mut journal = None;
-    let mut queue = None;
-    let mut quota = None;
-    let mut tcp = None;
-    let mut budget = None;
-    let mut algorithm = None;
-    let mut seed = None;
-    let mut objective = None;
-    let mut ladder = None;
-    let mut scout_share = None;
-    let mut stall = None;
-    let mut max_area = None;
-    let mut max_power = None;
-    let mut trace_out = None;
-    let mut metrics_out = None;
-    let mut quiet = false;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--workers" => {
-                let value = take_value(&mut argv, "--workers")?;
-                workers = Some(parse_number::<usize>("--workers", &value)?);
-            }
-            "--sequential" => workers = Some(1),
+impl Options {
+    /// Parses `value` into the field of `flag`, a [`FLAGS`] row (a
+    /// switch gets an empty value).
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        match flag {
+            "--workers" => self.workers = Some(parse_number(flag, value)?),
+            "--sequential" => self.workers = Some(1),
             "--search" => {
-                let value = take_value(&mut argv, "--search")?;
-                search = Some(SearchMode::from_name(&value).ok_or_else(|| {
-                    format!("--search expects `sequential` or `joint`, got `{value}`")
+                self.search = Some(SearchMode::from_name(value).ok_or_else(|| {
+                    format!("{flag} expects `sequential` or `joint`, got `{value}`")
                 })?);
             }
-            "--csv" => csv = Some(PathBuf::from(take_value(&mut argv, "--csv")?)),
-            "--json" => json = Some(PathBuf::from(take_value(&mut argv, "--json")?)),
-            "--cache" => cache = Some(PathBuf::from(take_value(&mut argv, "--cache")?)),
-            "--journal" => journal = Some(PathBuf::from(take_value(&mut argv, "--journal")?)),
-            "--queue" => {
-                let value = take_value(&mut argv, "--queue")?;
-                queue = Some(parse_number::<usize>("--queue", &value)?);
-            }
-            "--quota" => {
-                let value = take_value(&mut argv, "--quota")?;
-                quota = Some(parse_number::<usize>("--quota", &value)?);
-            }
-            "--tcp" => {
-                let value = take_value(&mut argv, "--tcp")?;
-                tcp = Some(parse_number::<u16>("--tcp", &value)?);
-            }
-            "--budget" => {
-                let value = take_value(&mut argv, "--budget")?;
-                budget = Some(parse_number::<u64>("--budget", &value)?);
-            }
+            "--objective" => self.objective = Some(value.parse()?),
+            "--budget" => self.budget = Some(parse_number(flag, value)?),
             "--algorithm" => {
-                let value = take_value(&mut argv, "--algorithm")?;
-                algorithm = Some(ExploreAlgorithm::from_name(&value).ok_or_else(|| {
-                    format!(
-                        "--algorithm expects `successive_halving` or `evolutionary`, got `{value}`"
-                    )
+                self.algorithm = Some(ExploreAlgorithm::from_name(value).ok_or_else(|| {
+                    format!("{flag} expects `successive_halving` or `evolutionary`, got `{value}`")
                 })?);
             }
-            "--seed" => {
-                let value = take_value(&mut argv, "--seed")?;
-                seed = Some(parse_number::<u64>("--seed", &value)?);
-            }
-            "--objective" => {
-                let value = take_value(&mut argv, "--objective")?;
-                objective = Some(value.parse::<Objective>()?);
-            }
+            "--seed" => self.seed = Some(parse_number(flag, value)?),
             "--rungs" => {
-                let value = take_value(&mut argv, "--rungs")?;
                 let rungs = value
                     .split(',')
                     .map(str::trim)
                     .filter(|name| !name.is_empty())
-                    .map(|name| Fidelity::from_name(name).map_err(|e| format!("--rungs: {e}")))
+                    .map(|name| Fidelity::from_name(name).map_err(|e| format!("{flag}: {e}")))
                     .collect::<Result<Vec<_>, _>>()?;
-                ladder = Some(FidelityLadder::new(rungs).map_err(|e| e.to_string())?);
+                self.ladder = Some(FidelityLadder::new(rungs).map_err(|e| e.to_string())?);
             }
-            "--scout-share" => {
-                let value = take_value(&mut argv, "--scout-share")?;
-                scout_share = Some(parse_number::<f64>("--scout-share", &value)?);
-            }
-            "--stall" => {
-                let value = take_value(&mut argv, "--stall")?;
-                stall = Some(parse_number::<u32>("--stall", &value)?);
-            }
-            "--max-area" => {
-                let value = take_value(&mut argv, "--max-area")?;
-                max_area = Some(parse_number::<f64>("--max-area", &value)?);
-            }
-            "--max-power" => {
-                let value = take_value(&mut argv, "--max-power")?;
-                max_power = Some(parse_number::<f64>("--max-power", &value)?);
-            }
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(take_value(&mut argv, "--trace-out")?));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(take_value(&mut argv, "--metrics-out")?));
-            }
-            "--quiet" => quiet = true,
-            "--help" | "-h" => return Ok(None),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag `{other}`\n{USAGE}"));
-            }
-            mode @ ("serve" | "journal" | "explore")
-                if positionals.is_empty() && !serve && !journal_cmd && !explore_cmd =>
-            {
-                match mode {
-                    "serve" => serve = true,
-                    "journal" => journal_cmd = true,
-                    _ => explore_cmd = true,
-                }
-            }
-            other if !serve => positionals.push(other.to_owned()),
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
+            "--scout-share" => self.scout_share = Some(parse_number(flag, value)?),
+            "--stall" => self.stall = Some(parse_number(flag, value)?),
+            "--max-area" => self.max_area = Some(parse_number(flag, value)?),
+            "--max-power" => self.max_power = Some(parse_number(flag, value)?),
+            "--queue" => self.queue = Some(parse_number(flag, value)?),
+            "--quota" => self.quota = Some(parse_number(flag, value)?),
+            "--tcp" => self.tcp = Some(parse_number(flag, value)?),
+            "--csv" => self.csv = Some(value.into()),
+            "--json" => self.json = Some(value.into()),
+            "--cache" => self.cache = Some(value.into()),
+            "--journal" => self.journal = Some(value.into()),
+            "--trace-out" => self.trace_out = Some(value.into()),
+            "--metrics-out" => self.metrics_out = Some(value.into()),
+            "--quiet" => self.quiet = true,
+            _ => unreachable!("{flag} is a FLAGS row without a value arm"),
+        }
+        Ok(())
+    }
+}
+
+/// A parsed command line.
+struct Cli {
+    mode: Mode,
+    /// The spec file (sweep, explore) or the journal (journal compact);
+    /// empty for serve.
+    path: PathBuf,
+    options: Options,
+}
+
+/// Parses the arguments after the program name. `Ok(None)` means
+/// `--help` was asked for.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Cli>, String> {
+    let mut args = args.into_iter();
+    let mut mode = None;
+    let mut positionals = Vec::new();
+    let mut given: Vec<&Flag> = Vec::new();
+    let mut options = Options::default();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(None);
+        }
+        if arg.starts_with('-') {
+            let flag = FLAGS
+                .iter()
+                .find(|flag| flag.name == arg)
+                .ok_or_else(|| format!("unknown flag `{arg}`"))?;
+            let value = match flag.value {
+                "" => String::new(),
+                _ => args.next().ok_or_else(|| format!("{arg} needs a value"))?,
+            };
+            options.set(flag.name, &value)?;
+            given.push(flag);
+            continue;
+        }
+        let word =
+            [Mode::Explore, Mode::Serve, Mode::Journal].into_iter().find(|m| m.name() == arg);
+        match word {
+            Some(word) if mode.is_none() && positionals.is_empty() => mode = Some(word),
+            _ => positionals.push(arg),
         }
     }
-    if journal_cmd {
-        for (set, flag) in [
-            (workers.is_some(), "--workers/--sequential"),
-            (search.is_some(), "--search"),
-            (csv.is_some(), "--csv"),
-            (json.is_some(), "--json"),
-            (cache.is_some(), "--cache"),
-            (journal.is_some(), "--journal"),
-            (queue.is_some(), "--queue"),
-            (quota.is_some(), "--quota"),
-            (tcp.is_some(), "--tcp"),
-            (budget.is_some(), "--budget"),
-            (algorithm.is_some(), "--algorithm"),
-            (seed.is_some(), "--seed"),
-            (objective.is_some(), "--objective"),
-            (ladder.is_some(), "--rungs"),
-            (scout_share.is_some(), "--scout-share"),
-            (stall.is_some(), "--stall"),
-            (max_area.is_some(), "--max-area"),
-            (max_power.is_some(), "--max-power"),
-            (trace_out.is_some(), "--trace-out"),
-            (metrics_out.is_some(), "--metrics-out"),
-            (quiet, "--quiet"),
-        ] {
-            if set {
-                return Err(format!("{flag} does not apply to journal mode\n{USAGE}"));
-            }
-        }
-        match positionals.as_slice() {
-            [action, path] if action == "compact" => {
-                return Ok(Some(Args::JournalCompact { path: PathBuf::from(path) }));
-            }
-            _ => return Err(format!("usage: cimflow-dse journal compact <PATH>\n{USAGE}")),
-        }
+    let mode = mode.unwrap_or(Mode::Sweep);
+    if let Some(flag) = given.iter().find(|flag| !flag.applies_to(mode)) {
+        return Err(format!("{} does not apply to {} mode", flag.name, mode.name()));
     }
-    if explore_cmd {
-        for (set, flag) in [
-            (search.is_some(), "--search"),
-            (cache.is_some(), "--cache"),
-            (queue.is_some(), "--queue"),
-            (quota.is_some(), "--quota"),
-            (tcp.is_some(), "--tcp"),
-        ] {
-            if set {
-                return Err(format!("{flag} does not apply to explore mode\n{USAGE}"));
-            }
+    let path = match (mode, positionals.as_slice()) {
+        (Mode::Serve, []) => PathBuf::new(),
+        (Mode::Sweep | Mode::Explore, [path]) => PathBuf::from(path),
+        (Mode::Journal, [action, path]) if action == "compact" => PathBuf::from(path),
+        (Mode::Serve, [extra, ..]) | (Mode::Sweep | Mode::Explore, [_, extra, ..]) => {
+            return Err(format!("unexpected argument `{extra}`"));
         }
-        if positionals.len() > 1 {
-            return Err(format!("unexpected argument `{}`\n{USAGE}", positionals[1]));
-        }
-        let spec_path = positionals.pop().map(PathBuf::from).ok_or_else(|| USAGE.to_owned())?;
-        return Ok(Some(Args::Explore(ExploreArgs {
-            spec_path,
-            workers,
-            budget,
-            algorithm,
-            seed,
-            objective,
-            ladder,
-            scout_share,
-            stall,
-            max_area,
-            max_power,
-            journal,
-            csv,
-            json,
-            trace_out,
-            metrics_out,
-            quiet,
-        })));
-    }
-    if serve {
-        for (set, flag) in [
-            (csv.is_some(), "--csv"),
-            (json.is_some(), "--json"),
-            (journal.is_some(), "--journal"),
-            (search.is_some(), "--search"),
-            (budget.is_some(), "--budget"),
-            (algorithm.is_some(), "--algorithm"),
-            (seed.is_some(), "--seed"),
-            (objective.is_some(), "--objective"),
-            (ladder.is_some(), "--rungs"),
-            (scout_share.is_some(), "--scout-share"),
-            (stall.is_some(), "--stall"),
-            (max_area.is_some(), "--max-area"),
-            (max_power.is_some(), "--max-power"),
-        ] {
-            if set {
-                return Err(format!("{flag} does not apply to serve mode\n{USAGE}"));
-            }
-        }
-        return Ok(Some(Args::Serve(ServeArgs {
-            workers,
-            queue,
-            quota,
-            cache,
-            tcp,
-            trace_out,
-            metrics_out,
-            quiet,
-        })));
-    }
-    for (set, flag) in [
-        (queue.is_some(), "--queue"),
-        (quota.is_some(), "--quota"),
-        (tcp.is_some(), "--tcp"),
-        (budget.is_some(), "--budget"),
-        (algorithm.is_some(), "--algorithm"),
-        (seed.is_some(), "--seed"),
-        (ladder.is_some(), "--rungs"),
-        (scout_share.is_some(), "--scout-share"),
-        (stall.is_some(), "--stall"),
-        (max_area.is_some(), "--max-area"),
-        (max_power.is_some(), "--max-power"),
-    ] {
-        if set {
-            return Err(format!("{flag} does not apply to sweep mode\n{USAGE}"));
-        }
-    }
-    if positionals.len() > 1 {
-        return Err(format!("unexpected argument `{}`\n{USAGE}", positionals[1]));
-    }
-    let spec_path = positionals.pop().map(PathBuf::from).ok_or_else(|| USAGE.to_owned())?;
-    Ok(Some(Args::Sweep(SweepArgs {
-        spec_path,
-        workers,
-        search,
-        objective,
-        csv,
-        json,
-        cache,
-        journal,
-        trace_out,
-        metrics_out,
-        quiet,
-    })))
+        _ => return Err(format!("usage: {}", mode.usage())),
+    };
+    Ok(Some(Cli { mode, path, options }))
 }
 
 /// Console reporting with a single `--quiet` policy across subcommands:
@@ -494,47 +368,87 @@ impl Reporter {
     }
 }
 
-/// Observability wiring shared by the subcommands: a metrics registry
-/// (always attached — the instruments are cheap atomics and feed the
-/// end-of-run summary) plus a tracer allocated only when `--trace-out`
-/// asks for a timeline.
-struct ObsSink {
-    registry: MetricsRegistry,
-    tracer: Option<Tracer>,
-    trace_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
+/// Starts the service a mode evaluates on: its cache loaded from
+/// `--cache`, its pool sized by `--workers` (else `spec_workers`, else
+/// one worker per core), admission bounded by `--queue`/`--quota`, and a
+/// tracer when `--trace-out` asks for a timeline. Its metrics registry
+/// is always on: the instruments are cheap atomics and feed the
+/// end-of-run summary.
+fn start_service(options: &Options, spec_workers: Option<usize>) -> Result<EvalService, DseError> {
+    let cache = match &options.cache {
+        Some(path) => EvalCache::load(path)?,
+        None => EvalCache::new(),
+    };
+    let mut config = ServiceConfig::new();
+    if let Some(workers) = options.workers.or(spec_workers) {
+        config = config.with_workers(workers);
+    }
+    if options.trace_out.is_some() {
+        config = config.with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY));
+    }
+    if let Some(queue) = options.queue {
+        config = config.with_queue_capacity(queue);
+    }
+    if let Some(quota) = options.quota {
+        config = config.with_tenant_quota(quota);
+    }
+    Ok(EvalService::with_cache(config, cache))
 }
 
-impl ObsSink {
-    fn new(trace_out: &Option<PathBuf>, metrics_out: &Option<PathBuf>) -> Self {
-        ObsSink {
-            registry: MetricsRegistry::new(),
-            tracer: trace_out.as_ref().map(|_| Tracer::new(DEFAULT_TRACE_CAPACITY)),
-            trace_out: trace_out.clone(),
-            metrics_out: metrics_out.clone(),
-        }
-    }
-
-    /// Writes the Chrome trace and Prometheus exposition files, if
-    /// requested. `exposition` is passed in so serve/explore can use the
-    /// service's own rendering (which mirrors cache gauges) instead of
-    /// the raw registry's.
-    fn write(&self, reporter: &Reporter, exposition: &str) -> Result<(), DseError> {
-        if let (Some(path), Some(tracer)) = (&self.trace_out, &self.tracer) {
-            std::fs::write(path, tracer.to_chrome_json())
-                .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))?;
-            reporter.machine(&format!("wrote trace -> {}", path.display()));
-        }
-        if let Some(path) = &self.metrics_out {
-            std::fs::write(path, exposition)
-                .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))?;
-            reporter.machine(&format!("wrote metrics -> {}", path.display()));
-        }
-        Ok(())
-    }
+fn write_file(path: &Path, contents: &str) -> Result<(), DseError> {
+    std::fs::write(path, contents)
+        .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))
 }
 
-fn run_journal_compact(path: &std::path::Path) -> Result<ExitCode, DseError> {
+/// Writes a run's files: the `--csv`/`--json` exports of `outcomes`,
+/// the `--cache` file, the `--trace-out` timeline and the
+/// `--metrics-out` exposition.
+fn write_outputs(
+    service: &EvalService,
+    options: &Options,
+    reporter: &Reporter,
+    outcomes: &[DseOutcome],
+) -> Result<(), DseError> {
+    if let Some(path) = &options.csv {
+        write_file(path, &export::to_csv(outcomes))?;
+        reporter.machine(&format!("\nwrote CSV -> {}", path.display()));
+    }
+    if let Some(path) = &options.json {
+        write_file(path, &export::to_json(outcomes))?;
+        reporter.machine(&format!("wrote JSON -> {}", path.display()));
+    }
+    if let Some(path) = &options.cache {
+        service.cache().save(path)?;
+        let entries = service.cache().len();
+        reporter.machine(&format!("saved cache ({entries} entries) -> {}", path.display()));
+    }
+    if let (Some(path), Some(tracer)) = (&options.trace_out, service.tracer()) {
+        write_file(path, &tracer.to_chrome_json())?;
+        reporter.machine(&format!("wrote trace -> {}", path.display()));
+    }
+    if let Some(path) = &options.metrics_out {
+        write_file(path, &service.render_metrics())?;
+        reporter.machine(&format!("wrote metrics -> {}", path.display()));
+    }
+    Ok(())
+}
+
+fn read_spec(path: &Path) -> Result<String, DseError> {
+    std::fs::read_to_string(path)
+        .map_err(|e| DseError::io(format!("cannot read {}: {e}", path.display())))
+}
+
+/// The successful and the replayed outcomes.
+fn tally(outcomes: &[DseOutcome]) -> (usize, usize) {
+    let succeeded = outcomes.iter().filter(|o| o.result.is_ok()).count();
+    let replayed = outcomes
+        .iter()
+        .filter(|o| o.result.as_ref().is_ok_and(|e| e.eval_path.is_replayed()))
+        .count();
+    (succeeded, replayed)
+}
+
+fn run_journal_compact(path: &Path) -> Result<ExitCode, DseError> {
     let stats = SweepJournal::compact(path)?;
     println!(
         "compacted {}: kept {} resumable point(s), dropped {} superseded and {} failure line(s)",
@@ -546,53 +460,30 @@ fn run_journal_compact(path: &std::path::Path) -> Result<ExitCode, DseError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn run_sweep(args: &SweepArgs) -> Result<ExitCode, DseError> {
-    let text = std::fs::read_to_string(&args.spec_path)
-        .map_err(|e| DseError::io(format!("cannot read {}: {e}", args.spec_path.display())))?;
-    let mut spec = SweepSpec::from_json(&text)?;
-    if let Some(search) = args.search {
+fn run_sweep(spec_path: &Path, options: &Options) -> Result<ExitCode, DseError> {
+    let mut spec = SweepSpec::from_json(&read_spec(spec_path)?)?;
+    if let Some(search) = options.search {
         spec.search_modes = vec![search];
     }
-    let name = spec.name.clone().unwrap_or_else(|| args.spec_path.display().to_string());
-
-    let cache = match &args.cache {
-        Some(path) => EvalCache::load(path)?,
-        None => EvalCache::new(),
-    };
-    let obs = ObsSink::new(&args.trace_out, &args.metrics_out);
-    let mut config = ServiceConfig::new().with_metrics(obs.registry.clone());
-    if let Some(workers) = args.workers.or(spec.workers) {
-        config = config.with_workers(workers);
-    }
-    if let Some(tracer) = &obs.tracer {
-        config = config.with_tracer(tracer.clone());
-    }
-    let service = EvalService::with_cache(config, cache.clone());
-
-    let reporter = Reporter::stdout(args.quiet);
+    let name = spec.name.clone().unwrap_or_else(|| spec_path.display().to_string());
+    let service = start_service(options, spec.workers)?;
+    let reporter = Reporter::stdout(options.quiet);
     reporter.note(&format!(
         "sweep `{name}`: {} points on {} worker(s), {} cached evaluation(s) loaded",
         spec.point_count(),
         service.workers(),
-        cache.len()
+        service.cache().len()
     ));
 
     let started = Instant::now();
-    let journal = match &args.journal {
-        Some(path) => Some(Arc::new(SweepJournal::open(path)?)),
-        None => None,
-    };
+    let journal = options.journal.as_deref().map(SweepJournal::open).transpose()?.map(Arc::new);
     let submission = Submission { jobs: expand_jobs(&spec)?, journal, ..Submission::default() };
     let outcomes = service.submit_batch(submission)?.wait_with(|p| reporter.point(p));
     let elapsed = started.elapsed();
 
-    let succeeded = outcomes.iter().filter(|o| o.result.is_ok()).count();
+    let (succeeded, replayed) = tally(&outcomes);
     let failed = outcomes.len() - succeeded;
-    let replayed = outcomes
-        .iter()
-        .filter(|o| o.result.as_ref().is_ok_and(|e| e.eval_path.is_replayed()))
-        .count();
-    let stats = cache.stats();
+    let stats = service.cache().stats();
     reporter.machine(&format!(
         "\n{} points in {:.2?}: {succeeded} ok, {failed} failed, {replayed} replayed; cache {} hits / {} misses ({:.0}% hit)",
         outcomes.len(),
@@ -601,8 +492,8 @@ fn run_sweep(args: &SweepArgs) -> Result<ExitCode, DseError> {
         stats.misses,
         stats.hit_ratio() * 100.0
     ));
-    reporter.latency_summary(&obs.registry.snapshot());
-    if let Some(path) = &args.journal {
+    reporter.latency_summary(&service.metrics_snapshot());
+    if let Some(path) = &options.journal {
         reporter.machine(&format!("journal -> {}", path.display()));
     }
 
@@ -615,25 +506,8 @@ fn run_sweep(args: &SweepArgs) -> Result<ExitCode, DseError> {
         }
     }
 
-    report_outcomes(&outcomes, &reporter, args.objective.unwrap_or_default());
-
-    if let Some(path) = &args.csv {
-        std::fs::write(path, export::to_csv(&outcomes))
-            .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))?;
-        reporter.machine(&format!("\nwrote CSV -> {}", path.display()));
-    }
-    if let Some(path) = &args.json {
-        std::fs::write(path, export::to_json(&outcomes))
-            .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))?;
-        reporter.machine(&format!("wrote JSON -> {}", path.display()));
-    }
-    if let Some(path) = &args.cache {
-        cache.save(path)?;
-        reporter.machine(&format!("saved cache ({} entries) -> {}", cache.len(), path.display()));
-    }
-
-    obs.write(&reporter, &service.render_metrics())?;
-
+    report_outcomes(&outcomes, &reporter, options.objective.unwrap_or_default());
+    write_outputs(&service, options, &reporter, &outcomes)?;
     Ok(if succeeded > 0 { ExitCode::SUCCESS } else { ExitCode::from(2) })
 }
 
@@ -693,51 +567,23 @@ fn report_outcomes(outcomes: &[DseOutcome], reporter: &Reporter, objective: Obje
     }
 }
 
-fn run_explore(args: &ExploreArgs) -> Result<ExitCode, DseError> {
-    let text = std::fs::read_to_string(&args.spec_path)
-        .map_err(|e| DseError::io(format!("cannot read {}: {e}", args.spec_path.display())))?;
-    let mut spec = ExploreSpec::from_json(&text)?;
-    if let Some(budget) = args.budget {
-        spec = spec.with_budget(budget);
+fn run_explore(spec_path: &Path, options: &Options) -> Result<ExitCode, DseError> {
+    let mut spec = ExploreSpec::from_json(&read_spec(spec_path)?)?;
+    spec.budget = options.budget.unwrap_or(spec.budget);
+    spec.algorithm = options.algorithm.unwrap_or(spec.algorithm);
+    spec.seed = options.seed.unwrap_or(spec.seed);
+    spec.objective = options.objective.unwrap_or(spec.objective);
+    if let Some(ladder) = &options.ladder {
+        spec.ladder = ladder.clone();
     }
-    if let Some(algorithm) = args.algorithm {
-        spec = spec.with_algorithm(algorithm);
-    }
-    if let Some(seed) = args.seed {
-        spec = spec.with_seed(seed);
-    }
-    if let Some(objective) = args.objective {
-        spec = spec.with_objective(objective);
-    }
-    if let Some(ladder) = &args.ladder {
-        spec = spec.with_ladder(ladder.clone());
-    }
-    if args.scout_share.is_some() {
-        spec = spec.with_scout_share(args.scout_share);
-    }
-    if args.stall.is_some() {
-        spec = spec.with_stall_generations(args.stall);
-    }
-    if args.max_area.is_some() || args.max_power.is_some() {
-        let caps = FeasibilityCaps {
-            max_area_mm2: args.max_area.or(spec.caps.max_area_mm2),
-            max_power_w: args.max_power.or(spec.caps.max_power_w),
-        };
-        spec = spec.with_caps(caps);
-    }
-    let name = spec.space.name.clone().unwrap_or_else(|| args.spec_path.display().to_string());
+    spec.scout_share = options.scout_share.or(spec.scout_share);
+    spec.stall_generations = options.stall.or(spec.stall_generations);
+    spec.caps.max_area_mm2 = options.max_area.or(spec.caps.max_area_mm2);
+    spec.caps.max_power_w = options.max_power.or(spec.caps.max_power_w);
+    let name = spec.space.name.clone().unwrap_or_else(|| spec_path.display().to_string());
 
-    let workers = args
-        .workers
-        .or(spec.space.workers)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(usize::from).unwrap_or(1));
-    let obs = ObsSink::new(&args.trace_out, &args.metrics_out);
-    let mut config = ServiceConfig::new().with_workers(workers).with_metrics(obs.registry.clone());
-    if let Some(tracer) = &obs.tracer {
-        config = config.with_tracer(tracer.clone());
-    }
-    let service = EvalService::new(config);
-    let reporter = Reporter::stdout(args.quiet);
+    let service = start_service(options, spec.space.workers)?;
+    let reporter = Reporter::stdout(options.quiet);
     reporter.note(&format!(
         "explore `{name}`: {} algorithm, budget {} of a {}-point space, seed {}, {} worker(s)",
         spec.algorithm,
@@ -748,20 +594,12 @@ fn run_explore(args: &ExploreArgs) -> Result<ExitCode, DseError> {
     ));
 
     let started = Instant::now();
-    let journal = match &args.journal {
-        Some(path) => Some(Arc::new(SweepJournal::open(path)?)),
-        None => None,
-    };
+    let journal = options.journal.as_deref().map(SweepJournal::open).transpose()?.map(Arc::new);
     let report = explore(&spec, &service, journal.as_ref())?;
     let elapsed = started.elapsed();
 
-    let succeeded = report.outcomes.iter().filter(|o| o.result.is_ok()).count();
+    let (succeeded, replayed) = tally(&report.outcomes);
     let resumed = report.outcomes.iter().filter(|o| o.cached).count();
-    let replayed = report
-        .outcomes
-        .iter()
-        .filter(|o| o.result.as_ref().is_ok_and(|e| e.eval_path.is_replayed()))
-        .count();
     reporter.machine(&format!(
         "\nused {} of {} budget in {elapsed:.2?}: {} full-fidelity point(s) ({succeeded} ok, \
          {resumed} cached/resumed, {replayed} replayed / {interpreted} interpreted), {} coarse, \
@@ -800,59 +638,28 @@ fn run_explore(args: &ExploreArgs) -> Result<ExitCode, DseError> {
             generation.frontier_points
         ));
     }
-    if let Some(path) = &args.journal {
+    if let Some(path) = &options.journal {
         reporter.machine(&format!("journal -> {}", path.display()));
     }
 
     report_outcomes(&report.outcomes, &reporter, spec.objective);
-
-    if let Some(path) = &args.csv {
-        std::fs::write(path, export::to_csv(&report.outcomes))
-            .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))?;
-        reporter.machine(&format!("\nwrote CSV -> {}", path.display()));
-    }
-    if let Some(path) = &args.json {
-        std::fs::write(path, export::to_json(&report.outcomes))
-            .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))?;
-        reporter.machine(&format!("wrote JSON -> {}", path.display()));
-    }
-
-    obs.write(&reporter, &service.render_metrics())?;
-
+    write_outputs(&service, options, &reporter, &report.outcomes)?;
     Ok(if succeeded > 0 { ExitCode::SUCCESS } else { ExitCode::from(2) })
 }
 
-fn run_serve(args: &ServeArgs) -> Result<ExitCode, DseError> {
-    let cache = match &args.cache {
-        Some(path) => EvalCache::load(path)?,
-        None => EvalCache::new(),
-    };
-    let obs = ObsSink::new(&args.trace_out, &args.metrics_out);
-    let mut config = ServiceConfig::new().with_metrics(obs.registry.clone());
-    if let Some(tracer) = &obs.tracer {
-        config = config.with_tracer(tracer.clone());
-    }
-    if let Some(workers) = args.workers {
-        config = config.with_workers(workers);
-    }
-    if let Some(queue) = args.queue {
-        config = config.with_queue_capacity(queue);
-    }
-    if let Some(quota) = args.quota {
-        config = config.with_tenant_quota(quota);
-    }
-    let service = Arc::new(EvalService::with_cache(config, cache.clone()));
+fn run_serve(options: &Options) -> Result<ExitCode, DseError> {
+    let service = Arc::new(start_service(options, None)?);
     // stdout carries the wire protocol, so the reporter goes to stderr.
-    let reporter = Reporter::stderr(args.quiet);
+    let reporter = Reporter::stderr(options.quiet);
     reporter.note(&format!(
         "cimflow-dse serve: {} worker(s), queue {}, per-tenant quota {}, {} cached evaluation(s)",
         service.workers(),
-        args.queue.map_or_else(|| "unbounded".to_owned(), |q| q.to_string()),
-        args.quota.map_or_else(|| "off".to_owned(), |q| q.to_string()),
-        cache.len()
+        options.queue.map_or_else(|| "unbounded".to_owned(), |q| q.to_string()),
+        options.quota.map_or_else(|| "off".to_owned(), |q| q.to_string()),
+        service.cache().len()
     ));
 
-    match args.tcp {
+    match options.tcp {
         Some(port) => {
             let server = TcpServer::spawn(Arc::clone(&service), port)
                 .map_err(|e| DseError::io(format!("cannot bind 127.0.0.1:{port}: {e}")))?;
@@ -868,47 +675,70 @@ fn run_serve(args: &ServeArgs) -> Result<ExitCode, DseError> {
     }
 
     let stats = service.stats();
+    let cache = service.cache().stats();
     reporter.machine(&format!(
         "cimflow-dse serve: {} submitted, {} completed, {} cancelled, {} rejected; cache {} hits / {} misses",
-        stats.submitted,
-        stats.completed,
-        stats.cancelled,
-        stats.rejected,
-        cache.stats().hits,
-        cache.stats().misses
+        stats.submitted, stats.completed, stats.cancelled, stats.rejected, cache.hits, cache.misses
     ));
     reporter.latency_summary(&service.metrics_snapshot());
-    if let Some(path) = &args.cache {
-        cache.save(path)?;
-        reporter.machine(&format!("saved cache ({} entries) -> {}", cache.len(), path.display()));
-    }
-    obs.write(&reporter, &service.render_metrics())?;
+    write_outputs(&service, options, &reporter, &[])?;
     Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(Some(args)) => args,
+    let cli = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(cli)) => cli,
         Ok(None) => {
-            println!("{USAGE}");
+            println!("{}", usage());
             return ExitCode::SUCCESS;
         }
         Err(message) => {
-            eprintln!("{message}");
+            eprintln!("{message}\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    let outcome = match &args {
-        Args::Sweep(sweep) => run_sweep(sweep),
-        Args::Serve(serve) => run_serve(serve),
-        Args::Explore(explore) => run_explore(explore),
-        Args::JournalCompact { path } => run_journal_compact(path),
+    let outcome = match cli.mode {
+        Mode::Sweep => run_sweep(&cli.path, &cli.options),
+        Mode::Explore => run_explore(&cli.path, &cli.options),
+        Mode::Serve => run_serve(&cli.options),
+        Mode::Journal => run_journal_compact(&cli.path),
     };
     match outcome {
         Ok(code) => code,
         Err(e) => {
             eprintln!("cimflow-dse: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_help_line_lists_exactly_the_flags_of_its_mode() {
+        let help = usage();
+        let lines: Vec<&str> = help.lines().collect();
+        assert_eq!(lines.len(), Mode::ALL.len());
+        for (mode, line) in Mode::ALL.into_iter().zip(lines) {
+            assert!(line.contains(&format!("cimflow-dse {}", mode.synopsis())), "{line}");
+            let listed: Vec<&str> = line
+                .split('[')
+                .skip(1)
+                .map(|flag| flag.split([' ', ']']).next().unwrap_or_default())
+                .collect();
+            let table: Vec<&str> =
+                FLAGS.iter().filter(|flag| flag.applies_to(mode)).map(|flag| flag.name).collect();
+            assert_eq!(listed, table, "{} mode", mode.name());
+        }
+    }
+
+    #[test]
+    fn every_flag_has_a_value_arm() {
+        for flag in FLAGS {
+            // Any value: a parse error is fine, a missing arm panics.
+            let _ = Options::default().set(flag.name, "1");
         }
     }
 }
