@@ -585,7 +585,7 @@ mod tests {
             .with_strategies(&[Strategy::GenericMapping])
             .with_memory_ports(&[0, 27])
             .with_traffic(crate::TrafficSpec::new(&[200, 800]).colocated());
-        let jobs: Vec<Job> = crate::service::expand(&spec)
+        let jobs: Vec<Job> = crate::expand_jobs(&spec)
             .unwrap()
             .into_iter()
             .filter(|job| job.spec.model.name == "mobilenetv2")

@@ -42,8 +42,8 @@ use std::time::Duration;
 
 use serde::{Content, Deserialize, Serialize};
 
-use crate::service::{expand, BatchHandle, EvalRequest, JobHandle, Priority};
-use crate::{DseOutcome, EvalService, Submission, SweepSpec};
+use crate::service::{BatchHandle, EvalRequest, JobHandle, Priority};
+use crate::{DseOutcome, EvalService, SweepSpec};
 
 /// A protocol request: one per line, externally tagged.
 #[derive(Debug, Clone, PartialEq)]
@@ -541,11 +541,14 @@ impl<'s> Connection<'s> {
     }
 
     /// Handles one request line and returns the response plus whether the
-    /// session asked the server to shut down.
+    /// session asked the server to shut down. A line that is not a
+    /// request (malformed JSON, nesting too deep, an unknown tag) is
+    /// answered with an `error` line and counted in
+    /// `wire.rejected_lines{cause="bad_request"}`.
     pub fn handle_line(&mut self, line: &str) -> (Response, bool) {
         match serde_json::from_str::<Request>(line) {
             Ok(request) => self.handle(request),
-            Err(e) => (Response::Error { message: format!("bad request: {e}") }, false),
+            Err(e) => rejected_line(self.service, "bad_request", format!("bad request: {e}")),
         }
     }
 
@@ -564,11 +567,7 @@ impl<'s> Connection<'s> {
                 },
             },
             Request::Sweep { spec, tenant, priority } => {
-                let submitted = expand(&spec).and_then(|jobs| {
-                    let priority = priority.unwrap_or_default();
-                    self.service.submit_batch(Submission { jobs, tenant, priority, journal: None })
-                });
-                match submitted {
+                match self.service.submit_spec(&spec, tenant, priority.unwrap_or_default()) {
                     Ok(handle) => {
                         self.next_batch += 1;
                         let batch = self.next_batch;
@@ -766,6 +765,13 @@ fn read_line(reader: &mut impl BufRead, buffer: &mut Vec<u8>) -> std::io::Result
     Ok(read_any.then_some(if too_long { WireLine::TooLong } else { WireLine::Fits }))
 }
 
+/// The `error` answer to a wire line that is not a request, counted in
+/// `wire.rejected_lines{cause}`.
+fn rejected_line(service: &EvalService, cause: &str, message: String) -> (Response, bool) {
+    service.metrics().counter_with("wire.rejected_lines", &[("cause", cause)]).inc();
+    (Response::Error { message }, false)
+}
+
 /// [`serve_connection`], calling `on_shutdown` as soon as a request asks
 /// for shutdown and before its acknowledgement is written, so a client
 /// holding the acknowledgement always observes the state it reports.
@@ -782,17 +788,14 @@ fn serve_lines(
     let mut connection = Connection::new(service);
     let mut buffer = Vec::new();
     while let Some(line) = read_line(&mut reader, &mut buffer)? {
-        let rejected = |cause: &str, message: String| {
-            service.metrics().counter_with("wire.rejected_lines", &[("cause", cause)]).inc();
-            (Response::Error { message }, false)
-        };
         let (response, shutdown) = match line {
-            WireLine::TooLong => rejected(
+            WireLine::TooLong => rejected_line(
+                service,
                 "too_long",
                 format!("bad request: line longer than {MAX_LINE_BYTES} bytes"),
             ),
             WireLine::Fits => match std::str::from_utf8(&buffer) {
-                Err(e) => rejected("invalid_utf8", format!("bad request: {e}")),
+                Err(e) => rejected_line(service, "invalid_utf8", format!("bad request: {e}")),
                 Ok(line) if line.trim().is_empty() => continue,
                 Ok(line) => connection.handle_line(line),
             },
@@ -1253,11 +1256,20 @@ mod tests {
             }
             other => panic!("expected an error line, got {other:?}"),
         }
-        // The connection keeps serving.
+        assert_eq!(rejected_lines(&service, "bad_request"), Some(1));
+        // The connection keeps serving, and a request is not counted.
         assert!(matches!(connection.handle_line("{\"stats\": {}}").0, Response::Stats { .. }));
+        assert_eq!(rejected_lines(&service, "bad_request"), Some(1));
+        // Malformed JSON and an unknown tag are bad requests too.
+        for line in ["{\"stats\": ", "{\"frobnicate\": {}}"] {
+            assert!(matches!(connection.handle_line(line).0, Response::Error { .. }), "{line}");
+        }
+        assert_eq!(rejected_lines(&service, "bad_request"), Some(3));
+        assert_eq!(rejected_lines(&service, "invalid_utf8"), None);
     }
 
-    /// The `wire.rejected_lines` count of `cause`.
+    /// The `wire.rejected_lines` count of `cause`: `bad_request`,
+    /// `invalid_utf8` or `too_long`.
     fn rejected_lines(service: &EvalService, cause: &str) -> Option<u64> {
         match service.metrics_snapshot().get("wire.rejected_lines", &[("cause", cause)]) {
             Some(cimflow_obs::MetricValue::Counter(count)) => Some(*count),
@@ -1324,6 +1336,15 @@ mod tests {
             other => panic!("expected a rejection, got {other:?}"),
         }
         assert_eq!(service.stats().submitted, 0);
+        // Counted once as a refusal, though the grid never reached
+        // admission (so the service's `rejected` count stays 0).
+        assert_eq!(
+            service
+                .metrics_snapshot()
+                .get("service.admission_rejected", &[("cause", "invalid_spec")]),
+            Some(&cimflow_obs::MetricValue::Counter(1))
+        );
+        assert_eq!(service.stats().rejected, 0);
     }
 
     #[test]

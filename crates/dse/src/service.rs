@@ -1400,7 +1400,33 @@ impl EvalService {
     /// [`Rejected::InvalidSpec`] for a grid that does not expand, else
     /// see [`Self::submit_batch`].
     pub fn submit_sweep(&self, spec: &SweepSpec) -> Result<BatchHandle, Rejected> {
-        self.submit_batch(Submission { jobs: expand(spec)?, ..Submission::default() })
+        self.submit_spec(spec, None, Priority::default())
+    }
+
+    /// Expands `spec` and submits its grid as one batch of `tenant` at
+    /// `priority`; [`Self::submit_sweep`] and the wire's `sweep` request
+    /// both come through here. A grid that does not expand is refused
+    /// before admission: it counts one
+    /// `service.admission_rejected{cause="invalid_spec"}` (there are no
+    /// points to count) and leaves [`ServiceStats::rejected`] alone.
+    pub(crate) fn submit_spec(
+        &self,
+        spec: &SweepSpec,
+        tenant: Option<String>,
+        priority: Priority,
+    ) -> Result<BatchHandle, Rejected> {
+        // The bare reason, so callers can rebuild the original
+        // `DseError::Spec` without stacking display prefixes.
+        let jobs = crate::expand_jobs(spec).map_err(|e| {
+            let reason = match e {
+                DseError::Spec { reason } => reason,
+                other => other.to_string(),
+            };
+            let rejection = Rejected::InvalidSpec { reason };
+            self.shared.obs.reject(&rejection, 1);
+            rejection
+        })?;
+        self.submit_batch(Submission { jobs, tenant, priority, journal: None })
     }
 
     /// Submits a batch — the one way work enters the service — and
@@ -1760,18 +1786,6 @@ impl Drop for EvalService {
             let _ = worker.join();
         }
     }
-}
-
-/// Expands a spec, mapping grid errors into [`Rejected::InvalidSpec`]
-/// (carrying the bare reason, so callers can reconstruct the original
-/// [`DseError::Spec`] without stacking display prefixes).
-pub(crate) fn expand(spec: &SweepSpec) -> Result<Vec<Job>, Rejected> {
-    crate::expand_jobs(spec).map_err(|e| Rejected::InvalidSpec {
-        reason: match e {
-            DseError::Spec { reason } => reason,
-            other => other.to_string(),
-        },
-    })
 }
 
 #[cfg(test)]
@@ -2627,6 +2641,36 @@ mod tests {
         }
         assert!(tracer.to_chrome_json().contains("worker-0"));
         drop(service);
+    }
+
+    #[test]
+    fn unexpandable_sweeps_count_one_invalid_spec_refusal_each() {
+        use cimflow_obs::MetricValue;
+
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let no_models = SweepSpec::new().with_strategies(&[Strategy::DpOptimized]);
+        // Four 100-value axes: 10^8 points, above the expansion cap.
+        let axis: Vec<u32> = (1..=100).collect();
+        let oversized = SweepSpec::new()
+            .with_model("resnet18", 32)
+            .with_strategies(&[Strategy::DpOptimized])
+            .with_chip_counts(&axis)
+            .with_core_counts(&axis)
+            .with_flit_sizes(&axis)
+            .with_frequencies_mhz(&axis);
+        for (spec, refusals) in [(&no_models, 1), (&oversized, 2)] {
+            assert_eq!(service.submit_sweep(spec).unwrap_err().kind(), "invalid_spec");
+            assert_eq!(
+                service
+                    .metrics_snapshot()
+                    .get("service.admission_rejected", &[("cause", "invalid_spec")]),
+                Some(&MetricValue::Counter(refusals)),
+                "one per refused sweep, not per point"
+            );
+        }
+        // Neither grid reached admission.
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.rejected), (0, 0));
     }
 
     #[test]
