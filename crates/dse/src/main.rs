@@ -371,9 +371,7 @@ impl Reporter {
 /// Starts the service a mode evaluates on: its cache loaded from
 /// `--cache`, its pool sized by `--workers` (else `spec_workers`, else
 /// one worker per core), admission bounded by `--queue`/`--quota`, and a
-/// tracer when `--trace-out` asks for a timeline. Its metrics registry
-/// is always on: the instruments are cheap atomics and feed the
-/// end-of-run summary.
+/// tracer when `--trace-out` asks for a timeline.
 fn start_service(options: &Options, spec_workers: Option<usize>) -> Result<EvalService, DseError> {
     let cache = match &options.cache {
         Some(path) => EvalCache::load(path)?,
