@@ -49,7 +49,7 @@ use cimflow_obs::{
 
 /// The CLI's modes. The first positional argument picks `explore`,
 /// `serve` or `journal`; any other command line runs a sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Mode {
     Sweep,
     Explore,
