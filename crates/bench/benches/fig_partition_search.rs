@@ -8,7 +8,9 @@
 //!
 //! The sweep runs on the `cimflow-dse` engine through the `search_modes`
 //! axis (distinct cache keys per mode), sharing the on-disk evaluation
-//! cache with the other figure harnesses.
+//! cache with the other figure harnesses. Wall-clock time and cache
+//! state go to stderr, so stdout is deterministic; CI diffs it against
+//! `crates/bench/goldens/fig_partition_search.txt`.
 //!
 //! Run with `cargo bench -p cimflow-bench --bench fig_partition_search`.
 
@@ -40,7 +42,7 @@ fn main() {
     let elapsed = started.elapsed();
 
     println!("=== Joint partition search vs sequential (DP strategy, resolution {resolution}) ===");
-    println!(
+    eprintln!(
         "engine: {} points on {} worker(s) in {elapsed:.2?}, cache {} hit(s) / {} miss(es)",
         outcomes.len(),
         service.workers(),
@@ -177,6 +179,6 @@ fn main() {
     if let Err(e) = cache.save(&cache_path) {
         eprintln!("warning: could not persist the evaluation cache: {e}");
     } else {
-        println!("\ncache: {} entries -> {}", cache.len(), cache_path.display());
+        eprintln!("\ncache: {} entries -> {}", cache.len(), cache_path.display());
     }
 }

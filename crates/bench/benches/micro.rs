@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the framework components: ISA
 //! encode/decode, graph construction and condensation, dependency-closure
-//! enumeration + DP partitioning, NoC transfers and a full
-//! compile-and-simulate run of a compact model.
+//! enumeration + DP partitioning (inside a full compile and alone), NoC
+//! transfers and a full compile-and-simulate run of a compact model.
 //!
 //! These are ablation/overhead benches of the compiler's design decisions
 //! (bitmask closure enumeration, cost-model-driven greedy duplication);
@@ -10,6 +10,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use cimflow::compiler::cost::CostModel;
+use cimflow::compiler::partition::dp_partition;
 use cimflow::compiler::{compile, CondensedGraph, Strategy};
 use cimflow::isa::{decode, encode, GReg, Instruction};
 use cimflow::noc::{Mesh, NocConfig};
@@ -57,6 +59,17 @@ fn bench_partitioning(c: &mut Criterion) {
                 compile(black_box(&model), &arch, Strategy::GenericMapping).expect("compilable"),
             )
         })
+    });
+    // Alg. 1's DP alone, on the cold space's slowest graph; the graph is
+    // condensed with `compile`'s capacity split, outside the timed loop.
+    let limit =
+        u64::from(arch.chip().core_count) * arch.core.cim_unit.weight_capacity_bytes() * 3 / 4;
+    let efficientnet =
+        CondensedGraph::from_graph_with_capacity(&models::efficientnet_b0(48).graph, limit)
+            .expect("condensable");
+    let cost = CostModel::new(&arch);
+    c.bench_function("compiler/dp_partition_efficientnet_b0", |b| {
+        b.iter(|| black_box(dp_partition(black_box(&efficientnet), &cost).expect("partitions")))
     });
 }
 
