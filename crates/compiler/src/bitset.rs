@@ -103,9 +103,19 @@ impl BitMask256 {
         out
     }
 
-    /// Iterates over the contained indices in increasing order.
+    /// Iterates over the contained indices in increasing order, one set
+    /// bit at a time.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..Self::CAPACITY).filter(move |i| self.contains(*i))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -205,6 +215,15 @@ mod tests {
                 prop_assert_eq!(a.len(), diff.len() + inter.len());
                 // subset relation agrees with set semantics.
                 prop_assert_eq!(a.is_subset_of(&b), xs.is_subset(&ys));
+            }
+
+            #[test]
+            fn iter_yields_the_members_in_increasing_order(
+                xs in prop::collection::btree_set(0usize..256, 0..80)
+            ) {
+                let mask: BitMask256 = xs.iter().copied().collect();
+                let members: Vec<usize> = mask.iter().collect();
+                prop_assert_eq!(members, xs.into_iter().collect::<Vec<_>>());
             }
         }
     }

@@ -264,86 +264,167 @@ impl CostModel {
         groups: &[&OpGroup],
         duplicate: bool,
     ) -> Option<(StageCost, Vec<GroupMapping>)> {
-        let boundary_bytes = stage_boundary_bytes(groups);
-        let (_, mapping) = self.duplicate_greedily(groups, boundary_bytes, duplicate)?;
+        let mut table = self.replica_table(groups.iter().copied());
+        let mut stage = StageBuffers { members: (0..groups.len()).collect(), ..Default::default() };
+        self.duplicate_greedily(&mut table, &mut stage, stage_boundary_bytes(groups), duplicate)?;
+        let mapping = stage.mapping(&table);
         Some((self.stage_cost(groups, &mapping), mapping))
+    }
+
+    /// An empty [`ReplicaTable`] whose position `i` is the `i`-th of
+    /// `groups`.
+    pub(crate) fn replica_table<'g>(
+        &self,
+        groups: impl IntoIterator<Item = &'g OpGroup>,
+    ) -> ReplicaTable<'g> {
+        let groups: Vec<&OpGroup> = groups.into_iter().collect();
+        let min_cores: Vec<u32> = groups.iter().map(|g| self.min_cores(g)).collect();
+        let mut rows = Vec::with_capacity(groups.len() + 1);
+        rows.push(0);
+        for &cores in &min_cores {
+            rows.push(rows[rows.len() - 1] + (self.total_cores() / cores) as usize);
+        }
+        let cycles = vec![0; rows[groups.len()]];
+        ReplicaTable { priced: vec![0; groups.len()], groups, min_cores, rows, cycles }
     }
 
     /// The greedy of [`Self::mapping_with_duplication`], priced in cycles
     /// only: the one duplication loop behind all three strategies, and the
     /// DP's price of a candidate stage.
     ///
-    /// The stage's activation fill is priced once from `boundary_bytes`
-    /// (see [`boundary_bytes`]). A step then moves only the changed
-    /// group's cycles, the bottleneck, the pipeline-fill share and the
-    /// weight reload. These are integers, so the returned cycles equal
-    /// [`Self::stage_cost`] of the returned mapping.
+    /// `stage.members` are positions in `table`; the replicas chosen for
+    /// them are left in `stage` (see [`StageBuffers::mapping`]). The
+    /// stage's activation fill is priced once from `boundary_bytes` (see
+    /// [`boundary_bytes`]). A step then moves only the changed group's
+    /// cycles, read from `table`, the bottleneck, the pipeline-fill share
+    /// and the weight reload. These are integers, so the returned cycles
+    /// equal [`Self::stage_cost`] of the resulting mapping.
     pub(crate) fn duplicate_greedily(
         &self,
-        groups: &[&OpGroup],
+        table: &mut ReplicaTable<'_>,
+        stage: &mut StageBuffers,
         boundary_bytes: u64,
         duplicate: bool,
-    ) -> Option<(u64, Vec<GroupMapping>)> {
-        if groups.is_empty() {
-            return None;
-        }
+    ) -> Option<u64> {
+        let StageBuffers { members, replicas, cycles } = stage;
         let total = self.total_cores();
-        let mut mapping: Vec<GroupMapping> = groups
-            .iter()
-            .map(|g| GroupMapping {
-                group: g.index,
-                cores_per_replica: self.min_cores(g),
-                replicas: 1,
-            })
-            .collect();
-        let used: u32 = mapping.iter().map(GroupMapping::total_cores).sum();
-        if used > total {
+        let used = table.min_cores_of(members);
+        if members.is_empty() || used > total {
             return None;
         }
-        let mut cycles: Vec<u64> = groups
-            .iter()
-            .zip(&mapping)
-            .map(|(g, m)| self.group_cycles(g, m.cores_per_replica, m.replicas))
-            .collect();
+        replicas.clear();
+        replicas.resize(members.len(), 1);
+        cycles.clear();
+        cycles.extend(members.iter().map(|&i| table.cycles(self, i, 1)));
         let mut sum: u64 = cycles.iter().sum();
-        let mut weight_bytes: u64 = groups.iter().map(|g| g.metrics.weight_bytes).sum();
+        let mut weight_bytes: u64 =
+            members.iter().map(|&i| table.groups[i].metrics.weight_bytes).sum();
         let fill = self.arch.chip().global_memory.transfer_cycles(boundary_bytes);
         let bottleneck = cycles.iter().copied().max().unwrap_or(0);
         let mut cost = self.pipelined_cycles(bottleneck, sum, weight_bytes, fill);
         let mut remaining = total - used;
         while duplicate && remaining > 0 {
             let mut best: Option<usize> = None;
-            for (i, m) in mapping.iter().enumerate() {
-                if m.cores_per_replica <= remaining {
+            for (k, &i) in members.iter().enumerate() {
+                if table.min_cores[i] <= remaining {
                     match best {
-                        Some(b) if cycles[i] <= cycles[b] => {}
-                        _ => best = Some(i),
+                        Some(b) if cycles[k] <= cycles[b] => {}
+                        _ => best = Some(k),
                     }
                 }
             }
-            let Some(i) = best else { break };
-            let m = mapping[i];
-            let next = self.group_cycles(groups[i], m.cores_per_replica, m.replicas + 1);
+            let Some(k) = best else { break };
+            let i = members[k];
+            let next = table.cycles(self, i, replicas[k] + 1);
             let bottleneck = cycles
                 .iter()
                 .enumerate()
-                .map(|(j, &c)| if j == i { next } else { c })
+                .map(|(j, &c)| if j == k { next } else { c })
                 .max()
                 .unwrap_or(0);
-            let next_sum = sum - cycles[i] + next;
-            let next_weight_bytes = weight_bytes + groups[i].metrics.weight_bytes;
+            let next_sum = sum - cycles[k] + next;
+            let next_weight_bytes = weight_bytes + table.groups[i].metrics.weight_bytes;
             let candidate = self.pipelined_cycles(bottleneck, next_sum, next_weight_bytes, fill);
             if candidate >= cost {
                 break;
             }
             cost = candidate;
-            cycles[i] = next;
+            cycles[k] = next;
             sum = next_sum;
             weight_bytes = next_weight_bytes;
-            mapping[i].replicas += 1;
-            remaining -= m.cores_per_replica;
+            replicas[k] += 1;
+            remaining -= table.min_cores[i];
         }
-        Some((cost, mapping))
+        Some(cost)
+    }
+}
+
+/// Per group of a (sub)graph or a stage, [`CostModel::min_cores`] and
+/// the cycles of `r` replicas of that many cores, `group_cycles(g,
+/// min_cores(g), r)` for `r = 1..=total_cores / min_cores(g)`.
+///
+/// [`CostModel::duplicate_greedily`] gives every replica `min_cores(g)`
+/// cores, so a group's cycles depend only on its replica count, and one
+/// table serves every candidate stage of a DP. Cycles are priced on
+/// first use. The greedy reaches `r + 1` replicas only from `r`, so a
+/// group's row fills in replica order, and a mapping without duplication
+/// prices only `r = 1`.
+#[derive(Debug)]
+pub(crate) struct ReplicaTable<'g> {
+    groups: Vec<&'g OpGroup>,
+    min_cores: Vec<u32>,
+    /// Group `i`'s row is `cycles[rows[i]..rows[i + 1]]`, indexed by
+    /// `r - 1`.
+    rows: Vec<usize>,
+    /// Replica counts priced so far: row `i` is filled up to `priced[i]`.
+    priced: Vec<u32>,
+    cycles: Vec<u64>,
+}
+
+impl ReplicaTable<'_> {
+    /// The minimum cores of the groups at `positions`, summed.
+    pub(crate) fn min_cores_of(&self, positions: &[usize]) -> u32 {
+        positions.iter().map(|&i| self.min_cores[i]).sum()
+    }
+
+    /// The cycles of `replicas` replicas of the group at position `i`,
+    /// pricing the row up to `replicas` first.
+    fn cycles(&mut self, model: &CostModel, i: usize, replicas: u32) -> u64 {
+        let row = &mut self.cycles[self.rows[i]..self.rows[i + 1]];
+        for r in self.priced[i] + 1..=replicas {
+            row[r as usize - 1] = model.group_cycles(self.groups[i], self.min_cores[i], r);
+        }
+        self.priced[i] = self.priced[i].max(replicas);
+        row[replicas as usize - 1]
+    }
+}
+
+/// One stage for [`CostModel::duplicate_greedily`]: its groups as
+/// positions in a [`ReplicaTable`] and the greedy's per-group state.
+/// Reused across the DP's candidate stages, so pricing one allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct StageBuffers {
+    /// The stage's groups, as positions in the table.
+    pub(crate) members: Vec<usize>,
+    /// Replicas of each member after the last greedy run.
+    replicas: Vec<u32>,
+    /// Cycles of each member at its replica count.
+    cycles: Vec<u64>,
+}
+
+impl StageBuffers {
+    /// The mapping the last greedy run over `table` chose.
+    pub(crate) fn mapping(&self, table: &ReplicaTable<'_>) -> Vec<GroupMapping> {
+        self.members
+            .iter()
+            .zip(&self.replicas)
+            .map(|(&i, &replicas)| GroupMapping {
+                group: table.groups[i].index,
+                cores_per_replica: table.min_cores[i],
+                replicas,
+            })
+            .collect()
     }
 }
 
@@ -351,9 +432,12 @@ impl CostModel {
 /// the other half of the stage-boundary penalty: every edge whose
 /// producer lies outside the stage (`member` answers for a group index),
 /// plus the graph input for groups that read it.
-pub(crate) fn boundary_bytes(groups: &[&OpGroup], member: impl Fn(usize) -> bool) -> u64 {
+pub(crate) fn boundary_bytes<'g>(
+    groups: impl IntoIterator<Item = &'g OpGroup>,
+    member: impl Fn(usize) -> bool,
+) -> u64 {
     groups
-        .iter()
+        .into_iter()
         .map(|group| {
             let outside: u64 =
                 group.preds.iter().filter(|d| !member(d.group)).map(|d| d.bytes).sum();
@@ -365,7 +449,7 @@ pub(crate) fn boundary_bytes(groups: &[&OpGroup], member: impl Fn(usize) -> bool
 /// [`boundary_bytes`] of a stage given as a list of groups.
 fn stage_boundary_bytes(groups: &[&OpGroup]) -> u64 {
     let member: BTreeSet<usize> = groups.iter().map(|g| g.index).collect();
-    boundary_bytes(groups, |g| member.contains(&g))
+    boundary_bytes(groups.iter().copied(), |g| member.contains(&g))
 }
 
 #[cfg(test)]
@@ -416,41 +500,106 @@ mod tests {
         assert!(with.cycles <= without.cycles);
     }
 
+    /// The graphs whose every candidate stage the table tests price:
+    /// three seed models at 32 px, efficientnetb0 the largest (82
+    /// groups), and chip 0's subgraph of efficientnetb0 split over two
+    /// chips, each with the cost model it is partitioned under.
+    fn priced_graphs() -> Vec<(String, CondensedGraph, CostModel)> {
+        let one_chip = CostModel::new(&cimflow_arch::ArchConfig::paper_default());
+        let mut graphs = Vec::new();
+        for net in [models::resnet18(32), models::mobilenet_v2(32), models::efficientnet_b0(32)] {
+            let graph = CondensedGraph::from_graph(&net.graph).unwrap();
+            graphs.push((net.name.clone(), graph, one_chip.clone()));
+        }
+        let two_chips =
+            CostModel::new(&cimflow_arch::ArchConfig::paper_default().with_chip_count(2));
+        let whole = CondensedGraph::from_graph(&models::efficientnet_b0(32).graph).unwrap();
+        let split = crate::system::partition_chips(&whole, &two_chips);
+        let (chip0, _) = whole.chip_subgraph(&split.assignment, 0);
+        graphs.push(("efficientnetb0 chip 0 of 2".into(), chip0, two_chips));
+        graphs
+    }
+
+    /// Every candidate stage the DP visits: the difference of each pair
+    /// of nested dependency closures.
+    fn candidate_stages(graph: &CondensedGraph) -> Vec<crate::BitMask256> {
+        let closures = crate::partition::dependency_closures(graph);
+        let mut stages = Vec::new();
+        for (i, closure) in closures.iter().enumerate() {
+            for candidate in closures[..i].iter().filter(|c| c.is_subset_of(closure)) {
+                stages.push(closure.difference(candidate));
+            }
+        }
+        stages
+    }
+
     #[test]
     fn incremental_prices_equal_full_stage_costs() {
-        // Every candidate stage the DP visits: the difference of each pair
-        // of nested dependency closures.
-        let model = CostModel::new(&cimflow_arch::ArchConfig::paper_default());
-        for net in [models::resnet18(32), models::mobilenet_v2(32)] {
-            let graph = CondensedGraph::from_graph(&net.graph).unwrap();
-            let closures = crate::partition::dependency_closures(&graph);
-            let mut priced = 0;
-            for (i, closure) in closures.iter().enumerate() {
-                for candidate in closures[..i].iter().filter(|c| c.is_subset_of(closure)) {
-                    let stage = closure.difference(candidate);
-                    let groups: Vec<&OpGroup> = stage.iter().map(|g| &graph.groups()[g]).collect();
-                    let boundary = boundary_bytes(&groups, |g| stage.contains(g));
-                    for duplicate in [false, true] {
-                        let greedy = model.duplicate_greedily(&groups, boundary, duplicate);
-                        let full = if duplicate {
-                            model.optimal_mapping(&groups)
-                        } else {
-                            model.mapping_with_duplication(&groups, false)
-                        };
-                        let (Some((cycles, _)), Some((_, mapping))) = (greedy, full) else {
-                            panic!("{}: stage {stage} fits the chip", net.name);
-                        };
-                        assert_eq!(
-                            cycles,
-                            model.stage_cost(&groups, &mapping).cycles,
-                            "{}: stage {stage}, duplicate {duplicate}",
-                            net.name
-                        );
-                        priced += 1;
-                    }
+        // One table per graph serves every candidate, as in the DP; each
+        // price must equal the stage cost of the mapping it chose, and
+        // that mapping must equal the one a fresh table chooses.
+        for (name, graph, model) in priced_graphs() {
+            let mut table = model.replica_table(graph.groups());
+            let mut stage = StageBuffers::default();
+            let (mut priced, mut oversized) = (0, 0);
+            for mask in candidate_stages(&graph) {
+                let groups: Vec<&OpGroup> = mask.iter().map(|g| &graph.groups()[g]).collect();
+                stage.members = mask.iter().collect();
+                let boundary = boundary_bytes(groups.iter().copied(), |g| mask.contains(g));
+                for duplicate in [false, true] {
+                    let greedy =
+                        model.duplicate_greedily(&mut table, &mut stage, boundary, duplicate);
+                    let full = model.mapping_with_duplication(&groups, duplicate);
+                    let (Some(cycles), Some((_, mapping))) = (greedy, &full) else {
+                        assert!(greedy.is_none() && full.is_none(), "{name}: stage {mask}");
+                        assert!(table.min_cores_of(&stage.members) > model.total_cores());
+                        oversized += 1;
+                        continue;
+                    };
+                    assert_eq!(stage.mapping(&table), *mapping, "{name}: stage {mask}");
+                    assert_eq!(
+                        cycles,
+                        model.stage_cost(&groups, mapping).cycles,
+                        "{name}: stage {mask}, duplicate {duplicate}"
+                    );
+                    priced += 1;
                 }
             }
-            assert!(priced > 2 * closures.len(), "{}: only {priced} stages priced", net.name);
+            assert!(priced > 2 * graph.len(), "{name}: only {priced} stages priced");
+            assert!(oversized < priced, "{name}: {oversized} of the stages do not fit");
+        }
+    }
+
+    #[test]
+    fn replica_table_entries_equal_group_cycles() {
+        for (name, graph, model) in priced_graphs() {
+            let mut table = model.replica_table(graph.groups());
+            let mut stage = StageBuffers::default();
+            // Without duplication a mapping prices one replica per group.
+            for mask in candidate_stages(&graph) {
+                stage.members = mask.iter().collect();
+                model.duplicate_greedily(&mut table, &mut stage, 0, false);
+            }
+            assert!(table.priced.iter().all(|&r| r <= 1), "{name}: {:?}", table.priced);
+            assert!(table.priced.contains(&1), "{name}: nothing priced");
+            for mask in candidate_stages(&graph) {
+                stage.members = mask.iter().collect();
+                model.duplicate_greedily(&mut table, &mut stage, 0, true);
+            }
+            assert!(table.priced.iter().any(|&r| r > 1), "{name}: nothing duplicated");
+            for (i, group) in graph.groups().iter().enumerate() {
+                let min_cores = model.min_cores(group);
+                assert_eq!(table.min_cores[i], min_cores, "{name}: group {i}");
+                let row = &table.cycles[table.rows[i]..table.rows[i + 1]];
+                assert_eq!(row.len(), (model.total_cores() / min_cores) as usize);
+                for r in 1..=table.priced[i] {
+                    assert_eq!(
+                        row[r as usize - 1],
+                        model.group_cycles(group, min_cores, r),
+                        "{name}: group {i}, {r} replicas"
+                    );
+                }
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::bitset::BitMask256;
-use crate::cost::{boundary_bytes, CostModel, GroupMapping, StageCost};
+use crate::cost::{boundary_bytes, CostModel, GroupMapping, StageBuffers, StageCost};
 use crate::frontend::{CondensedGraph, OpGroup};
 use crate::CompileError;
 
@@ -114,9 +114,13 @@ fn groups_of<'a>(condensed: &'a CondensedGraph, mask: &BitMask256) -> Vec<&'a Op
 /// `D[j] ⊆ D[i]` treats the set difference as a candidate stage, priced
 /// in cycles by the duplication greedy of
 /// [`CostModel::optimal_mapping`] with the stage's boundary bytes read off
-/// its bitmask. The DP keeps only cycles: once the full closure is
-/// reached, each stage on the chosen `prev` chain is mapped and costed,
-/// energy included, by one [`CostModel::optimal_mapping`] call.
+/// its bitmask. One replica table per call holds every group's minimum
+/// cores and per-replica cycles, and each candidate is priced in reused
+/// buffers; a candidate whose minimum cores exceed the chip is skipped
+/// before its boundary bytes are summed. The DP keeps only cycles: once
+/// the full closure is reached, each stage on the chosen `prev` chain is
+/// mapped and costed, energy included, by one
+/// [`CostModel::optimal_mapping`] call.
 ///
 /// # Errors
 ///
@@ -131,6 +135,9 @@ pub fn dp_partition(
     let full = BitMask256::full(condensed.len());
     let mut dp: Vec<f64> = vec![f64::INFINITY; closures.len()];
     let mut prev: Vec<Option<usize>> = vec![None; closures.len()];
+    let groups = condensed.groups();
+    let mut table = cost_model.replica_table(groups);
+    let mut buffers = StageBuffers::default();
 
     for (i, closure) in closures.iter().enumerate() {
         if closure.is_empty() {
@@ -145,9 +152,16 @@ pub fn dp_partition(
             if stage.is_empty() {
                 continue;
             }
-            let groups = groups_of(condensed, &stage);
-            let boundary = boundary_bytes(&groups, |g| stage.contains(g));
-            let Some((cycles, _)) = cost_model.duplicate_greedily(&groups, boundary, true) else {
+            buffers.members.clear();
+            buffers.members.extend(stage.iter());
+            if table.min_cores_of(&buffers.members) > cost_model.total_cores() {
+                continue;
+            }
+            let boundary =
+                boundary_bytes(buffers.members.iter().map(|&g| &groups[g]), |g| stage.contains(g));
+            let Some(cycles) =
+                cost_model.duplicate_greedily(&mut table, &mut buffers, boundary, true)
+            else {
                 continue;
             };
             let total = dp[j] + cycles as f64;
