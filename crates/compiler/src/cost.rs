@@ -279,13 +279,19 @@ impl CostModel {
     ) -> ReplicaTable<'g> {
         let groups: Vec<&OpGroup> = groups.into_iter().collect();
         let min_cores: Vec<u32> = groups.iter().map(|g| self.min_cores(g)).collect();
-        let mut rows = Vec::with_capacity(groups.len() + 1);
-        rows.push(0);
+        let mut rows = vec![0];
+        let mut end = 0;
         for &cores in &min_cores {
-            rows.push(rows[rows.len() - 1] + (self.total_cores() / cores) as usize);
+            end += (self.total_cores() / cores) as usize;
+            rows.push(end);
         }
-        let cycles = vec![0; rows[groups.len()]];
-        ReplicaTable { priced: vec![0; groups.len()], groups, min_cores, rows, cycles }
+        ReplicaTable {
+            priced: vec![0; groups.len()],
+            groups,
+            min_cores,
+            rows,
+            entries: vec![0; end],
+        }
     }
 
     /// The greedy of [`Self::mapping_with_duplication`], priced in cycles
@@ -373,12 +379,12 @@ impl CostModel {
 pub(crate) struct ReplicaTable<'g> {
     groups: Vec<&'g OpGroup>,
     min_cores: Vec<u32>,
-    /// Group `i`'s row is `cycles[rows[i]..rows[i + 1]]`, indexed by
+    /// Group `i`'s row is `entries[rows[i]..rows[i + 1]]`, indexed by
     /// `r - 1`.
     rows: Vec<usize>,
     /// Replica counts priced so far: row `i` is filled up to `priced[i]`.
     priced: Vec<u32>,
-    cycles: Vec<u64>,
+    entries: Vec<u64>,
 }
 
 impl ReplicaTable<'_> {
@@ -390,7 +396,7 @@ impl ReplicaTable<'_> {
     /// The cycles of `replicas` replicas of the group at position `i`,
     /// pricing the row up to `replicas` first.
     fn cycles(&mut self, model: &CostModel, i: usize, replicas: u32) -> u64 {
-        let row = &mut self.cycles[self.rows[i]..self.rows[i + 1]];
+        let row = &mut self.entries[self.rows[i]..self.rows[i + 1]];
         for r in self.priced[i] + 1..=replicas {
             row[r as usize - 1] = model.group_cycles(self.groups[i], self.min_cores[i], r);
         }
@@ -590,7 +596,7 @@ mod tests {
             for (i, group) in graph.groups().iter().enumerate() {
                 let min_cores = model.min_cores(group);
                 assert_eq!(table.min_cores[i], min_cores, "{name}: group {i}");
-                let row = &table.cycles[table.rows[i]..table.rows[i + 1]];
+                let row = &table.entries[table.rows[i]..table.rows[i + 1]];
                 assert_eq!(row.len(), (model.total_cores() / min_cores) as usize);
                 for r in 1..=table.priced[i] {
                     assert_eq!(
