@@ -266,7 +266,8 @@ impl CostModel {
     ) -> Option<(StageCost, Vec<GroupMapping>)> {
         let mut table = self.replica_table(groups.iter().copied());
         let mut stage = StageBuffers { members: (0..groups.len()).collect(), ..Default::default() };
-        self.duplicate_greedily(&mut table, &mut stage, stage_boundary_bytes(groups), duplicate)?;
+        let boundary = || stage_boundary_bytes(groups);
+        self.duplicate_greedily(&mut table, &mut stage, boundary, duplicate)?;
         let mapping = stage.mapping(&table);
         Some((self.stage_cost(groups, &mapping), mapping))
     }
@@ -278,19 +279,10 @@ impl CostModel {
         groups: impl IntoIterator<Item = &'g OpGroup>,
     ) -> ReplicaTable<'g> {
         let groups: Vec<&OpGroup> = groups.into_iter().collect();
-        let min_cores: Vec<u32> = groups.iter().map(|g| self.min_cores(g)).collect();
-        let mut rows = vec![0];
-        let mut end = 0;
-        for &cores in &min_cores {
-            end += (self.total_cores() / cores) as usize;
-            rows.push(end);
-        }
         ReplicaTable {
-            priced: vec![0; groups.len()],
+            min_cores: groups.iter().map(|g| self.min_cores(g)).collect(),
+            rows: vec![Vec::new(); groups.len()],
             groups,
-            min_cores,
-            rows,
-            entries: vec![0; end],
         }
     }
 
@@ -299,22 +291,23 @@ impl CostModel {
     /// DP's price of a candidate stage.
     ///
     /// `stage.members` are positions in `table`; the replicas chosen for
-    /// them are left in `stage` (see [`StageBuffers::mapping`]). The
-    /// stage's activation fill is priced once from `boundary_bytes` (see
-    /// [`boundary_bytes`]). A step then moves only the changed group's
-    /// cycles, read from `table`, the bottleneck, the pipeline-fill share
-    /// and the weight reload. These are integers, so the returned cycles
-    /// equal [`Self::stage_cost`] of the resulting mapping.
+    /// them are left in `stage` (see [`StageBuffers::mapping`]). Only a
+    /// stage that fits the chip calls `boundary`, once, for the bytes of
+    /// its activation fill (see [`boundary_bytes`]). A step then moves
+    /// only the changed group's cycles, read from `table`, the
+    /// bottleneck, the pipeline-fill share and the weight reload. These
+    /// are integers, so the returned cycles equal [`Self::stage_cost`] of
+    /// the resulting mapping.
     pub(crate) fn duplicate_greedily(
         &self,
         table: &mut ReplicaTable<'_>,
         stage: &mut StageBuffers,
-        boundary_bytes: u64,
+        boundary: impl FnOnce() -> u64,
         duplicate: bool,
     ) -> Option<u64> {
         let StageBuffers { members, replicas, cycles } = stage;
         let total = self.total_cores();
-        let used = table.min_cores_of(members);
+        let used: u32 = members.iter().map(|&i| table.min_cores[i]).sum();
         if members.is_empty() || used > total {
             return None;
         }
@@ -325,7 +318,7 @@ impl CostModel {
         let mut sum: u64 = cycles.iter().sum();
         let mut weight_bytes: u64 =
             members.iter().map(|&i| table.groups[i].metrics.weight_bytes).sum();
-        let fill = self.arch.chip().global_memory.transfer_cycles(boundary_bytes);
+        let fill = self.arch.chip().global_memory.transfer_cycles(boundary());
         let bottleneck = cycles.iter().copied().max().unwrap_or(0);
         let mut cost = self.pipelined_cycles(bottleneck, sum, weight_bytes, fill);
         let mut remaining = total - used;
@@ -373,34 +366,24 @@ impl CostModel {
 /// cores, so a group's cycles depend only on its replica count, and one
 /// table serves every candidate stage of a DP. Cycles are priced on
 /// first use. The greedy reaches `r + 1` replicas only from `r`, so a
-/// group's row fills in replica order, and a mapping without duplication
+/// group's row grows in replica order, and a mapping without duplication
 /// prices only `r = 1`.
 #[derive(Debug)]
 pub(crate) struct ReplicaTable<'g> {
     groups: Vec<&'g OpGroup>,
     min_cores: Vec<u32>,
-    /// Group `i`'s row is `entries[rows[i]..rows[i + 1]]`, indexed by
-    /// `r - 1`.
-    rows: Vec<usize>,
-    /// Replica counts priced so far: row `i` is filled up to `priced[i]`.
-    priced: Vec<u32>,
-    entries: Vec<u64>,
+    /// Group `i`'s cycles priced so far, indexed by `r - 1`.
+    rows: Vec<Vec<u64>>,
 }
 
 impl ReplicaTable<'_> {
-    /// The minimum cores of the groups at `positions`, summed.
-    pub(crate) fn min_cores_of(&self, positions: &[usize]) -> u32 {
-        positions.iter().map(|&i| self.min_cores[i]).sum()
-    }
-
     /// The cycles of `replicas` replicas of the group at position `i`,
-    /// pricing the row up to `replicas` first.
+    /// pricing its row up to `replicas` first.
     fn cycles(&mut self, model: &CostModel, i: usize, replicas: u32) -> u64 {
-        let row = &mut self.entries[self.rows[i]..self.rows[i + 1]];
-        for r in self.priced[i] + 1..=replicas {
-            row[r as usize - 1] = model.group_cycles(self.groups[i], self.min_cores[i], r);
+        let row = &mut self.rows[i];
+        while row.len() < replicas as usize {
+            row.push(model.group_cycles(self.groups[i], self.min_cores[i], row.len() as u32 + 1));
         }
-        self.priced[i] = self.priced[i].max(replicas);
         row[replicas as usize - 1]
     }
 }
@@ -509,26 +492,32 @@ mod tests {
     /// The graphs whose every candidate stage the table tests price:
     /// three seed models at 32 px, efficientnetb0 the largest (82
     /// groups), and chip 0's subgraph of efficientnetb0 split over two
-    /// chips, each with the cost model it is partitioned under.
-    fn priced_graphs() -> Vec<(String, CondensedGraph, CostModel)> {
+    /// chips, each with the cost model it is partitioned under and
+    /// whether some of its candidate stages do not fit the chip (every
+    /// stage of resnet18 and mobilenetv2 fits).
+    fn priced_graphs() -> Vec<(String, CondensedGraph, CostModel, bool)> {
         let one_chip = CostModel::new(&cimflow_arch::ArchConfig::paper_default());
         let mut graphs = Vec::new();
-        for net in [models::resnet18(32), models::mobilenet_v2(32), models::efficientnet_b0(32)] {
+        for (net, some_oversized) in [
+            (models::resnet18(32), false),
+            (models::mobilenet_v2(32), false),
+            (models::efficientnet_b0(32), true),
+        ] {
             let graph = CondensedGraph::from_graph(&net.graph).unwrap();
-            graphs.push((net.name.clone(), graph, one_chip.clone()));
+            graphs.push((net.name.clone(), graph, one_chip.clone(), some_oversized));
         }
         let two_chips =
             CostModel::new(&cimflow_arch::ArchConfig::paper_default().with_chip_count(2));
         let whole = CondensedGraph::from_graph(&models::efficientnet_b0(32).graph).unwrap();
         let split = crate::system::partition_chips(&whole, &two_chips);
         let (chip0, _) = whole.chip_subgraph(&split.assignment, 0);
-        graphs.push(("efficientnetb0 chip 0 of 2".into(), chip0, two_chips));
+        graphs.push(("efficientnetb0 chip 0 of 2".into(), chip0, two_chips, true));
         graphs
     }
 
     /// Every candidate stage the DP visits: the difference of each pair
-    /// of nested dependency closures.
-    fn candidate_stages(graph: &CondensedGraph) -> Vec<crate::BitMask256> {
+    /// of nested dependency closures; and the number of closures.
+    fn candidate_stages(graph: &CondensedGraph) -> (Vec<crate::BitMask256>, usize) {
         let closures = crate::partition::dependency_closures(graph);
         let mut stages = Vec::new();
         for (i, closure) in closures.iter().enumerate() {
@@ -536,7 +525,7 @@ mod tests {
                 stages.push(closure.difference(candidate));
             }
         }
-        stages
+        (stages, closures.len())
     }
 
     #[test]
@@ -544,21 +533,23 @@ mod tests {
         // One table per graph serves every candidate, as in the DP; each
         // price must equal the stage cost of the mapping it chose, and
         // that mapping must equal the one a fresh table chooses.
-        for (name, graph, model) in priced_graphs() {
+        for (name, graph, model, some_oversized) in priced_graphs() {
             let mut table = model.replica_table(graph.groups());
             let mut stage = StageBuffers::default();
+            let (stages, closures) = candidate_stages(&graph);
             let (mut priced, mut oversized) = (0, 0);
-            for mask in candidate_stages(&graph) {
+            for mask in stages {
                 let groups: Vec<&OpGroup> = mask.iter().map(|g| &graph.groups()[g]).collect();
                 stage.members = mask.iter().collect();
                 let boundary = boundary_bytes(groups.iter().copied(), |g| mask.contains(g));
                 for duplicate in [false, true] {
                     let greedy =
-                        model.duplicate_greedily(&mut table, &mut stage, boundary, duplicate);
+                        model.duplicate_greedily(&mut table, &mut stage, || boundary, duplicate);
                     let full = model.mapping_with_duplication(&groups, duplicate);
                     let (Some(cycles), Some((_, mapping))) = (greedy, &full) else {
                         assert!(greedy.is_none() && full.is_none(), "{name}: stage {mask}");
-                        assert!(table.min_cores_of(&stage.members) > model.total_cores());
+                        let min_cores: u32 = groups.iter().map(|g| model.min_cores(g)).sum();
+                        assert!(min_cores > model.total_cores(), "{name}: stage {mask} fits");
                         oversized += 1;
                         continue;
                     };
@@ -571,36 +562,37 @@ mod tests {
                     priced += 1;
                 }
             }
-            assert!(priced > 2 * graph.len(), "{name}: only {priced} stages priced");
-            assert!(oversized < priced, "{name}: {oversized} of the stages do not fit");
+            assert!(priced > 2 * closures, "{name}: only {priced} stages priced");
+            assert_eq!(oversized > 0, some_oversized, "{name}: {oversized} stages do not fit");
         }
     }
 
     #[test]
     fn replica_table_entries_equal_group_cycles() {
-        for (name, graph, model) in priced_graphs() {
+        for (name, graph, model, _) in priced_graphs() {
             let mut table = model.replica_table(graph.groups());
             let mut stage = StageBuffers::default();
+            let (stages, _) = candidate_stages(&graph);
             // Without duplication a mapping prices one replica per group.
-            for mask in candidate_stages(&graph) {
+            for mask in &stages {
                 stage.members = mask.iter().collect();
-                model.duplicate_greedily(&mut table, &mut stage, 0, false);
+                model.duplicate_greedily(&mut table, &mut stage, || 0, false);
             }
-            assert!(table.priced.iter().all(|&r| r <= 1), "{name}: {:?}", table.priced);
-            assert!(table.priced.contains(&1), "{name}: nothing priced");
-            for mask in candidate_stages(&graph) {
+            assert!(table.rows.iter().all(|row| row.len() <= 1), "{name}: {:?}", table.rows);
+            assert!(table.rows.iter().any(|row| row.len() == 1), "{name}: nothing priced");
+            for mask in &stages {
                 stage.members = mask.iter().collect();
-                model.duplicate_greedily(&mut table, &mut stage, 0, true);
+                model.duplicate_greedily(&mut table, &mut stage, || 0, true);
             }
-            assert!(table.priced.iter().any(|&r| r > 1), "{name}: nothing duplicated");
+            assert!(table.rows.iter().any(|row| row.len() > 1), "{name}: nothing duplicated");
             for (i, group) in graph.groups().iter().enumerate() {
                 let min_cores = model.min_cores(group);
                 assert_eq!(table.min_cores[i], min_cores, "{name}: group {i}");
-                let row = &table.entries[table.rows[i]..table.rows[i + 1]];
-                assert_eq!(row.len(), (model.total_cores() / min_cores) as usize);
-                for r in 1..=table.priced[i] {
+                let row = &table.rows[i];
+                assert!(row.len() as u32 <= model.total_cores() / min_cores, "{name}: group {i}");
+                for (r, &cycles) in (1..).zip(row) {
                     assert_eq!(
-                        row[r as usize - 1],
+                        cycles,
                         model.group_cycles(group, min_cores, r),
                         "{name}: group {i}, {r} replicas"
                     );

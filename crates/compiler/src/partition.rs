@@ -116,10 +116,10 @@ fn groups_of<'a>(condensed: &'a CondensedGraph, mask: &BitMask256) -> Vec<&'a Op
 /// [`CostModel::optimal_mapping`] with the stage's boundary bytes read off
 /// its bitmask. One replica table per call holds every group's minimum
 /// cores and per-replica cycles, and each candidate is priced in reused
-/// buffers; a candidate whose minimum cores exceed the chip is skipped
-/// before its boundary bytes are summed. The DP keeps only cycles: once
-/// the full closure is reached, each stage on the chosen `prev` chain is
-/// mapped and costed, energy included, by one
+/// buffers; the greedy skips a candidate whose minimum cores exceed the
+/// chip before its boundary bytes are summed. The DP keeps only cycles:
+/// once the full closure is reached, each stage on the chosen `prev`
+/// chain is mapped and costed, energy included, by one
 /// [`CostModel::optimal_mapping`] call.
 ///
 /// # Errors
@@ -154,11 +154,8 @@ pub fn dp_partition(
             }
             buffers.members.clear();
             buffers.members.extend(stage.iter());
-            if table.min_cores_of(&buffers.members) > cost_model.total_cores() {
-                continue;
-            }
             let boundary =
-                boundary_bytes(buffers.members.iter().map(|&g| &groups[g]), |g| stage.contains(g));
+                || boundary_bytes(stage.iter().map(|g| &groups[g]), |g| stage.contains(g));
             let Some(cycles) =
                 cost_model.duplicate_greedily(&mut table, &mut buffers, boundary, true)
             else {
