@@ -7,7 +7,7 @@ use crate::chip::ChipConfig;
 use crate::core::CoreConfig;
 use crate::memory::SegmentKind;
 use crate::system::{InterChipTopology, SystemConfig};
-use crate::ArchError;
+use crate::{ArchError, Fnv1a};
 
 /// The unified address map shared by the compiler and the simulator.
 ///
@@ -250,9 +250,10 @@ impl ArchConfig {
     ///
     /// Everything else (CIM unit, memories, vector unit, mesh shape and
     /// flit size, core/chip counts) shapes tiling, placement or code
-    /// generation and therefore stays in the hash. The hash is FNV-1a over
-    /// the canonical JSON of the configuration with the timing-only fields
-    /// pinned to fixed sentinels, so it is stable across processes.
+    /// generation and therefore stays in the hash. The hash is [`Fnv1a`]
+    /// over the canonical JSON of the configuration (streamed, never built
+    /// as text) with the timing-only fields pinned to fixed sentinels, so
+    /// it is stable across processes.
     pub fn compile_fingerprint(&self) -> u64 {
         let mut canonical = *self;
         canonical.system.chip.frequency_mhz = 0;
@@ -261,7 +262,9 @@ impl ArchConfig {
         if canonical.system.chip_count == 1 {
             canonical.system.interconnect = crate::system::InterChipConfig::paper_default();
         }
-        fnv1a(canonical.to_json().as_bytes())
+        let mut hash = Fnv1a::new();
+        hash.write_json(&canonical);
+        hash.finish()
     }
 
     /// Parses a configuration from JSON and validates it.
@@ -287,17 +290,6 @@ impl Default for ArchConfig {
     fn default() -> Self {
         Self::paper_default()
     }
-}
-
-/// 64-bit FNV-1a over a byte string (stable across processes and
-/// platforms; the same function the DSE cache uses for content hashes).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 // Manual serde keeps single-chip configurations byte-compatible with the

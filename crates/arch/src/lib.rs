@@ -46,6 +46,7 @@ mod chip;
 mod config;
 mod core;
 mod error;
+mod hash;
 mod memory;
 mod system;
 mod unit;
@@ -54,6 +55,7 @@ pub use chip::{ChipConfig, MeshDimensions};
 pub use config::{AddressMap, ArchConfig};
 pub use core::{CoreConfig, RegisterFileConfig};
 pub use error::ArchError;
+pub use hash::Fnv1a;
 pub use memory::{GlobalMemoryConfig, LocalMemoryConfig, SegmentKind};
 pub use system::{InterChipConfig, InterChipTopology, SystemConfig};
 pub use unit::{CimUnitConfig, ElementConfig, MacroConfig, ScalarUnitConfig, VectorUnitConfig};

@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cimflow_arch::ArchConfig;
+use cimflow_arch::{ArchConfig, Fnv1a};
 use cimflow_compiler::{SearchMode, Strategy};
 use cimflow_nn::Model;
 use serde::{Deserialize, Serialize};
@@ -78,28 +78,22 @@ impl Stamp {
     }
 }
 
-/// 64-bit FNV-1a: deterministic across runs, platforms and compiler
-/// versions (unlike `DefaultHasher`, which documents no such stability).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Content hash of an architecture configuration.
+/// Content hash of an architecture configuration: [`Fnv1a`] over its
+/// pretty-printed JSON, the text of [`ArchConfig::to_json`].
 pub fn arch_content_hash(arch: &ArchConfig) -> u64 {
-    fnv1a(arch.to_json().as_bytes())
+    let mut hash = Fnv1a::new();
+    hash.write_json(arch);
+    hash.finish()
 }
 
-/// Content hash of a model (graph structure + name).
+/// Content hash of a model: [`Fnv1a`] over its name, a NUL byte and the
+/// pretty-printed JSON of its graph (the text of `Graph::to_json`).
 pub fn model_content_hash(model: &Model) -> u64 {
-    let mut text = model.name.clone();
-    text.push('\0');
-    text.push_str(&model.graph.to_json());
-    fnv1a(text.as_bytes())
+    let mut hash = Fnv1a::new();
+    hash.update(model.name.as_bytes());
+    hash.update(b"\0");
+    hash.write_json(&model.graph);
+    hash.finish()
 }
 
 /// Cache key identifying one (architecture, model, strategy, search
@@ -174,7 +168,10 @@ pub(crate) fn pool_text(
 /// The [`traffic_fingerprint`] of `pool` (a [`pool_text`]) at
 /// `offered_qps`.
 pub(crate) fn rate_fingerprint(offered_qps: u64, pool: &str) -> u64 {
-    fnv1a(format!("qps={offered_qps}\0{pool}").as_bytes()).max(1)
+    let mut hash = Fnv1a::new();
+    hash.update(format!("qps={offered_qps}\0").as_bytes());
+    hash.update(pool.as_bytes());
+    hash.finish().max(1)
 }
 
 /// Hit/miss counters of a cache (monotonic over the cache's lifetime).
