@@ -60,9 +60,22 @@ pub fn partition_with_strategy(
 /// building blocks for candidate partitions." The enumeration is breadth
 /// first over the closure lattice and capped at `CLOSURE_CAP` entries;
 /// when the cap is hit the function falls back to the prefix closures of
-/// the dependency-preserving linearization, which are always valid.
+/// the dependency-preserving linearization, which are always valid. A
+/// group may join a closure once its predecessor mask, built once per
+/// call, is a subset of the closure.
 pub fn dependency_closures(condensed: &CondensedGraph) -> Vec<BitMask256> {
     let n = condensed.len();
+    let pred_masks: Vec<BitMask256> = condensed
+        .groups()
+        .iter()
+        .map(|group| {
+            let mut mask = BitMask256::empty();
+            for dep in &group.preds {
+                mask.insert(dep.group);
+            }
+            mask
+        })
+        .collect();
     let mut seen: BTreeSet<BitMask256> = BTreeSet::new();
     let mut queue: VecDeque<BitMask256> = VecDeque::new();
     let empty = BitMask256::empty();
@@ -72,12 +85,8 @@ pub fn dependency_closures(condensed: &CondensedGraph) -> Vec<BitMask256> {
         if seen.len() > CLOSURE_CAP {
             break;
         }
-        for i in 0..n {
-            if current.contains(i) {
-                continue;
-            }
-            let ready = condensed.pred_indices(i).iter().all(|p| current.contains(*p));
-            if !ready {
+        for (i, preds) in pred_masks.iter().enumerate() {
+            if current.contains(i) || !preds.is_subset_of(&current) {
                 continue;
             }
             let mut next = current;
