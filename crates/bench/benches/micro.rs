@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the framework components: ISA
 //! encode/decode, graph construction and condensation, dependency-closure
-//! enumeration + DP partitioning (inside a full compile and alone), NoC
-//! transfers and a full compile-and-simulate run of a compact model.
+//! enumeration and DP partitioning (inside a full compile and alone), NoC
+//! transfers, a full compile-and-simulate run of a compact model and the
+//! DSE cache's model content hash.
 //!
 //! These are ablation/overhead benches of the compiler's design decisions
 //! (bitmask closure enumeration, cost-model-driven greedy duplication);
@@ -11,12 +12,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use cimflow::compiler::cost::CostModel;
-use cimflow::compiler::partition::dp_partition;
+use cimflow::compiler::partition::{dependency_closures, dp_partition};
 use cimflow::compiler::{compile, CondensedGraph, Strategy};
 use cimflow::isa::{decode, encode, GReg, Instruction};
 use cimflow::noc::{Mesh, NocConfig};
 use cimflow::sim::Simulator;
 use cimflow::{models, ArchConfig};
+use cimflow_dse::model_content_hash;
 
 fn bench_isa(c: &mut Criterion) {
     let inst = Instruction::CimMvm {
@@ -68,6 +70,9 @@ fn bench_partitioning(c: &mut Criterion) {
         CondensedGraph::from_graph_with_capacity(&models::efficientnet_b0(48).graph, limit)
             .expect("condensable");
     let cost = CostModel::new(&arch);
+    c.bench_function("compiler/dependency_closures_efficientnet_b0", |b| {
+        b.iter(|| black_box(dependency_closures(black_box(&efficientnet))))
+    });
     c.bench_function("compiler/dp_partition_efficientnet_b0", |b| {
         b.iter(|| black_box(dp_partition(black_box(&efficientnet), &cost).expect("partitions")))
     });
@@ -97,9 +102,18 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
 }
 
+fn bench_content_keys(c: &mut Criterion) {
+    // The model is built outside the timed loop: only the hash is timed.
+    let model = models::efficientnet_b0(32);
+    c.bench_function("dse/model_content_hash_efficientnet_b0", |b| {
+        b.iter(|| black_box(model_content_hash(black_box(&model))))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_isa, bench_frontend, bench_partitioning, bench_noc, bench_end_to_end
+    targets = bench_isa, bench_frontend, bench_partitioning, bench_noc, bench_end_to_end,
+        bench_content_keys
 }
 criterion_main!(benches);
