@@ -12,7 +12,7 @@ use serde::Serialize;
 /// design points by them. The hasher implements [`io::Write`], so a value's
 /// JSON streams into it ([`Fnv1a::write_json`]) without the text ever
 /// being built; the hash equals that of the text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
 impl Fnv1a {
