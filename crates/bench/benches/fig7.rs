@@ -115,13 +115,9 @@ fn main() {
         }
     }
 
-    if let Err(e) = cache.save(&cache_path) {
-        eprintln!("warning: could not persist the evaluation cache: {e}");
-    } else {
-        println!(
-            "\npersisted {} cached evaluation(s) -> {} (shared with fig6)",
-            cache.len(),
-            cache_path.display()
-        );
-    }
+    println!(
+        "\ncache: {} evaluation(s) logged at {} (shared with fig6)",
+        cache.len(),
+        cache_path.display()
+    );
 }

@@ -149,9 +149,5 @@ fn main() {
         );
     }
 
-    if let Err(e) = cache.save(&cache_path) {
-        eprintln!("warning: could not persist the evaluation cache: {e}");
-    } else {
-        eprintln!("cache: {} entries -> {}", cache.len(), cache_path.display());
-    }
+    eprintln!("cache: {} entries -> {}", cache.len(), cache_path.display());
 }

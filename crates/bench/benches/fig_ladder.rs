@@ -219,9 +219,5 @@ fn main() {
         evo_worst * 100.0
     );
 
-    if let Err(e) = cache.save(&cache_path) {
-        eprintln!("warning: could not persist the evaluation cache: {e}");
-    } else {
-        eprintln!("cache: {} entries -> {}", cache.len(), cache_path.display());
-    }
+    eprintln!("cache: {} entries -> {}", cache.len(), cache_path.display());
 }

@@ -8,19 +8,21 @@
 //! full compile → simulate run, and any change to the architecture or the
 //! model changes its hash and therefore invalidates the entry.
 //!
-//! The cache is thread-safe (shared by all service workers) and can be
-//! persisted to JSON so separate processes — e.g. the `fig6` and `fig7`
-//! bench targets — share warm state.
+//! The cache is thread-safe (shared by all service workers). A cache
+//! opened with [`EvalCache::load`] is backed by an append-only log, the
+//! format sweep journals use too: each entry it newly stores is appended
+//! as it lands, so a killed process keeps every answered point, and
+//! separate processes (e.g. the `fig6` and `fig7` bench targets) share
+//! warm state.
 //!
 //! **Staleness:** the key captures the *inputs* of an evaluation, not the
-//! simulator/compiler code that produced it. Every file the engine
-//! persists — a cache file here, a [`SweepJournal`](crate::SweepJournal)
-//! — therefore carries one stamp, [`CACHE_FORMAT_VERSION`] plus the
-//! engine crate version, checked in one place: [`EvalCache::load`] starts
-//! cold and a journal starts fresh when it differs. Within one version,
-//! editing the cost/timing/energy models does **not** invalidate an
-//! existing file — delete it (or point `CIMFLOW_DSE_CACHE` elsewhere)
-//! after such changes, or bump [`CACHE_FORMAT_VERSION`].
+//! simulator/compiler code that produced it. Every log the engine
+//! persists, a cache file or a [`SweepJournal`](crate::SweepJournal),
+//! therefore starts with one stamp, [`CACHE_FORMAT_VERSION`] plus the
+//! engine crate version, and a log of another stamp starts cold. Within
+//! one version, editing the cost/timing/energy models does **not**
+//! invalidate an existing file — delete it (or point `CIMFLOW_DSE_CACHE`
+//! elsewhere) after such changes, or bump [`CACHE_FORMAT_VERSION`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,12 +31,13 @@ use cimflow_compiler::{SearchMode, Strategy};
 use cimflow_nn::Model;
 use serde::{Deserialize, Serialize};
 
+use crate::log::{Log, Record};
 use crate::memo::{Memo, Source};
 use crate::{DseError, Evaluation};
 
-/// On-disk format version of cache files and sweep journals (journal
-/// lines embed the same [`Evaluation`] schema, so one number versions
-/// both); bump on any change to the evaluation semantics (simulator
+/// On-disk format version of cache files and sweep journals (both are
+/// logs of the same [`Evaluation`] records, so one number versions both);
+/// bump on any change to the evaluation semantics (simulator
 /// timing, energy model, compiler cost model) or the persisted schema
 /// that should invalidate previously persisted results. Version 2: the
 /// system level (multi-chip) — `SimReport` and `EnergyBreakdown` gained
@@ -52,31 +55,6 @@ pub const CACHE_FORMAT_VERSION: u32 = 5;
 /// `cimflow-dse` crate version); a mismatch makes [`EvalCache::load`]
 /// start cold.
 pub const CACHE_ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
-
-/// The stamp every persisted file carries: [`CACHE_FORMAT_VERSION`] plus
-/// [`CACHE_ENGINE_VERSION`]. A cache file holds it at its top level, next
-/// to its entries; a journal holds it as its header line.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct Stamp {
-    version: u32,
-    engine: String,
-}
-
-impl Stamp {
-    /// This engine's stamp.
-    pub(crate) fn current() -> Self {
-        Stamp { version: CACHE_FORMAT_VERSION, engine: CACHE_ENGINE_VERSION.to_owned() }
-    }
-
-    /// Whether `value` — a cache file's top-level object or a journal's
-    /// header line — carries this engine's stamp (other fields are
-    /// ignored). The one staleness check of every persisted file: a file
-    /// of an older schema has no current stamp, so its entries are never
-    /// read.
-    pub(crate) fn is_current(value: &serde_json::Value) -> bool {
-        serde_json::from_value::<Stamp>(value).is_ok_and(|stamp| stamp == Stamp::current())
-    }
-}
 
 /// Content hash of an architecture configuration: [`Fnv1a`] over its
 /// pretty-printed JSON, the text of [`ArchConfig::to_json`].
@@ -200,8 +178,8 @@ impl CacheStats {
 }
 
 /// A thread-safe, content-addressed store of finished evaluations: an
-/// unbounded single-flight memo plus hit/miss/coalesced counters and
-/// JSON persistence.
+/// unbounded single-flight memo plus hit/miss/coalesced counters, and the
+/// log [`Self::load`] opened, if any.
 ///
 /// The store lives behind an [`Arc`](std::sync::Arc), so `Clone` is
 /// shallow: every clone shares the same entries and counters. That is
@@ -219,6 +197,8 @@ struct CacheInner {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
+    /// Every entry the cache newly stores is appended here.
+    log: Option<Log>,
 }
 
 impl EvalCache {
@@ -271,16 +251,30 @@ impl EvalCache {
         self.inner.hits.fetch_add(hits, Ordering::Relaxed);
     }
 
-    /// Stores an evaluation.
+    /// Stores an evaluation, unless the key already holds one (the
+    /// evaluations of one key are interchangeable).
     pub fn insert(&self, key: CacheKey, evaluation: Evaluation) {
-        self.inner.memo.insert(key, evaluation);
+        self.publish(key, evaluation);
     }
 
     /// Stores an evaluation computed after a counted miss, without
     /// counting another lookup. The first writer wins: returns the stored
     /// evaluation and whether another writer had published it first.
     pub(crate) fn publish(&self, key: CacheKey, evaluation: Evaluation) -> (Evaluation, bool) {
-        self.inner.memo.publish(key, evaluation)
+        let (evaluation, stored) = self.inner.memo.publish(key, evaluation);
+        if !stored {
+            self.append(key, &evaluation);
+        }
+        (evaluation, stored)
+    }
+
+    /// Appends a newly stored entry to the cache's log, if it has one.
+    /// Best effort, like a journal append: a failed append must not fail
+    /// the evaluation.
+    fn append(&self, key: CacheKey, evaluation: &Evaluation) {
+        if let Some(log) = &self.inner.log {
+            let _ = log.append(&Record::entry(key, evaluation.clone()));
+        }
     }
 
     /// Looks up, or evaluates-and-stores on a miss.
@@ -289,7 +283,8 @@ impl EvalCache {
     /// one evaluates (a miss) while the others block until the result
     /// lands and then take it as a hit and a coalesced lookup, so an
     /// expensive point is never compiled twice in parallel. (If the
-    /// owning evaluation fails or panics, one waiter takes over.)
+    /// owning evaluation fails or panics, one waiter takes over.) A new
+    /// result is appended to the cache's log before any caller gets it.
     ///
     /// # Errors
     ///
@@ -304,7 +299,9 @@ impl EvalCache {
             // A miss counts when this caller starts evaluating, so a
             // failed evaluation still counts one.
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
-            evaluate()
+            let evaluation = evaluate()?;
+            self.append(key, &evaluation);
+            Ok::<_, DseError>(evaluation)
         })?;
         let hit = source != Source::Computed;
         if hit {
@@ -316,99 +313,40 @@ impl EvalCache {
         Ok((evaluation, hit))
     }
 
-    /// Serializes all entries to JSON (counters are not persisted).
-    pub fn to_json(&self) -> String {
-        let mut rows = self.inner.memo.entries();
-        // Deterministic file contents regardless of hash-map order.
-        rows.sort_by_key(|(k, _)| (k.model, k.arch, k.strategy.name(), k.search.name(), k.traffic));
-        let entries: Vec<CacheEntry> =
-            rows.into_iter().map(|(key, evaluation)| CacheEntry { key, evaluation }).collect();
-        let Stamp { version, engine } = Stamp::current();
-        serde_json::to_string_pretty(&CacheFile { version, engine, entries })
-            .expect("cache serialization cannot fail")
-    }
-
-    /// Restores a cache from [`Self::to_json`] output.
+    /// Opens the cache log at `path`: loads every resumable entry of its
+    /// valid prefix, and from then on appends each entry the cache newly
+    /// stores. A missing file, or one without this engine's stamp (an
+    /// expected lifecycle event), starts cold under a fresh stamp; a torn
+    /// tail is cut.
     ///
     /// # Errors
     ///
-    /// Returns [`DseError::Io`] for malformed contents or for a file
-    /// without this engine's stamp (stale results must not be served
-    /// across engine changes; [`Self::load`] treats that case as a cold
-    /// start instead).
-    pub fn from_json(text: &str) -> Result<Self, DseError> {
-        Self::parse(text)
-            .map_err(|e| DseError::io(format!("bad cache file: {e}")))?
-            .ok_or_else(|| DseError::io("cache not written by this engine version"))
-    }
-
-    /// Parses a cache file: anything that is not JSON, or a current-stamp
-    /// file whose entries do not parse, is corruption; JSON without the
-    /// current stamp (another engine or format version, or an older
-    /// schema) is stale (`None`).
-    fn parse(text: &str) -> Result<Option<Self>, serde_json::Error> {
-        let value: serde_json::Value = serde_json::from_str(text)?;
-        if !Stamp::is_current(&value) {
-            return Ok(None);
-        }
-        let file: CacheFile = serde_json::from_value(&value)?;
-        let cache = EvalCache::new();
-        for entry in file.entries {
-            cache.insert(entry.key, entry.evaluation);
-        }
-        Ok(Some(cache))
-    }
-
-    /// Loads a cache from a JSON file. Returns an empty cache if the file
-    /// does not exist **or** lacks this engine's stamp (an expected
-    /// lifecycle event — the sweep simply runs cold and overwrites the
-    /// file on save).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError::Io`] for unreadable or malformed files.
+    /// Returns [`DseError::Io`] when the file cannot be read, created or
+    /// cut.
     pub fn load(path: &std::path::Path) -> Result<Self, DseError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Self::new()),
-            Err(e) => return Err(DseError::io(format!("cannot read {}: {e}", path.display()))),
-        };
-        let cache = Self::parse(&text)
-            .map_err(|e| DseError::io(format!("bad cache file {}: {e}", path.display())))?;
-        Ok(cache.unwrap_or_default())
+        let memo = Memo::default();
+        let log = Log::open(path, |_, record| {
+            if let Some((key, evaluation)) = record.resumable() {
+                memo.insert(key, evaluation);
+            }
+        })?;
+        let inner = CacheInner { memo, log: Some(log), ..CacheInner::default() };
+        Ok(EvalCache { inner: std::sync::Arc::new(inner) })
     }
 
-    /// Persists the cache to a JSON file.
+    /// Writes a compacted snapshot of the cache to `path`: one log entry
+    /// per stored evaluation, in key order (counters are not persisted).
     ///
     /// # Errors
     ///
     /// Returns [`DseError::Io`] when the file cannot be written.
     pub fn save(&self, path: &std::path::Path) -> Result<(), DseError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| {
-                    DseError::io(format!("cannot create {}: {e}", parent.display()))
-                })?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-            .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))
+        let mut rows = self.inner.memo.entries();
+        // Deterministic file contents regardless of hash-map order.
+        rows.sort_by_key(|(k, _)| (k.model, k.arch, k.strategy.name(), k.search.name(), k.traffic));
+        let lines = rows.into_iter().map(|(key, evaluation)| Record::entry(key, evaluation).line());
+        crate::log::rewrite(path, lines)
     }
-}
-
-#[derive(Serialize, Deserialize)]
-struct CacheEntry {
-    key: CacheKey,
-    evaluation: Evaluation,
-}
-
-/// A persisted cache: the [`Stamp`]'s fields, then the entries.
-#[derive(Serialize, Deserialize)]
-struct CacheFile {
-    version: u32,
-    /// `cimflow-dse` crate version that wrote the file.
-    engine: String,
-    entries: Vec<CacheEntry>,
 }
 
 #[cfg(test)]
@@ -600,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trips_through_json() {
+    fn cache_round_trips_through_a_saved_snapshot() {
         let cache = EvalCache::new();
         let arch = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
@@ -609,18 +547,18 @@ mod tests {
             evaluate_with_search(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential)
                 .unwrap();
         cache.insert(key, evaluation.clone());
+        let dir = std::env::temp_dir().join("cimflow-dse-cache-test");
+        let path = dir.join("snapshot.jsonl");
+        cache.save(&path).unwrap();
 
-        let restored = EvalCache::from_json(&cache.to_json()).unwrap();
+        let restored = EvalCache::load(&path).unwrap();
         assert_eq!(restored.len(), 1);
         let (back, was_hit) =
             restored.get_or_insert_with(key, || panic!("restored cache must hit")).unwrap();
         assert!(was_hit);
         assert_eq!(back.simulation.total_cycles, evaluation.simulation.total_cycles);
         assert_eq!(back.compilation, evaluation.compilation);
-
-        assert!(EvalCache::from_json("{\"version\": 99, \"engine\": \"9.9.9\", \"entries\": []}")
-            .is_err());
-        assert!(EvalCache::from_json("not json").is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -655,9 +593,9 @@ mod tests {
         std::fs::write(&path, "{\"version\": 1, \"entries\": []}").unwrap();
         assert!(EvalCache::load(&path).unwrap().is_empty());
 
-        // Malformed files still surface as errors.
+        // An unparseable first line starts cold too, as a journal's does.
         std::fs::write(&path, "{broken").unwrap();
-        assert!(EvalCache::load(&path).is_err());
+        assert!(EvalCache::load(&path).unwrap().is_empty());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,48 +1,26 @@
-//! Sweep journaling: an append-only JSONL record of finished
-//! [`DseOutcome`]s, so an interrupted sweep resumes from the journal
-//! instead of re-running warm points.
+//! Sweep journaling: an append-only record of finished [`DseOutcome`]s,
+//! so an interrupted sweep resumes from the journal instead of re-running
+//! warm points.
 //!
-//! The journal complements the [`EvalCache`](crate::EvalCache): the cache
-//! is a content-addressed store that must be explicitly saved, while the
-//! journal is written incrementally — one line per finished point, flushed
-//! as it lands — so even a killed process loses at most the point it was
-//! evaluating. Successful entries are keyed by the same content-hashed
-//! [`CacheKey`] the cache uses, so resumption is immune to grid reordering
-//! and spec edits that keep a point's content identical. Failed points are
-//! recorded for the log but always re-run on resume (their failure may
-//! have been transient), matching the cache's errors-are-not-cached
-//! policy.
-//!
-//! A journal file starts with a header line holding the same stamp as a
-//! cache file — [`CACHE_FORMAT_VERSION`](crate::CACHE_FORMAT_VERSION)
-//! plus the engine version, since journal lines embed the cache's
-//! [`Evaluation`] schema — and a mismatching or missing stamp makes
-//! [`SweepJournal::open`] start a fresh journal (stale results must not
-//! be resumed across engine changes). A malformed trailing line — the
-//! signature of a crash mid-write — is dropped, and everything before it
-//! is kept. A journal is the one file at its path: [`SweepJournal::open`]
-//! and [`SweepJournal::compact`] read and rewrite only that file.
+//! A journal is a log in the format cache files use (see
+//! [`EvalCache::load`](crate::EvalCache::load)), whose lines also carry
+//! each point and whether it was cached. A line is flushed as it lands,
+//! so a killed process loses at most the point it was evaluating; opening
+//! cuts a torn tail and rewrites nothing else, and a journal of another
+//! stamp starts fresh. Successful entries are keyed by the cache's
+//! content-hashed [`CacheKey`], so resumption is immune to grid
+//! reordering and spec edits that keep a point's content identical.
+//! Failed points are logged but always re-run on resume (their failure
+//! may have been transient), as the cache does not store errors.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::Stamp;
-use crate::{CacheKey, DseError, DseOutcome, Evaluation, PointSpec};
-
-/// One journaled point. `evaluation` is present for successes (resumable),
-/// `error` for failures (log-only).
-#[derive(Serialize, Deserialize)]
-struct JournalEntry {
-    key: Option<CacheKey>,
-    point: PointSpec,
-    evaluation: Option<Evaluation>,
-    error: Option<String>,
-    cached: bool,
-}
+use crate::log::{Log, Record};
+use crate::{CacheKey, DseError, DseOutcome, Evaluation};
 
 /// What a compaction pass dropped and kept (see
 /// [`SweepJournal::compact`]).
@@ -56,7 +34,7 @@ pub struct CompactionStats {
     pub failures: usize,
 }
 
-/// An append-only JSONL journal of finished sweep points.
+/// An append-only journal of finished sweep points.
 ///
 /// Thread-safe: service workers append concurrently. Appends are
 /// best-effort from the workers' perspective — an I/O failure must never
@@ -64,156 +42,46 @@ pub struct CompactionStats {
 /// error for callers that want to know.
 #[derive(Debug)]
 pub struct SweepJournal {
-    path: PathBuf,
+    log: Log,
     entries: Mutex<HashMap<CacheKey, Evaluation>>,
-    file: Mutex<std::fs::File>,
-}
-
-/// One kept line of a journal file with its key (for successful entries)
-/// and evaluation.
-type JournalLine = (String, Option<CacheKey>, Option<Evaluation>);
-
-/// Reads the valid, stamp-checked prefix of a journal file. A stale or
-/// missing stamp yields an empty parse; a malformed trailing line (crash
-/// mid-write) drops the tail and keeps the prefix.
-fn parse_journal(path: &Path) -> Result<Vec<JournalLine>, DseError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(DseError::io(format!("cannot read {}: {e}", path.display()))),
-    };
-    let mut lines = text.lines();
-    let stamped = lines
-        .next()
-        .and_then(|line| serde_json::from_str::<serde_json::Value>(line).ok())
-        .is_some_and(|header| Stamp::is_current(&header));
-    let mut parsed = Vec::new();
-    if stamped {
-        for line in lines {
-            match serde_json::from_str::<JournalEntry>(line) {
-                Ok(entry) => {
-                    let key = entry.key.filter(|_| entry.evaluation.is_some());
-                    parsed.push((line.to_owned(), key, entry.evaluation));
-                }
-                // A malformed line is a crash-truncated tail: keep the
-                // valid prefix, drop the rest.
-                Err(_) => break,
-            }
-        }
-    }
-    Ok(parsed)
-}
-
-/// Marks which lines survive deduplication: for every key only the
-/// *last* successful entry is kept (earlier ones are superseded);
-/// keyless/failure lines pass through untouched.
-fn dedup_mask(lines: &[JournalLine]) -> Vec<bool> {
-    let mut seen: std::collections::HashSet<CacheKey> = std::collections::HashSet::new();
-    let mut keep = vec![true; lines.len()];
-    for (index, (_, key, _)) in lines.iter().enumerate().rev() {
-        if let Some(key) = key {
-            if !seen.insert(*key) {
-                keep[index] = false;
-            }
-        }
-    }
-    keep
-}
-
-/// Writes a normalized journal file (current stamp + `lines`).
-fn write_journal(path: &Path, lines: &[&str]) -> Result<(), DseError> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| DseError::io(format!("cannot create {}: {e}", parent.display())))?;
-        }
-    }
-    let mut contents =
-        serde_json::to_string(&Stamp::current()).expect("stamp serialization cannot fail");
-    contents.push('\n');
-    for line in lines {
-        contents.push_str(line);
-        contents.push('\n');
-    }
-    std::fs::write(path, &contents)
-        .map_err(|e| DseError::io(format!("cannot write {}: {e}", path.display())))
 }
 
 impl SweepJournal {
     /// Opens (or creates) a journal at `path`, loading every resumable
-    /// point recorded by a previous run of the same engine/format.
-    ///
-    /// A journal written by a different engine or format version — or a
-    /// file without a stamp header — is discarded and restarted fresh.
-    /// A malformed trailing line (crash mid-write) is dropped; the valid
-    /// prefix is kept and the file is rewritten without the garbage tail.
-    /// Superseded entries — an earlier success for a key a later line
-    /// also records — are dropped during the rewrite, so a journal that
-    /// accumulated duplicates across resumed runs shrinks back to one
-    /// line per point.
+    /// point recorded by a previous run of the same engine/format (a
+    /// key's last entry wins). A journal of another engine or format
+    /// version, or a file without a stamp line, restarts fresh; a torn
+    /// trailing line (crash mid-write) is cut.
     ///
     /// # Errors
     ///
-    /// Returns [`DseError::Io`] when the file cannot be read, rewritten
-    /// or created.
+    /// Returns [`DseError::Io`] when the file cannot be read, cut or
+    /// created.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, DseError> {
-        let path = path.into();
         let mut entries = HashMap::new();
-        let lines = parse_journal(&path)?;
-        let keep = dedup_mask(&lines);
-        let mut kept = Vec::new();
-        for ((line, key, evaluation), keep) in lines.iter().zip(&keep) {
-            if !keep {
-                continue;
-            }
-            if let (Some(key), Some(evaluation)) = (key, evaluation) {
-                entries.insert(*key, evaluation.clone());
-            }
-            kept.push(line.as_str());
-        }
-        // Rewrite the normalized journal (fresh header, deduplicated
-        // valid entries only) and keep the handle open for appending.
-        write_journal(&path, &kept)?;
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| DseError::io(format!("cannot open {}: {e}", path.display())))?;
-        Ok(SweepJournal { path, entries: Mutex::new(entries), file: Mutex::new(file) })
+        let log = Log::open(&path.into(), |_, record| {
+            entries.extend(record.resumable());
+        })?;
+        Ok(SweepJournal { log, entries: Mutex::new(entries) })
     }
 
-    /// Compacts a journal in place without opening it for appending:
-    /// drops superseded/duplicate entries (keeping each key's latest
-    /// success) *and* failure/log-only lines, which resumption re-runs
-    /// anyway. The `cimflow-dse journal compact` subcommand is a thin
-    /// wrapper over this.
+    /// Compacts a journal or cache file in place without opening it for
+    /// appending: drops superseded/duplicate entries (keeping each key's
+    /// latest success) *and* failure/log-only lines, which resumption
+    /// re-runs anyway. The `cimflow-dse journal compact` subcommand is a
+    /// thin wrapper over this.
     ///
     /// # Errors
     ///
     /// Returns [`DseError::Io`] when the file cannot be read or
     /// rewritten.
     pub fn compact(path: impl Into<PathBuf>) -> Result<CompactionStats, DseError> {
-        let path = path.into();
-        let lines = parse_journal(&path)?;
-        let keep = dedup_mask(&lines);
-        let mut stats = CompactionStats::default();
-        let mut kept = Vec::new();
-        for ((line, key, _), keep) in lines.iter().zip(&keep) {
-            if key.is_none() {
-                stats.failures += 1;
-            } else if !keep {
-                stats.superseded += 1;
-            } else {
-                stats.kept += 1;
-                kept.push(line.as_str());
-            }
-        }
-        write_journal(&path, &kept)?;
-        Ok(stats)
+        crate::log::compact(&path.into())
     }
 
     /// The journal file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Number of resumable (successful) points in the journal.
@@ -240,22 +108,13 @@ impl SweepJournal {
     /// Returns [`DseError::Io`] when the append fails. Workers treat this
     /// as best-effort.
     pub fn record(&self, key: Option<CacheKey>, outcome: &DseOutcome) -> Result<(), DseError> {
-        let entry = JournalEntry {
+        self.log.append(&Record {
             key,
-            point: outcome.point.clone(),
+            point: Some(outcome.point.clone()),
             evaluation: outcome.result.as_ref().ok().cloned(),
             error: outcome.result.as_ref().err().map(ToString::to_string),
-            cached: outcome.cached,
-        };
-        let mut line =
-            serde_json::to_string(&entry).expect("journal entry serialization cannot fail");
-        line.push('\n');
-        {
-            let mut file = self.file.lock().expect("journal poisoned");
-            file.write_all(line.as_bytes())
-                .and_then(|()| file.flush())
-                .map_err(|e| DseError::io(format!("cannot append {}: {e}", self.path.display())))?;
-        }
+            cached: Some(outcome.cached),
+        })?;
         if let (Some(key), Ok(evaluation)) = (key, &outcome.result) {
             self.entries.lock().expect("journal poisoned").insert(key, evaluation.clone());
         }
@@ -392,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn reopening_drops_superseded_entries_and_compaction_drops_failures() {
+    fn reopening_resumes_the_last_entry_and_compaction_drops_superseded_and_failures() {
         let path = journal_path("compact.jsonl");
         let journal = SweepJournal::open(&path).unwrap();
         let arch = ArchConfig::paper_default();
@@ -421,18 +280,17 @@ mod tests {
         drop(journal);
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 5, "header + 4");
 
-        // Reopening dedups the superseded duplicates but keeps the
-        // failure log line.
+        // Reopening resumes the key once and rewrites nothing.
         let reopened = SweepJournal::open(&path).unwrap();
         assert_eq!(reopened.len(), 1);
         assert!(reopened.lookup(&key).is_some());
         drop(reopened);
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3, "header + 2");
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 5, "header + 4");
 
-        // Full compaction also drops the failure line and reports what
-        // happened.
+        // Compaction drops the superseded duplicates and the failure
+        // line, and reports what happened.
         let stats = SweepJournal::compact(&path).unwrap();
-        assert_eq!(stats, CompactionStats { kept: 1, superseded: 0, failures: 1 });
+        assert_eq!(stats, CompactionStats { kept: 1, superseded: 2, failures: 1 });
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 2, "header + 1");
         // The compacted journal still resumes.
         let after = SweepJournal::open(&path).unwrap();

@@ -56,6 +56,7 @@ pub mod export;
 mod fidelity;
 mod job;
 mod journal;
+mod log;
 mod memo;
 pub mod serve;
 mod service;

@@ -7,8 +7,8 @@
 //!
 //! - **sweep** (`cimflow-dse <sweep.json>`) evaluates every point of a
 //!   `SweepSpec` grid and reports the per-model Pareto frontiers.
-//!   `--journal` appends each finished point to a JSONL journal and
-//!   resumes from it; `--search` overrides the spec's search-mode axis.
+//!   `--journal` appends each finished point to a journal and resumes
+//!   from it; `--search` overrides the spec's search-mode axis.
 //! - **explore** (`cimflow-dse explore <space.json>`) runs the adaptive
 //!   explorer over an `ExploreSpec` (a sweep space plus a budget, an
 //!   algorithm and a seed) instead of the whole grid. Its flags override
@@ -19,7 +19,12 @@
 //!   bounds the admission queue and `--quota` each tenant's in-flight
 //!   points.
 //! - **journal** (`cimflow-dse journal compact <PATH>`) drops superseded
-//!   entries and failure lines from a sweep journal.
+//!   entries and failure lines from a sweep journal or a cache file.
+//!
+//! `--cache` (sweep, serve) opens an evaluation-cache log: it loads the
+//! results the log holds and appends each new one as it lands, so even a
+//! killed server keeps every point it answered. Cache files and journals
+//! share one format (see `cimflow_dse::SweepJournal`).
 //!
 //! `--trace-out` writes a Chrome `trace_event` timeline of the run
 //! (loadable in Perfetto or `chrome://tracing`) and `--metrics-out` its
@@ -230,7 +235,7 @@ impl Options {
 /// A parsed command line.
 struct Cli {
     mode: Mode,
-    /// The spec file (sweep, explore) or the journal (journal compact);
+    /// The spec file (sweep, explore) or the log (journal compact);
     /// empty for serve.
     path: PathBuf,
     options: Options,
@@ -368,10 +373,11 @@ impl Reporter {
     }
 }
 
-/// Starts the service a mode evaluates on: its cache loaded from
-/// `--cache`, its pool sized by `--workers` (else `spec_workers`, else
-/// one worker per core), admission bounded by `--queue`/`--quota`, and a
-/// tracer when `--trace-out` asks for a timeline.
+/// Starts the service a mode evaluates on: its cache the `--cache` log
+/// (each new result is appended as it lands), its pool sized by
+/// `--workers` (else `spec_workers`, else one worker per core), admission
+/// bounded by `--queue`/`--quota`, and a tracer when `--trace-out` asks
+/// for a timeline.
 fn start_service(options: &Options, spec_workers: Option<usize>) -> Result<EvalService, DseError> {
     let cache = match &options.cache {
         Some(path) => EvalCache::load(path)?,
@@ -399,8 +405,7 @@ fn write_file(path: &Path, contents: &str) -> Result<(), DseError> {
 }
 
 /// Writes a run's files: the `--csv`/`--json` exports of `outcomes`,
-/// the `--cache` file, the `--trace-out` timeline and the
-/// `--metrics-out` exposition.
+/// the `--trace-out` timeline and the `--metrics-out` exposition.
 fn write_outputs(
     service: &EvalService,
     options: &Options,
@@ -414,11 +419,6 @@ fn write_outputs(
     if let Some(path) = &options.json {
         write_file(path, &export::to_json(outcomes))?;
         reporter.machine(&format!("wrote JSON -> {}", path.display()));
-    }
-    if let Some(path) = &options.cache {
-        service.cache().save(path)?;
-        let entries = service.cache().len();
-        reporter.machine(&format!("saved cache ({entries} entries) -> {}", path.display()));
     }
     if let (Some(path), Some(tracer)) = (&options.trace_out, service.tracer()) {
         write_file(path, &tracer.to_chrome_json())?;
