@@ -9,6 +9,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
+use cimflow_dse::serve::{Response, WireOutcome};
+
 /// A `cimflow-dse serve` child speaking the wire on its stdin/stdout.
 struct Server {
     child: Child,
@@ -32,28 +34,28 @@ impl Server {
     }
 
     /// Sends one request line and reads its one response line.
-    fn exchange(&mut self, request: &str) -> String {
+    fn exchange(&mut self, request: &str) -> Response {
         writeln!(self.stdin, "{request}").expect("the server reads its stdin");
         self.stdin.flush().expect("the server reads its stdin");
         let mut line = String::new();
         self.stdout.read_line(&mut line).expect("the server answers");
-        assert!(line.ends_with('\n'), "the server answered {request:?} with {line:?}");
-        line
+        serde_json::from_str(&line).unwrap_or_else(|e| panic!("{request} answered {line:?}: {e}"))
     }
 
     /// Submits the mobilenetv2 point with `mg` macros per group and waits
-    /// for its result line.
-    fn evaluate(&mut self, mg: u32) -> String {
-        let accepted = self.exchange(&format!(
+    /// for its outcome.
+    fn evaluate(&mut self, mg: u32) -> WireOutcome {
+        let submit = format!(
             r#"{{"submit": {{"model": {{"name": "mobilenetv2", "resolution": 32}}, "strategy": "generic", "mg_size": {mg}}}}}"#
-        ));
-        let job = accepted
-            .strip_prefix(r#"{"accepted":{"job":"#)
-            .and_then(|rest| rest.split('}').next())
-            .unwrap_or_else(|| panic!("the submission was not accepted: {accepted}"));
-        let result = self.exchange(&format!(r#"{{"wait": {{"job": {job}}}}}"#));
-        assert!(result.contains(r#""ok":true"#), "{result}");
-        result
+        );
+        let job = match self.exchange(&submit) {
+            Response::Accepted { job } => job,
+            other => panic!("the submission was not accepted: {other:?}"),
+        };
+        match self.exchange(&format!(r#"{{"wait": {{"job": {job}}}}}"#)) {
+            Response::Result(outcome) if outcome.ok => outcome,
+            other => panic!("job {job} did not succeed: {other:?}"),
+        }
     }
 }
 
@@ -73,20 +75,19 @@ fn a_killed_server_restarts_with_every_answered_point_cached() {
 
     let mut server = Server::start(&cache);
     for mg in [4, 8, 16] {
-        let result = server.evaluate(mg);
-        assert!(result.contains(r#""cached":false"#), "{result}");
+        assert!(!server.evaluate(mg).cached, "MG {mg} is evaluated");
     }
     server.child.kill().expect("the server is running");
     server.child.wait().expect("the killed server is reaped");
     drop(server);
 
     let mut server = Server::start(&cache);
-    let stats = server.exchange(r#"{"stats": {}}"#);
-    assert!(stats.contains(r#""cache_entries":3"#), "{stats}");
-    let again = server.evaluate(8);
-    assert!(again.contains(r#""cached":true"#), "{again}");
-    let bye = server.exchange(r#"{"shutdown": {}}"#);
-    assert!(bye.contains("shutting_down"), "{bye}");
+    match server.exchange(r#"{"stats": {}}"#) {
+        Response::Stats { cache_entries, .. } => assert_eq!(cache_entries, 3),
+        other => panic!("not a stats reply: {other:?}"),
+    }
+    assert!(server.evaluate(8).cached, "the restarted server answers from its cache");
+    assert_eq!(server.exchange(r#"{"shutdown": {}}"#), Response::ShuttingDown);
     let status = server.child.wait().expect("the server exits");
     assert!(status.success(), "{status}");
     std::fs::remove_file(&cache).ok();
