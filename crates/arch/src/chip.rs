@@ -44,7 +44,7 @@ impl MeshDimensions {
 }
 
 /// Chip-level hardware description (Table I defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Deserialize)]
 pub struct ChipConfig {
     /// Number of cores on the chip (Table I: 64).
     pub core_count: u32,
@@ -62,6 +62,7 @@ pub struct ChipConfig {
     /// attached to. Historically hardcoded to node 0 inside the
     /// simulator; now part of the configuration and validated against
     /// the mesh extent.
+    #[serde(default)]
     pub memory_port: u32,
 }
 
@@ -162,7 +163,6 @@ impl ChipConfig {
 // historical hardwired node 0, so the serialized form — and therefore
 // the content hash the evaluation cache keys on — of every pre-existing
 // configuration is byte-identical to what older engines produced.
-// Deserialization accepts files that omit the field.
 impl Serialize for ChipConfig {
     fn serialize(&self) -> Content {
         let mut map = vec![
@@ -180,31 +180,6 @@ impl Serialize for ChipConfig {
     }
 }
 
-impl Deserialize for ChipConfig {
-    fn deserialize(content: &Content) -> Result<Self, serde::Error> {
-        let map =
-            content.as_map().ok_or_else(|| serde::Error::new("expected map for ChipConfig"))?;
-        let required = |name: &str| {
-            map.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::Error::new(format!("missing field `{name}` in ChipConfig")))
-        };
-        Ok(ChipConfig {
-            core_count: Deserialize::deserialize(required("core_count")?)?,
-            mesh: Deserialize::deserialize(required("mesh")?)?,
-            noc_flit_bytes: Deserialize::deserialize(required("noc_flit_bytes")?)?,
-            noc_hop_latency: Deserialize::deserialize(required("noc_hop_latency")?)?,
-            global_memory: Deserialize::deserialize(required("global_memory")?)?,
-            frequency_mhz: Deserialize::deserialize(required("frequency_mhz")?)?,
-            memory_port: match map.iter().find(|(k, _)| k == "memory_port") {
-                Some((_, v)) => Deserialize::deserialize(v)?,
-                None => 0,
-            },
-        })
-    }
-}
-
 impl Default for ChipConfig {
     fn default() -> Self {
         Self::paper_default()
@@ -218,7 +193,7 @@ fn squarest_mesh(cores: u32) -> MeshDimensions {
     }
     let mut best = MeshDimensions::new(cores, 1);
     let mut w = 1;
-    while w * w <= cores {
+    while w <= cores / w {
         if cores.is_multiple_of(w) {
             best = MeshDimensions::new(cores / w, w);
         }
@@ -238,6 +213,16 @@ mod tests {
         assert_eq!(chip.noc_flit_bytes, 8);
         assert_eq!(chip.mesh.nodes(), 64);
         assert!(chip.validate().is_ok());
+    }
+
+    #[test]
+    fn squarest_mesh_holds_every_core_count_without_overflow() {
+        assert_eq!(squarest_mesh(64), MeshDimensions::new(8, 8));
+        assert_eq!(squarest_mesh(65_535 * 65_535), MeshDimensions::new(65_535, 65_535));
+        // Above 65,535² the old `w * w` test overflowed at w = 65,536.
+        let mesh = squarest_mesh(u32::MAX);
+        assert_eq!(u64::from(mesh.width) * u64::from(mesh.height), u64::from(u32::MAX));
+        assert!(mesh.height <= mesh.width);
     }
 
     #[test]

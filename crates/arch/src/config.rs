@@ -165,7 +165,7 @@ impl ArchConfig {
     /// Returns a copy with a different per-core local-memory capacity in
     /// KiB (the sweep axis used by `cimflow-dse`).
     pub fn with_local_memory_kib(self, size_kib: u64) -> Self {
-        self.with_local_memory_bytes(size_kib * 1024)
+        self.with_local_memory_bytes(size_kib.saturating_mul(1024))
     }
 
     /// Returns a copy with a different clock frequency in MHz.
@@ -318,8 +318,7 @@ impl Deserialize for ArchConfig {
     fn deserialize(content: &Content) -> Result<Self, serde::Error> {
         let map =
             content.as_map().ok_or_else(|| serde::Error::new("expected map for ArchConfig"))?;
-        let field = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let system = match (field("system"), field("chip")) {
+        let system = match (serde::lookup(map, "system"), serde::lookup(map, "chip")) {
             (Some(system), _) => SystemConfig::deserialize(system)?,
             (None, Some(chip)) => SystemConfig::single_chip(ChipConfig::deserialize(chip)?),
             (None, None) => {
@@ -328,8 +327,8 @@ impl Deserialize for ArchConfig {
                 ))
             }
         };
-        let core =
-            field("core").ok_or_else(|| serde::Error::new("missing field `core` in ArchConfig"))?;
+        let core = serde::lookup(map, "core")
+            .ok_or_else(|| serde::Error::new("missing field `core` in ArchConfig"))?;
         Ok(ArchConfig { system, core: Deserialize::deserialize(core)? })
     }
 }
@@ -371,6 +370,8 @@ mod tests {
         assert_eq!(swept.chip().noc_flit_bytes, 16);
         assert_eq!(swept.chip().core_count, base.chip().core_count);
         assert!(swept.validate().is_ok());
+        // A capacity past `u64` bytes saturates instead of overflowing.
+        assert_eq!(base.with_local_memory_kib(u64::MAX).core.local_memory.size_bytes, u64::MAX);
     }
 
     #[test]

@@ -57,5 +57,5 @@ pub use core::{CoreConfig, RegisterFileConfig};
 pub use error::ArchError;
 pub use hash::Fnv1a;
 pub use memory::{GlobalMemoryConfig, LocalMemoryConfig, SegmentKind};
-pub use system::{InterChipConfig, InterChipTopology, SystemConfig};
+pub use system::{InterChipConfig, InterChipTopology, SystemConfig, MAX_SYSTEM_CORES};
 pub use unit::{CimUnitConfig, ElementConfig, MacroConfig, ScalarUnitConfig, VectorUnitConfig};

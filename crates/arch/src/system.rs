@@ -14,7 +14,7 @@ use crate::chip::ChipConfig;
 use crate::ArchError;
 
 /// Topology of the chip-to-chip interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum InterChipTopology {
     /// Every chip pair is connected by a dedicated full-duplex link
     /// (package-level point-to-point fabric); any transfer is one hop.
@@ -24,13 +24,19 @@ pub enum InterChipTopology {
     Ring,
 }
 
+/// Most cores a system may hold across all its chips: 65,536, 1,024
+/// copies of Table I's 64-core chip. The compiler builds one program
+/// per core, so a larger system fails validation instead.
+pub const MAX_SYSTEM_CORES: u64 = 1 << 16;
+
 /// Configuration of the inter-chip interconnect.
 ///
 /// Links are flit-serialized exactly like the on-chip mesh, just with a
 /// wider flit and a much larger per-hop latency: a transfer of `bytes`
 /// occupies every traversed link for `ceil(bytes / link_bytes_per_cycle)`
 /// cycles after a `link_latency_cycles` head-of-line delay per hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(default)]
 pub struct InterChipConfig {
     /// Link topology.
     pub topology: InterChipTopology,
@@ -87,14 +93,20 @@ impl Default for InterChipConfig {
 /// The system level of the architecture: one chip description, how many
 /// copies of it the platform integrates, and the interconnect between
 /// them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// The (homogeneous) chip replicated across the system.
     pub chip: ChipConfig,
     /// Number of chips (1 = the paper's single-chip platform).
+    #[serde(default = "one_chip")]
     pub chip_count: u32,
     /// Chip-to-chip interconnect.
+    #[serde(default)]
     pub interconnect: InterChipConfig,
+}
+
+fn one_chip() -> u32 {
+    1
 }
 
 impl SystemConfig {
@@ -126,6 +138,13 @@ impl SystemConfig {
         if self.chip_count == 0 {
             return Err(ArchError::invalid("system.chip_count", "must be positive"));
         }
+        let cores = u64::from(self.chip_count) * u64::from(self.chip.core_count);
+        if cores > MAX_SYSTEM_CORES {
+            return Err(ArchError::invalid(
+                "system",
+                format!("{cores} cores exceed the {MAX_SYSTEM_CORES}-core system bound"),
+            ));
+        }
         self.interconnect.validate()?;
         self.chip.validate()
     }
@@ -137,69 +156,20 @@ impl Default for SystemConfig {
     }
 }
 
-// Manual deserialization so that configuration files may omit any
-// system-level field: an absent `chip_count` means 1 and an absent
-// `interconnect` (or interconnect sub-field) means the default — the
-// single-chip files of the paper's era keep parsing unchanged.
-
-fn field<'a>(map: &'a [(String, Content)], name: &str) -> Option<&'a Content> {
-    map.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-impl Deserialize for InterChipConfig {
+/// Accept both the tagged enum spelling (`"PointToPoint"`) and the
+/// snake-case string a hand-written config file would use.
+impl Deserialize for InterChipTopology {
     fn deserialize(content: &Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::new("expected map for InterChipConfig"))?;
-        let default = InterChipConfig::paper_default();
-        Ok(InterChipConfig {
-            topology: match field(map, "topology") {
-                Some(v) => topology_from_content(v)?,
-                None => default.topology,
-            },
-            link_bytes_per_cycle: match field(map, "link_bytes_per_cycle") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => default.link_bytes_per_cycle,
-            },
-            link_latency_cycles: match field(map, "link_latency_cycles") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => default.link_latency_cycles,
-            },
-        })
+        match content.as_str() {
+            Some("PointToPoint" | "point_to_point") => Ok(InterChipTopology::PointToPoint),
+            Some("Ring" | "ring") => Ok(InterChipTopology::Ring),
+            Some(other) => Err(serde::Error::new(format!("unknown inter-chip topology `{other}`"))),
+            None => Err(serde::Error::new(format!(
+                "expected variant of InterChipTopology, found {}",
+                content.kind_name()
+            ))),
+        }
     }
-}
-
-impl Deserialize for SystemConfig {
-    fn deserialize(content: &Content) -> Result<Self, serde::Error> {
-        let map =
-            content.as_map().ok_or_else(|| serde::Error::new("expected map for SystemConfig"))?;
-        let chip = field(map, "chip")
-            .ok_or_else(|| serde::Error::new("missing field `chip` in SystemConfig"))?;
-        Ok(SystemConfig {
-            chip: Deserialize::deserialize(chip)?,
-            chip_count: match field(map, "chip_count") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => 1,
-            },
-            interconnect: match field(map, "interconnect") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => InterChipConfig::paper_default(),
-            },
-        })
-    }
-}
-
-/// Accept both the tagged enum spelling (`{"PointToPoint": null}`-style)
-/// and the plain string a hand-written config file would use.
-pub(crate) fn topology_from_content(content: &Content) -> Result<InterChipTopology, serde::Error> {
-    if let Some(text) = content.as_str() {
-        return match text {
-            "PointToPoint" | "point_to_point" => Ok(InterChipTopology::PointToPoint),
-            "Ring" | "ring" => Ok(InterChipTopology::Ring),
-            other => Err(serde::Error::new(format!("unknown inter-chip topology `{other}`"))),
-        };
-    }
-    InterChipTopology::deserialize(content)
 }
 
 #[cfg(test)]
@@ -234,16 +204,33 @@ mod tests {
     }
 
     #[test]
+    fn systems_are_bounded_in_total_cores() {
+        let chip = ChipConfig::paper_default();
+        let at_bound = SystemConfig { chip_count: 1024, ..SystemConfig::single_chip(chip) };
+        assert_eq!(u64::from(at_bound.total_cores()), MAX_SYSTEM_CORES);
+        assert!(at_bound.validate().is_ok());
+        let over = SystemConfig { chip_count: 1025, ..at_bound };
+        let error = over.validate().unwrap_err().to_string();
+        assert!(error.contains("65600 cores exceed the 65536-core system bound"), "{error}");
+        // The product is taken in 64 bits, so it cannot wrap below the bound.
+        let wide = SystemConfig {
+            chip_count: u32::MAX,
+            ..SystemConfig::single_chip(chip.with_core_count(u32::MAX))
+        };
+        assert!(wide.validate().is_err());
+    }
+
+    #[test]
     fn serde_round_trip_and_string_topologies() {
         let system = SystemConfig { chip_count: 4, ..SystemConfig::default() };
         let back: SystemConfig =
             serde_json::from_str(&serde_json::to_string(&system).unwrap()).unwrap();
         assert_eq!(back, system);
         assert_eq!(
-            topology_from_content(&Content::Str("ring".into())).unwrap(),
+            InterChipTopology::deserialize(&Content::Str("ring".into())).unwrap(),
             InterChipTopology::Ring
         );
-        assert!(topology_from_content(&Content::Str("torus".into())).is_err());
+        assert!(InterChipTopology::deserialize(&Content::Str("torus".into())).is_err());
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl serde::Deserialize for CompileReport {
         let map =
             content.as_map().ok_or_else(|| serde::Error::new("expected map for CompileReport"))?;
         let field = |name: &str| {
-            map.iter().find(|(k, _)| k == name).map(|(_, v)| v).ok_or_else(|| {
+            serde::lookup(map, name).ok_or_else(|| {
                 serde::Error::new(format!("missing field `{name}` in CompileReport"))
             })
         };

@@ -57,7 +57,7 @@ use std::sync::Arc;
 use cimflow_arch::ArchConfig;
 use cimflow_obs::{thread_track, AttrValue, Counter, Gauge, MetricsRegistry, Tracer};
 use cimflow_traffic::XorShift;
-use serde::{Content, Deserialize, Serialize};
+use serde::{optional_field, Content, Deserialize, Serialize};
 
 use crate::analysis::Objective;
 use crate::fidelity::{
@@ -274,34 +274,22 @@ impl Deserialize for ExploreSpec {
     fn deserialize(content: &Content) -> Result<Self, serde::Error> {
         let map =
             content.as_map().ok_or_else(|| serde::Error::new("expected map for ExploreSpec"))?;
-        let field = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let space = match field("space") {
+        let space = match serde::lookup(map, "space") {
             Some(value) => SweepSpec::deserialize(value)
                 .map_err(|e| serde::Error::new(format!("ExploreSpec.space: {e}")))?,
             None => return Err(serde::Error::new("ExploreSpec needs a `space`")),
         };
-        fn opt<T: Deserialize>(
-            value: Option<&Content>,
-            name: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match value {
-                Some(Content::Null) | None => Ok(None),
-                Some(value) => T::deserialize(value)
-                    .map(Some)
-                    .map_err(|e| serde::Error::new(format!("ExploreSpec.{name}: {e}"))),
-            }
-        }
-        let budget = opt(field("budget"), "budget")?.unwrap_or_else(|| default_budget(&space));
+        let budget = optional_field(map, "budget", "ExploreSpec")?;
         Ok(ExploreSpec {
+            budget: budget.unwrap_or_else(|| default_budget(&space)),
             space,
-            budget,
-            algorithm: opt(field("algorithm"), "algorithm")?.unwrap_or_default(),
-            seed: opt(field("seed"), "seed")?.unwrap_or(DEFAULT_SEED),
-            objective: opt(field("objective"), "objective")?.unwrap_or_default(),
-            ladder: opt(field("ladder"), "ladder")?.unwrap_or_default(),
-            scout_share: opt(field("scout_share"), "scout_share")?,
-            stall_generations: opt(field("stall_generations"), "stall_generations")?,
-            caps: opt(field("caps"), "caps")?.unwrap_or_default(),
+            algorithm: optional_field(map, "algorithm", "ExploreSpec")?.unwrap_or_default(),
+            seed: optional_field(map, "seed", "ExploreSpec")?.unwrap_or(DEFAULT_SEED),
+            objective: optional_field(map, "objective", "ExploreSpec")?.unwrap_or_default(),
+            ladder: optional_field(map, "ladder", "ExploreSpec")?.unwrap_or_default(),
+            scout_share: optional_field(map, "scout_share", "ExploreSpec")?,
+            stall_generations: optional_field(map, "stall_generations", "ExploreSpec")?,
+            caps: optional_field(map, "caps", "ExploreSpec")?.unwrap_or_default(),
         })
     }
 }

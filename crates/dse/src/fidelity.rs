@@ -377,7 +377,7 @@ impl RankFidelity {
 
 /// Feasibility ceilings for constraint-aware exploration. Inactive caps
 /// admit everything, so the default is behavior-neutral.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FeasibilityCaps {
     /// Maximum system silicon area in mm² (arch-derived, so it cuts
     /// candidates *before* any simulation is paid for).
@@ -419,25 +419,6 @@ impl FeasibilityCaps {
     /// points are infeasible).
     pub fn admits_outcome(&self, outcome: &DseOutcome) -> bool {
         outcome.evaluation().map(|evaluation| self.admits(evaluation)).unwrap_or(false)
-    }
-}
-
-impl Deserialize for FeasibilityCaps {
-    fn deserialize(content: &Content) -> Result<Self, serde::Error> {
-        let map = content.as_map().ok_or_else(|| serde::Error::new("expected map for caps"))?;
-        let field = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        fn opt(value: Option<&Content>, name: &str) -> Result<Option<f64>, serde::Error> {
-            match value {
-                Some(Content::Null) | None => Ok(None),
-                Some(value) => f64::deserialize(value)
-                    .map(Some)
-                    .map_err(|e| serde::Error::new(format!("caps.{name}: {e}"))),
-            }
-        }
-        Ok(FeasibilityCaps {
-            max_area_mm2: opt(field("max_area_mm2"), "max_area_mm2")?,
-            max_power_w: opt(field("max_power_w"), "max_power_w")?,
-        })
     }
 }
 

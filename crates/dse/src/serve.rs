@@ -40,7 +40,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use serde::{Content, Deserialize, Serialize};
+use serde::{lookup, Content, Deserialize, Serialize};
 
 use crate::service::{BatchHandle, EvalRequest, JobHandle, Priority};
 use crate::{DseOutcome, EvalService, SweepSpec};
@@ -308,8 +308,9 @@ fn untag(content: &Content) -> Result<(&str, &Content), serde::Error> {
     }
 }
 
-fn field<'c>(map: &'c [(String, Content)], name: &str) -> Option<&'c Content> {
-    map.iter().find(|(key, _)| key == name).map(|(_, value)| value)
+/// The value under `name`, `null` when it is missing.
+fn nullable<'c>(map: &'c [(String, Content)], name: &str) -> &'c Content {
+    lookup(map, name).unwrap_or(&Content::Null)
 }
 
 impl serde::Serialize for Target {
@@ -324,7 +325,7 @@ impl serde::Serialize for Target {
 impl serde::Deserialize for Target {
     fn deserialize(content: &Content) -> Result<Self, serde::Error> {
         let map = content.as_map().ok_or_else(|| serde::Error::new("expected a target object"))?;
-        match (field(map, "job"), field(map, "batch")) {
+        match (lookup(map, "job"), lookup(map, "batch")) {
             (Some(id), None) => Ok(Target::Job(u64::deserialize(id)?)),
             (None, Some(id)) => Ok(Target::Batch(u64::deserialize(id)?)),
             _ => Err(serde::Error::new("expected either a `job` or a `batch` id")),
@@ -371,18 +372,12 @@ impl serde::Deserialize for Request {
             "sweep" => {
                 let map =
                     value.as_map().ok_or_else(|| serde::Error::new("expected a sweep object"))?;
-                let spec = field(map, "spec")
+                let spec = lookup(map, "spec")
                     .ok_or_else(|| serde::Error::new("sweep request needs a `spec`"))?;
                 Ok(Request::Sweep {
                     spec: Box::new(SweepSpec::deserialize(spec)?),
-                    tenant: match field(map, "tenant") {
-                        None | Some(Content::Null) => None,
-                        Some(value) => Some(String::deserialize(value)?),
-                    },
-                    priority: match field(map, "priority") {
-                        None | Some(Content::Null) => None,
-                        Some(value) => Some(Priority::deserialize(value)?),
-                    },
+                    tenant: Option::deserialize(nullable(map, "tenant"))?,
+                    priority: Option::deserialize(nullable(map, "priority"))?,
                 })
             }
             "poll" => Ok(Request::Poll(Target::deserialize(value)?)),
@@ -391,10 +386,7 @@ impl serde::Deserialize for Request {
                     value.as_map().ok_or_else(|| serde::Error::new("expected a wait object"))?;
                 Ok(Request::Wait {
                     target: Target::deserialize(value)?,
-                    timeout_ms: match field(map, "timeout_ms") {
-                        None | Some(Content::Null) => None,
-                        Some(value) => Some(u64::deserialize(value)?),
-                    },
+                    timeout_ms: Option::deserialize(nullable(map, "timeout_ms"))?,
                 })
             }
             "cancel" => Ok(Request::Cancel(Target::deserialize(value)?)),
@@ -477,7 +469,7 @@ impl serde::Deserialize for Response {
         let (tag, value) = untag(content)?;
         let map = value.as_map().unwrap_or(&[]);
         let req = |name: &str| {
-            field(map, name).ok_or_else(|| serde::Error::new(format!("missing `{name}`")))
+            lookup(map, name).ok_or_else(|| serde::Error::new(format!("missing `{name}`")))
         };
         match tag {
             "accepted" => Ok(Response::Accepted { job: u64::deserialize(req("job")?)? }),
@@ -1345,6 +1337,70 @@ mod tests {
             Some(&cimflow_obs::MetricValue::Counter(1))
         );
         assert_eq!(service.stats().rejected, 0);
+    }
+
+    /// The outcome a `result` or a one-point `batch_result` answers.
+    fn only_outcome(response: &Response) -> WireOutcome {
+        match response {
+            Response::Result(outcome) => outcome.clone(),
+            Response::BatchResult { outcomes, .. } if outcomes.len() == 1 => outcomes[0].clone(),
+            other => panic!("expected one result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_core_count_fails_its_point_not_the_server() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let input = [
+            r#"{"submit": {"model": {"name": "resnet18", "resolution": 32}, "strategy": "generic", "core_count": 4294967295}}"#,
+            r#"{"wait": {"job": 1}}"#,
+            r#"{"stats": {}}"#,
+        ]
+        .join("\n");
+        let responses = responses(&service, &input);
+        assert_eq!(responses.len(), 3, "{responses:?}");
+        assert_eq!(responses[0], Response::Accepted { job: 1 });
+        let outcome = only_outcome(&responses[1]);
+        assert!(!outcome.ok);
+        let error = outcome.error.expect("failed points carry their error");
+        assert!(error.contains("exceed the 65536-core system bound"), "{error}");
+        assert!(matches!(responses[2], Response::Stats { .. }), "the server keeps answering");
+    }
+
+    #[test]
+    fn over_cap_serving_workloads_are_refused() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let mut connection = Connection::new(&service);
+        let requests = cimflow_traffic::MAX_REQUESTS + 1;
+        let sweep = format!(
+            r#"{{"sweep": {{"spec": {{"models": [{{"name": "resnet18", "resolution": 32}}], "strategies": ["generic"], "traffic": {{"offered_qps": [1000], "workload": {{"requests": {requests}}}}}}}}}}}"#
+        );
+        match connection.handle_line(&sweep).0 {
+            Response::Rejected { kind, reason } => {
+                assert_eq!(kind, "invalid_spec");
+                assert!(reason.contains("1048576-request bound"), "{reason}");
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!(
+            service
+                .metrics_snapshot()
+                .get("service.admission_rejected", &[("cause", "invalid_spec")]),
+            Some(&cimflow_obs::MetricValue::Counter(1))
+        );
+
+        let submit = format!(
+            r#"{{"submit": {{"model": {{"name": "resnet18", "resolution": 32}}, "strategy": "generic", "traffic": {{"offered_qps": 1000, "workload": {{"requests": {requests}}}}}}}}}"#
+        );
+        let job = match connection.handle_line(&submit).0 {
+            Response::Accepted { job } => job,
+            other => panic!("expected an admission, got {other:?}"),
+        };
+        let wait = format!(r#"{{"wait": {{"job": {job}}}}}"#);
+        let outcome = only_outcome(&connection.handle_line(&wait).0);
+        assert!(!outcome.ok);
+        let error = outcome.error.expect("failed points carry their error");
+        assert!(error.contains("1048576-request bound"), "{error}");
     }
 
     #[test]

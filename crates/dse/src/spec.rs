@@ -10,7 +10,7 @@
 use cimflow_arch::ArchConfig;
 use cimflow_compiler::{SearchMode, Strategy};
 use cimflow_traffic::WorkloadSpec;
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::DseError;
 
@@ -49,7 +49,8 @@ impl ModelSpec {
 /// each offered rate, and evaluations carry SLO metrics (p50/p99/max
 /// latency under load, goodput, saturation QPS) next to the classic
 /// single-inference report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct TrafficSpec {
     /// Offered request rates in requests/second — the sweep axis
     /// (required non-empty).
@@ -89,36 +90,14 @@ impl TrafficSpec {
     }
 }
 
-impl Deserialize for TrafficSpec {
-    fn deserialize(content: &Content) -> Result<Self, serde::Error> {
-        let map =
-            content.as_map().ok_or_else(|| serde::Error::new("expected map for TrafficSpec"))?;
-        fn opt<T: Deserialize>(
-            map: &[(String, Content)],
-            name: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match map.iter().find(|(k, _)| k == name) {
-                Some((_, Content::Null)) | None => Ok(None),
-                Some((_, v)) => T::deserialize(v)
-                    .map(Some)
-                    .map_err(|e| serde::Error::new(format!("TrafficSpec.{name}: {e}"))),
-            }
-        }
-        Ok(TrafficSpec {
-            offered_qps: opt(map, "offered_qps")?.unwrap_or_default(),
-            workload: opt(map, "workload")?.unwrap_or_default(),
-            colocate: opt(map, "colocate")?.unwrap_or(false),
-        })
-    }
-}
-
 /// A declarative architectural sweep over the CIMFlow design space.
 ///
 /// The grid is the cartesian product of all non-empty axes, expanded in a
 /// fixed order (model, strategy, search mode, chip count, core count,
 /// local memory, flit size, macro-group size) so results are
 /// deterministic regardless of how many workers evaluate them.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct SweepSpec {
     /// Optional sweep name (used in report headers).
     pub name: Option<String>,
@@ -161,22 +140,7 @@ pub struct SweepSpec {
 impl SweepSpec {
     /// Creates an empty sweep over the paper-default base architecture.
     pub fn new() -> Self {
-        SweepSpec {
-            name: None,
-            base: None,
-            models: Vec::new(),
-            strategies: Vec::new(),
-            search_modes: Vec::new(),
-            mg_sizes: Vec::new(),
-            flit_sizes: Vec::new(),
-            chip_counts: Vec::new(),
-            core_counts: Vec::new(),
-            local_memory_kib: Vec::new(),
-            frequencies_mhz: Vec::new(),
-            memory_ports: Vec::new(),
-            traffic: None,
-            workers: None,
-        }
+        SweepSpec::default()
     }
 
     /// Sets the sweep name.
@@ -393,48 +357,6 @@ impl SweepSpec {
     /// Returns [`DseError::Spec`] for malformed JSON.
     pub fn from_json(text: &str) -> Result<Self, DseError> {
         serde_json::from_str(text).map_err(|e| DseError::spec(e.to_string()))
-    }
-}
-
-impl Default for SweepSpec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// Manual Deserialize so that every axis (and the optional fields) may be
-// omitted from sweep files; the derive would make all fields mandatory.
-impl Deserialize for SweepSpec {
-    fn deserialize(content: &Content) -> Result<Self, serde::Error> {
-        let map =
-            content.as_map().ok_or_else(|| serde::Error::new("expected map for SweepSpec"))?;
-        fn opt<T: Deserialize>(
-            map: &[(String, Content)],
-            name: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match map.iter().find(|(k, _)| k == name) {
-                Some((_, Content::Null)) | None => Ok(None),
-                Some((_, v)) => T::deserialize(v)
-                    .map(Some)
-                    .map_err(|e| serde::Error::new(format!("SweepSpec.{name}: {e}"))),
-            }
-        }
-        Ok(SweepSpec {
-            name: opt(map, "name")?,
-            base: opt(map, "base")?,
-            models: opt(map, "models")?.unwrap_or_default(),
-            strategies: opt(map, "strategies")?.unwrap_or_default(),
-            search_modes: opt(map, "search_modes")?.unwrap_or_default(),
-            mg_sizes: opt(map, "mg_sizes")?.unwrap_or_default(),
-            flit_sizes: opt(map, "flit_sizes")?.unwrap_or_default(),
-            chip_counts: opt(map, "chip_counts")?.unwrap_or_default(),
-            core_counts: opt(map, "core_counts")?.unwrap_or_default(),
-            local_memory_kib: opt(map, "local_memory_kib")?.unwrap_or_default(),
-            frequencies_mhz: opt(map, "frequencies_mhz")?.unwrap_or_default(),
-            memory_ports: opt(map, "memory_ports")?.unwrap_or_default(),
-            traffic: opt(map, "traffic")?,
-            workers: opt(map, "workers")?,
-        })
     }
 }
 

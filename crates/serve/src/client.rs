@@ -574,6 +574,82 @@ mod tests {
         server.stop();
     }
 
+    /// Polls `status` until it reports every point finished.
+    fn until_finished(mut status: impl FnMut() -> RemoteStatus) {
+        for _ in 0..6000 {
+            let now = status();
+            if now.completed == now.total {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("the work did not finish within a minute");
+    }
+
+    #[test]
+    fn client_cancels_queued_work_and_nothing_finished() {
+        use cimflow_arch::ArchConfig;
+        use cimflow_compiler::SearchMode;
+        use cimflow_dse::{evaluate_with_search, CacheKey, EvalCache};
+        use cimflow_nn::models;
+        use std::sync::mpsc;
+
+        // Hold the first job's in-flight cache marker so the one worker
+        // blocks on it and everything submitted after it stays queued.
+        let cache = EvalCache::new();
+        let service =
+            Arc::new(EvalService::with_cache(ServiceConfig::new().with_workers(1), cache.clone()));
+        let server = TcpServer::spawn(Arc::clone(&service), 0).expect("bind loopback");
+        let (go, release) = mpsc::channel();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let blocked_cache = cache.clone();
+        let blocker = std::thread::spawn(move || {
+            let arch = ArchConfig::paper_default();
+            let model = models::mobilenet_v2(32);
+            let key = CacheKey::of(&arch, &model, Strategy::GenericMapping, SearchMode::Sequential);
+            blocked_cache
+                .get_or_insert_with(key, || {
+                    entered_tx.send(()).expect("entered signal");
+                    release.recv().expect("release signal");
+                    evaluate_with_search(
+                        &arch,
+                        &model,
+                        Strategy::GenericMapping,
+                        SearchMode::Sequential,
+                    )
+                })
+                .expect("blocked evaluation succeeds");
+        });
+        entered_rx.recv().expect("blocker holds the marker");
+
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let running = client
+            .submit(&EvalRequest::new("mobilenetv2", 32, Strategy::GenericMapping))
+            .expect("admitted");
+        // Claims are FIFO, so the one worker takes `running` first and
+        // blocks on its marker: every later submission stays queued.
+        let queued = client
+            .submit(&EvalRequest::new("resnet18", 32, Strategy::GenericMapping))
+            .expect("admitted");
+        let ticket = client.submit_sweep(&spec(), None, None).expect("admitted");
+
+        assert!(client.cancel_job(queued).expect("answered"), "a queued job cancels");
+        let outcome = client.wait_job(queued).expect("result");
+        assert!(!outcome.ok);
+        let error = outcome.error.expect("a cancelled job reports why");
+        assert!(error.contains("cancelled"), "{error}");
+        assert_eq!(client.cancel_batch(ticket.batch).expect("answered"), 2);
+
+        go.send(()).unwrap();
+        blocker.join().unwrap();
+        until_finished(|| client.poll_job(running).expect("status"));
+        assert!(!client.cancel_job(running).expect("answered"), "a finished job cannot cancel");
+        let finished = client.submit_sweep(&spec(), None, None).expect("admitted");
+        until_finished(|| client.poll_batch(finished.batch).expect("status"));
+        assert_eq!(client.cancel_batch(finished.batch).expect("answered"), 0);
+        server.stop();
+    }
+
     #[test]
     fn shutdown_stops_the_listener() {
         use std::time::{Duration, Instant};

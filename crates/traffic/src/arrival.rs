@@ -8,8 +8,16 @@
 //! QPS compresses the *same* arrival sequence in time without
 //! reordering it.
 
+use std::io::{self, Read};
+
+use serde::Deserialize;
+
 use crate::rng::XorShift;
 use crate::workload::TrafficError;
+
+/// Most bytes [`ArrivalTrace::from_path`] reads of a trace file: 16 MiB.
+/// A longer file fails the point that names it.
+pub const MAX_TRACE_BYTES: u64 = 16 << 20;
 
 /// An open-loop arrival process: an infinite stream of inter-arrival
 /// gaps in ticks.
@@ -177,10 +185,8 @@ impl ArrivalTrace {
             let map = value.as_map().ok_or_else(|| {
                 TrafficError::trace(format!("line {}: not an object", number + 1))
             })?;
-            let number_field = |name: &str| {
-                use serde::Deserialize;
-                map.iter().find(|(k, _)| k == name).and_then(|(_, v)| f64::deserialize(v).ok())
-            };
+            let number_field =
+                |name| serde::lookup(map, name).and_then(|v| f64::deserialize(v).ok());
             match (number_field("gap_us"), number_field("t_us")) {
                 (Some(gap), None) => gaps.push(gap),
                 (None, Some(t)) => timestamps.push(t),
@@ -211,7 +217,8 @@ impl ArrivalTrace {
     ///
     /// [`TrafficError::Trace`] when the file cannot be read or parsed.
     pub fn from_path(path: &std::path::Path) -> Result<Self, TrafficError> {
-        let text = std::fs::read_to_string(path)
+        let text = std::fs::File::open(path)
+            .and_then(read_bounded)
             .map_err(|e| TrafficError::trace(format!("{}: {e}", path.display())))?;
         Self::from_jsonl(&text)
     }
@@ -226,6 +233,16 @@ impl ArrivalTrace {
     pub fn is_empty(&self) -> bool {
         self.gaps.is_empty()
     }
+}
+
+/// Reads `reader` to its end as UTF-8, failing past [`MAX_TRACE_BYTES`].
+fn read_bounded(reader: impl Read) -> io::Result<String> {
+    let mut text = String::new();
+    reader.take(MAX_TRACE_BYTES + 1).read_to_string(&mut text)?;
+    if text.len() as u64 > MAX_TRACE_BYTES {
+        return Err(io::Error::other(format!("longer than the {MAX_TRACE_BYTES}-byte bound")));
+    }
+    Ok(text)
 }
 
 /// Replays a recorded [`ArrivalTrace`] at an offered rate, cycling when
@@ -324,5 +341,14 @@ mod tests {
         assert!(ArrivalTrace::from_jsonl("not json\n").is_err());
         assert!(ArrivalTrace::from_jsonl("{\"gap_us\": 1}\n{\"t_us\": 2}\n").is_err());
         assert!(ArrivalTrace::from_jsonl("{\"neither\": 1}\n").is_err());
+    }
+
+    #[test]
+    fn trace_reads_stop_at_the_byte_bound() {
+        let at_bound = read_bounded(io::repeat(b'\n').take(MAX_TRACE_BYTES)).unwrap();
+        assert_eq!(at_bound.len() as u64, MAX_TRACE_BYTES);
+        // An endless reader is refused once it passes the bound.
+        let error = read_bounded(io::repeat(b'\n')).unwrap_err().to_string();
+        assert!(error.contains("16777216-byte bound"), "{error}");
     }
 }

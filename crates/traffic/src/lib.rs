@@ -35,7 +35,9 @@ pub mod queue;
 pub mod rng;
 pub mod workload;
 
-pub use arrival::{ArrivalProcess, ArrivalTrace, Bursty, Diurnal, Poisson, TraceReplay};
+pub use arrival::{
+    ArrivalProcess, ArrivalTrace, Bursty, Diurnal, Poisson, TraceReplay, MAX_TRACE_BYTES,
+};
 pub use queue::{run_queue, BatchRecord, Completion, ModelTiming, QueueOutcome};
 pub use rng::XorShift;
-pub use workload::{ArrivalSpec, Request, TrafficError, WorkloadSpec, DEFAULT_SEED};
+pub use workload::{ArrivalSpec, Request, TrafficError, WorkloadSpec, DEFAULT_SEED, MAX_REQUESTS};

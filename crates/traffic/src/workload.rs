@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use serde::{Content, Deserialize, Serialize};
+use serde::{optional_field, Content, Deserialize, Serialize};
 
 use crate::arrival::{ArrivalProcess, ArrivalTrace, Bursty, Diurnal, Poisson, TraceReplay};
 use crate::rng::XorShift;
@@ -17,6 +17,11 @@ use crate::rng::XorShift;
 /// Default workload seed (the DSE explorer convention: any fixed,
 /// documented value; determinism matters, the digits do not).
 pub const DEFAULT_SEED: u64 = 0x7AFF_1C5E;
+
+/// Most requests one workload may ask for: 1,048,576 (1 << 20). A
+/// serving run holds every request in memory at once, so the bound caps
+/// what one spec can allocate.
+pub const MAX_REQUESTS: u64 = 1 << 20;
 
 /// A traffic-layer error: an invalid specification or an unusable
 /// arrival trace.
@@ -141,46 +146,26 @@ impl Deserialize for ArrivalSpec {
         let map = content
             .as_map()
             .ok_or_else(|| serde::Error::new("arrival spec must be a string or a map"))?;
-        let kind = map
-            .iter()
-            .find(|(k, _)| k == "kind")
-            .and_then(|(_, v)| v.as_str())
+        let kind = serde::lookup(map, "kind")
+            .and_then(Content::as_str)
             .ok_or_else(|| serde::Error::new("arrival spec needs a string `kind` field"))?;
         match kind {
             "poisson" => Ok(ArrivalSpec::Poisson),
             "bursty" => Ok(ArrivalSpec::Bursty {
-                burst: field_or(map, "burst", 4.0)?,
-                dwell: field_or(map, "dwell", 16)?,
+                burst: optional_field(map, "burst", "ArrivalSpec")?.unwrap_or(4.0),
+                dwell: optional_field(map, "dwell", "ArrivalSpec")?.unwrap_or(16),
             }),
             "diurnal" => Ok(ArrivalSpec::Diurnal {
-                amplitude: field_or(map, "amplitude", 0.5)?,
-                period_gaps: field_or(map, "period_gaps", 256.0)?,
+                amplitude: optional_field(map, "amplitude", "ArrivalSpec")?.unwrap_or(0.5),
+                period_gaps: optional_field(map, "period_gaps", "ArrivalSpec")?.unwrap_or(256.0),
             }),
-            "trace" => {
-                let path: Option<String> = opt(map, "path")?;
-                let path = path.ok_or_else(|| serde::Error::new("trace arrivals need a `path`"))?;
-                Ok(ArrivalSpec::Trace { path })
-            }
+            "trace" => match optional_field(map, "path", "ArrivalSpec")? {
+                Some(path) => Ok(ArrivalSpec::Trace { path }),
+                None => Err(serde::Error::new("trace arrivals need a `path`")),
+            },
             other => Err(serde::Error::new(format!("unknown arrival kind `{other}`"))),
         }
     }
-}
-
-/// The field named `name`, if present.
-fn opt<T: Deserialize>(map: &[(String, Content)], name: &str) -> Result<Option<T>, serde::Error> {
-    match map.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::deserialize(v).map(Some),
-        None => Ok(None),
-    }
-}
-
-/// The field named `name`, or `default` when absent.
-fn field_or<T: Deserialize>(
-    map: &[(String, Content)],
-    name: &str,
-    default: T,
-) -> Result<T, serde::Error> {
-    Ok(opt(map, name)?.unwrap_or(default))
 }
 
 /// A rate-free workload preset: arrival shape, seed, horizon, batching
@@ -188,7 +173,8 @@ fn field_or<T: Deserialize>(
 ///
 /// Every field has a default, so `{}` is a valid preset (Poisson
 /// arrivals, 256 requests, batches of up to 8, greedy dispatch).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct WorkloadSpec {
     /// Arrival shape.
     pub arrival: ArrivalSpec,
@@ -220,35 +206,6 @@ impl Default for WorkloadSpec {
     }
 }
 
-impl Serialize for WorkloadSpec {
-    fn serialize(&self) -> Content {
-        Content::Map(vec![
-            ("arrival".to_owned(), self.arrival.serialize()),
-            ("seed".to_owned(), Content::U64(self.seed)),
-            ("requests".to_owned(), Content::U64(self.requests)),
-            ("max_batch".to_owned(), Content::U64(self.max_batch)),
-            ("max_queue_delay_us".to_owned(), Content::U64(self.max_queue_delay_us)),
-            ("mix".to_owned(), Content::Seq(self.mix.iter().map(|w| Content::F64(*w)).collect())),
-        ])
-    }
-}
-
-impl Deserialize for WorkloadSpec {
-    fn deserialize(content: &Content) -> Result<Self, serde::Error> {
-        let map =
-            content.as_map().ok_or_else(|| serde::Error::new("workload spec must be a map"))?;
-        let defaults = WorkloadSpec::default();
-        Ok(WorkloadSpec {
-            arrival: opt(map, "arrival")?.unwrap_or(defaults.arrival),
-            seed: field_or(map, "seed", defaults.seed)?,
-            requests: field_or(map, "requests", defaults.requests)?,
-            max_batch: field_or(map, "max_batch", defaults.max_batch)?,
-            max_queue_delay_us: field_or(map, "max_queue_delay_us", defaults.max_queue_delay_us)?,
-            mix: opt(map, "mix")?.unwrap_or_default(),
-        })
-    }
-}
-
 impl WorkloadSpec {
     /// Validates the preset against a co-location width of `models`.
     ///
@@ -261,6 +218,12 @@ impl WorkloadSpec {
         }
         if self.requests == 0 {
             return Err(TrafficError::spec("request horizon must be positive"));
+        }
+        if self.requests > MAX_REQUESTS {
+            return Err(TrafficError::spec(format!(
+                "request horizon of {} exceeds the {MAX_REQUESTS}-request bound",
+                self.requests
+            )));
         }
         if self.max_batch == 0 {
             return Err(TrafficError::spec("max_batch must be positive"));
@@ -451,5 +414,29 @@ mod tests {
         assert!(WorkloadSpec { max_batch: 0, ..spec.clone() }.validate(1).is_err());
         assert!(WorkloadSpec { mix: vec![1.0], ..spec.clone() }.validate(2).is_err());
         assert!(WorkloadSpec { mix: vec![0.0, 0.0], ..spec }.validate(2).is_err());
+    }
+
+    #[test]
+    fn the_request_horizon_is_capped() {
+        let at_cap = WorkloadSpec { requests: MAX_REQUESTS, ..WorkloadSpec::default() };
+        assert!(at_cap.validate(1).is_ok());
+        let over = WorkloadSpec { requests: MAX_REQUESTS + 1, ..at_cap };
+        let error = over.validate(1).unwrap_err().to_string();
+        assert!(error.contains("1048577 exceeds the 1048576-request bound"), "{error}");
+    }
+
+    #[test]
+    fn null_takes_each_default_and_errors_name_their_field() {
+        let spec: WorkloadSpec =
+            serde_json::from_str("{\"arrival\": null, \"seed\": null, \"mix\": null}").unwrap();
+        assert_eq!(spec, WorkloadSpec::default());
+        let spec: WorkloadSpec =
+            serde_json::from_str("{\"arrival\": {\"kind\": \"bursty\", \"burst\": null}}").unwrap();
+        assert_eq!(spec.arrival, ArrivalSpec::Bursty { burst: 4.0, dwell: 16 });
+        let error = serde_json::from_str::<WorkloadSpec>("{\"requests\": \"many\"}").unwrap_err();
+        assert!(error.to_string().contains("WorkloadSpec.requests: expected integer"), "{error}");
+        let error = serde_json::from_str::<ArrivalSpec>("{\"kind\": \"bursty\", \"dwell\": -1}")
+            .unwrap_err();
+        assert!(error.to_string().contains("ArrivalSpec.dwell: integer -1"), "{error}");
     }
 }

@@ -15,13 +15,16 @@
 use std::path::Path;
 
 /// Every constant the docs quote, with its value in the code.
-fn constants() -> [(&'static str, u64); 5] {
+fn constants() -> [(&'static str, u64); 8] {
     [
         ("LOCKSTEP_LANES", cimflow::sim::LOCKSTEP_LANES as u64),
         ("CACHE_FORMAT_VERSION", u64::from(cimflow_dse::CACHE_FORMAT_VERSION)),
         ("MAX_LINE_BYTES", cimflow_dse::serve::MAX_LINE_BYTES as u64),
         ("MAX_EXPANDED_POINTS", cimflow_dse::MAX_EXPANDED_POINTS as u64),
         ("DEFAULT_TRACE_CAPACITY", cimflow_dse::DEFAULT_TRACE_CAPACITY as u64),
+        ("MAX_SYSTEM_CORES", cimflow::arch::MAX_SYSTEM_CORES),
+        ("MAX_REQUESTS", cimflow_traffic::MAX_REQUESTS),
+        ("MAX_TRACE_BYTES", cimflow_traffic::MAX_TRACE_BYTES),
     ]
 }
 
